@@ -1,8 +1,8 @@
 """Command-line front door.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric or
-model error. All output artifacts are deterministic for a given config and
-dataset set.
+Exit codes: 0 success, 2 configuration error (including an output that
+cannot be written), 3 data error, 4 numeric or model error. All output
+artifacts are deterministic for a given config and dataset set.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ def _load_config(args) -> ScenarioConfig:
         config = replace(config, out_dir=args.out)
     if args.horizon is not None:
         config = replace(config, horizon=args.horizon)
+    if getattr(args, "year", None) is not None:
+        report_mod.check_year("--year", args.year)
     return config.validate()
 
 
@@ -76,12 +78,11 @@ def _run(args) -> int:
     rep = report_mod.run_scenario(config)
 
     if args.command == "fit":
-        key = {"pv": "pv", "wind": "wind_trend", "offshore_wind": "offshore_wind",
-               "hydro": "hydro"}[args.technology]
-        _print_fit(key, rep.fits[key])
-        if args.technology == "wind":
-            _print_fit("wind_piecewise", rep.fits["wind_piecewise"])
-            _print_fit("wind_rebound", rep.fits["wind_rebound"])
+        fits = rep.to_dict()["fits"]
+        keys = {"pv": ("pv",), "wind": ("wind_trend", "wind_piecewise", "wind_rebound"),
+                "offshore_wind": ("offshore_wind",), "hydro": ("hydro",)}
+        for key in keys[args.technology]:
+            _print_fit(key, fits[key])
         return 0
 
     if args.command == "project":
@@ -122,7 +123,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "learn":
-        for key, value in rep.learning.items():
+        for key, value in rep.to_dict()["learning"].items():
             print(f"{key} = {value}")
         return 0
 
@@ -146,15 +147,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "figures":
-        from pathlib import Path
-
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         ids = FIGURE_IDS if args.figure_id is None else (args.figure_id,)
-        for fig_id in ids:
-            svg = report_mod.emit_figure(rep, fig_id)
-            path = out / f"{fig_id}.svg"
-            path.write_text(svg, encoding="utf-8")
+        svgs = ((f"{i}.svg", report_mod.emit_figure(rep, i)) for i in ids)
+        for path in report_mod.write_artifacts(config.out_dir, svgs):
             print(f"wrote {path}")
         return 0
 

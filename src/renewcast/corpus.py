@@ -74,10 +74,6 @@ class CapacitySeries:
         return tuple(s[1] for s in self.samples)
 
     @property
-    def first_year(self) -> float:
-        return self.samples[0][0]
-
-    @property
     def last_year(self) -> float:
         return self.samples[-1][0]
 

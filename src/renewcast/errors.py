@@ -17,6 +17,10 @@ class ConfigInvalid(ConfigError):
     pass
 
 
+class OutputUnwritable(ConfigError):
+    pass
+
+
 class DataError(RenewcastError):
     """Malformed, missing or out-of-contract input data."""
 
@@ -90,6 +94,10 @@ class EmptyCombination(ModelError):
 
 
 class NonMonotoneProjection(ModelError):
+    pass
+
+
+class LevelNotMet(ModelError):
     pass
 
 

@@ -99,22 +99,25 @@ def _windowed(series: CapacitySeries, window):
     return picked
 
 
-def _log_ols(t: np.ndarray, lnv: np.ndarray):
-    """Centered OLS; returns (slope, value of line at t[0], sse, sst)."""
-    tm = t.mean()
-    ym = lnv.mean()
-    dt = t - tm
-    denom = float((dt * dt).sum())
-    slope = float((dt * (lnv - ym)).sum() / denom)
-    at_first = ym + slope * (t[0] - tm)
-    resid = lnv - (ym + slope * dt)
+def ols(x: np.ndarray, y: np.ndarray):
+    """Centred least-squares line through (x, y).
+
+    Returns (slope, mean x, mean y, sse, sst); the line is
+    mean_y + slope * (x - mean_x).
+    """
+    xm = x.mean()
+    ym = y.mean()
+    dx = x - xm
+    denom = float((dx * dx).sum())
+    slope = float((dx * (y - ym)).sum() / denom)
+    resid = y - (ym + slope * dx)
     sse = float((resid * resid).sum())
-    sst = float(((lnv - ym) ** 2).sum())
-    return slope, float(at_first), sse, sst
+    sst = float(((y - ym) ** 2).sum())
+    return slope, xm, ym, sse, sst
 
 
-def _r_squared(sse: float, sst: float) -> float:
-    # Zero log-variance input: 1 when the residuals vanish too, else 0.
+def r_squared(sse: float, sst: float) -> float:
+    # Zero variance input: 1 when the residuals vanish too, else 0.
     if sst == 0.0:
         return 1.0 if sse == 0.0 else 0.0
     return 1.0 - sse / sst
@@ -138,12 +141,12 @@ def fit_exponential(series: CapacitySeries, window=None) -> ExponentialFit:
             )
     t = np.array([s[0] for s in samples], dtype=float)
     lnv = np.log([s[1] for s in samples])
-    slope, at_first, sse, sst = _log_ols(t, lnv)
+    slope, tm, ym, sse, sst = ols(t, lnv)
     return ExponentialFit(
         reference_year=float(t[0]),
-        ln_intercept=at_first,
+        ln_intercept=float(ym + slope * (t[0] - tm)),
         ln_slope=slope,
-        r_squared_logspace=_r_squared(sse, sst),
+        r_squared_logspace=r_squared(sse, sst),
         rmse_logspace=math.sqrt(sse / len(samples)),
         window=(float(t[0]), float(t[-1])),
     )
@@ -198,14 +201,12 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
     t = np.array([s[0] for s in samples], dtype=float)
     lnv = np.log([s[1] for s in samples])
 
-    _, _, sse_single, _ = _log_ols(t, lnv)
+    sse_single = ols(t, lnv)[3]
 
     best_k = None
     best_sse = math.inf
     for k in range(min_segment, n - min_segment + 1):
-        _, _, sse_l, _ = _log_ols(t[:k], lnv[:k])
-        _, _, sse_r, _ = _log_ols(t[k:], lnv[k:])
-        total = sse_l + sse_r
+        total = ols(t[:k], lnv[:k])[3] + ols(t[k:], lnv[k:])[3]
         if total < best_sse:
             best_sse = total
             best_k = k

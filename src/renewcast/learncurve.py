@@ -26,6 +26,7 @@ from .errors import (
     UnitMismatch,
 )
 from .genconvert import generation_capability
+from .growthfit import ols, r_squared
 
 X_YEAR = "year"
 X_GENERATION = "cumulative_generation"
@@ -138,20 +139,6 @@ class CostValue(float):
         return obj
 
 
-def _ols(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
-    slope = float((dx * (y - ym)).sum() / (dx * dx).sum())
-    intercept = float(ym - slope * xm)
-    resid = y - (intercept + slope * x)
-    sse = float((resid * resid).sum())
-    sst = float(((y - ym) ** 2).sum())
-    r2 = 1.0 if sst == 0.0 and sse == 0.0 else (0.0 if sst == 0.0 else 1.0 - sse / sst)
-    return slope, intercept, sse, r2
-
-
 def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
     """Least squares on (log10 x, log10 cost) of a capability-indexed series."""
     if series.x_kind != X_GENERATION:
@@ -166,12 +153,12 @@ def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
             raise NonPositiveValue(f"x value {x!r} must be > 0")
     lx = np.log10([s[0] for s in series.samples])
     lc = np.log10([s[1] for s in series.samples])
-    slope, intercept, sse, r2 = _ols(lx, lc)
+    slope, xm, ym, sse, sst = ols(lx, lc)
     return LearningCurveFit(
         technology=series.technology,
-        log10_intercept=intercept,
+        log10_intercept=float(ym - slope * xm),
         log10_slope=slope,
-        r_squared=r2,
+        r_squared=r_squared(sse, sst),
         rmse_log10=math.sqrt(sse / len(series.samples)),
         x_range=series.x_range,
         cost_unit=series.cost_unit,
@@ -216,20 +203,13 @@ def fit_time_decay(series: CostSeries) -> TimeDecayFit:
         raise TooFewPoints("time-decay fit needs >= 2 samples")
     t = np.array([s[0] for s in series.samples], dtype=float)
     lnc = np.log([s[1] for s in series.samples])
-    tm, ym = t.mean(), lnc.mean()
-    dt = t - tm
-    slope = float((dt * (lnc - ym)).sum() / (dt * dt).sum())
-    at_first = ym + slope * (t[0] - tm)
-    resid = lnc - (ym + slope * dt)
-    sse = float((resid * resid).sum())
-    sst = float(((lnc - ym) ** 2).sum())
-    r2 = 1.0 if sst == 0.0 and sse == 0.0 else (0.0 if sst == 0.0 else 1.0 - sse / sst)
+    slope, tm, ym, sse, sst = ols(t, lnc)
     return TimeDecayFit(
         technology=series.technology,
         reference_year=float(t[0]),
-        cost0=math.exp(at_first),
+        cost0=math.exp(ym + slope * (t[0] - tm)),
         decay=math.exp(slope),
-        r_squared=r2,
+        r_squared=r_squared(sse, sst),
         window=(float(t[0]), float(t[-1])),
         cost_unit=series.cost_unit,
     )

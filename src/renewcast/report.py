@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 from . import corpus, growthfit, learncurve, resourcebudget, scenario
 from .corpus import constant, get_constant
-from .errors import ConfigInvalid, DatasetMissing, MissingFit
+from .errors import ConfigInvalid, DatasetMissing, MissingFit, OutputUnwritable
 from .genconvert import TechnologyProfile
 from .svgchart import Axis, Chart, render
 
 SCHEMA_VERSION = 1
+# Latest accepted horizon or evaluation year; it bounds the crossing grid.
+MAX_HORIZON = 2200.0
 
 WIND_TREATMENTS = ("trend", "piecewise", "rebound")
 COMBINATIONS = ("pv", "wind_pv", "wind_pv_hydro")
@@ -34,6 +36,13 @@ _THRESHOLD_SPECS = (
     ("primary_fig5", "primary_threshold_fig5", 2032.0),
 )
 THRESHOLD_NAMES = tuple(s[0] for s in _THRESHOLD_SPECS)
+
+
+def check_year(name: str, year: float):
+    """Reject a non-finite year or one after MAX_HORIZON."""
+    if not (math.isfinite(year) and year <= MAX_HORIZON):
+        raise ConfigInvalid(
+            f"{name} must be a finite year <= {MAX_HORIZON:g}, got {year!r}")
 
 
 def default_thresholds():
@@ -72,6 +81,11 @@ class ScenarioConfig:
                 f"wind_treatment must be one of {WIND_TREATMENTS}, "
                 f"got {self.wind_treatment!r}"
             )
+        check_year("horizon", self.horizon)
+        for year in self.mix_years:
+            check_year("mix year", year)
+        if not math.isfinite(self.changepoint_threshold):
+            raise ConfigInvalid("changepoint_threshold must be finite")
         if self.changepoint_min_segment < 2:
             raise ConfigInvalid("changepoint_min_segment must be >= 2")
         if self.hydro_degree < 1:
@@ -166,14 +180,16 @@ class ClaimRow:
 
 @dataclass
 class ScenarioReport:
+    """Everything one run computed, held as the typed objects that computed
+    it; to_dict is the one place they become JSON keys."""
+
     config: ScenarioConfig
     series: dict
-    fits: dict
+    fits: dict          # name -> growthfit Exponential/PiecewiseExponential/PolynomialFit
     profiles: dict
-    thresholds: tuple
     crossings: list
-    mixes: dict
-    learning: dict
+    mixes: dict         # "%g" year -> list of scenario.MixEntry
+    learning: dict      # name -> learncurve LearningCurveFit/TimeDecayFit
     budget: dict
     discrepancies: list
     claims: list
@@ -198,10 +214,43 @@ class ScenarioReport:
             "mix_years": list(self.config.mix_years),
             "thresholds": list(self.config.thresholds),
         }
+        fits = self.fits
+        piecewise, hydro = fits["wind_piecewise"], fits["hydro"]
+        pv_lc = self.learning["pv_learning_curve"]
+        wind_lc = self.learning["wind_learning_curve"]
+        cross_x, cross_cost = self.curve_crossing
         return {
             "schema_version": SCHEMA_VERSION,
             "config": cfg,
-            "fits": self.fits,
+            "fits": {
+                "pv": {
+                    **_exp_fit_dict(fits["pv"]),
+                    "residual_signs": growthfit.residual_signs(self.series["pv"],
+                                                               fits["pv"]),
+                },
+                "wind_trend": _exp_fit_dict(fits["wind_trend"]),
+                "wind_piecewise": {
+                    "kind": "piecewise_exponential",
+                    "changepoint_year": piecewise.changepoint_year,
+                    "left": _exp_fit_dict(piecewise.left),
+                    "right": _exp_fit_dict(piecewise.right),
+                    "sse_piecewise": piecewise.sse_piecewise,
+                    "sse_single": piecewise.sse_single,
+                    "improvement_ratio": piecewise.improvement_ratio,
+                    "regime_change": self.regime_change,
+                    "window": list(piecewise.window),
+                },
+                "wind_rebound": _exp_fit_dict(fits["wind_rebound"]),
+                "offshore_wind": _exp_fit_dict(fits["offshore_wind"]),
+                "hydro": {
+                    "kind": "polynomial",
+                    "reference_year": hydro.reference_year,
+                    "coefficients": list(hydro.coefficients),
+                    "degree": hydro.degree,
+                    "rmse": hydro.rmse,
+                    "window": list(hydro.window),
+                },
+            },
             "crossings": [
                 {
                     "threshold": c.threshold,
@@ -214,29 +263,31 @@ class ScenarioReport:
                 }
                 for c in self.crossings
             ],
-            "mixes": self.mixes,
-            "learning": self.learning,
+            "mixes": {
+                year: [{"technology": e.technology,
+                        "generation_twh_per_year": e.generation_twh,
+                        "share_pct": e.share_pct} for e in entries]
+                for year, entries in self.mixes.items()
+            },
+            "learning": {
+                "pv_learning_curve": _learning_curve_dict(pv_lc),
+                "wind_learning_curve": _learning_curve_dict(wind_lc),
+                "curve_crossing": {
+                    "x_twh_per_year": cross_x,
+                    "cost_usd_per_mwh": cross_cost,
+                    "beyond_observed_range": cross_x > max(pv_lc.x_range[1],
+                                                           wind_lc.x_range[1]),
+                },
+                "pv_cost_at_stated_2030_generation_usd_per_mwh":
+                    float(self.pv_cost_at_stated_2030),
+                "pv_time_decay": _decay_dict(self.learning["pv_time_decay"]),
+                "wind_time_decay": _decay_dict(self.learning["wind_time_decay"]),
+                "battery_time_decay": _decay_dict(self.learning["battery_time_decay"]),
+                "battery_cost_2030_usd_per_kwh": self.battery_cost_2030,
+            },
             "budget": self.budget,
-            "discrepancies": [
-                {
-                    "name": d.name,
-                    "stated": d.stated,
-                    "computed": d.computed,
-                    "relative_deviation": d.relative_deviation,
-                    "citation": d.citation,
-                }
-                for d in self.discrepancies
-            ],
-            "claims": [
-                {
-                    "name": c.name,
-                    "stated_year": c.stated_year,
-                    "computed_year": c.computed_year,
-                    "delta_years": c.delta_years,
-                    "citation": c.citation,
-                }
-                for c in self.claims
-            ],
+            "discrepancies": [asdict(d) for d in self.discrepancies],
+            "claims": [asdict(c) for c in self.claims],
             "warnings": self.warnings,
         }
 
@@ -246,6 +297,26 @@ class ScenarioReport:
             "wind": self.profiles["wind_trend"].capacity_factor,
             "hydro": self.profiles["hydro"].capacity_factor,
         }
+
+    @property
+    def regime_change(self) -> bool:
+        return (self.fits["wind_piecewise"].improvement_ratio
+                >= self.config.changepoint_threshold)
+
+    @property
+    def curve_crossing(self) -> tuple[float, float]:
+        """(x, cost) where the PV and wind learning curves meet."""
+        return learncurve.curve_crossing(self.learning["pv_learning_curve"],
+                                         self.learning["wind_learning_curve"])
+
+    @property
+    def pv_cost_at_stated_2030(self) -> learncurve.CostValue:
+        return learncurve.cost_at(self.learning["pv_learning_curve"],
+                                  constant("stated_mix_2030_pv"))
+
+    @property
+    def battery_cost_2030(self) -> float:
+        return self.learning["battery_time_decay"].cost_at_year(2030.0)
 
     def crossing_for(self, threshold, combination, wind_treatment=None):
         for c in self.crossings:
@@ -268,6 +339,29 @@ def _exp_fit_dict(fit: growthfit.ExponentialFit) -> dict:
         "r_squared_logspace": fit.r_squared_logspace,
         "rmse_logspace": fit.rmse_logspace,
         "window": list(fit.window),
+    }
+
+
+def _learning_curve_dict(fit: learncurve.LearningCurveFit) -> dict:
+    return {
+        "log10_intercept": fit.log10_intercept,
+        "log10_slope": fit.log10_slope,
+        "learning_rate_per_doubling": learncurve.learning_rate(fit),
+        "r_squared": fit.r_squared,
+        "x_range_twh_per_year": list(fit.x_range),
+        "cost_unit": fit.cost_unit,
+    }
+
+
+def _decay_dict(fit: learncurve.TimeDecayFit) -> dict:
+    return {
+        "reference_year": fit.reference_year,
+        "cost_at_reference": fit.cost0,
+        "annual_decay_factor": fit.decay,
+        "decade_decline_fraction": 1.0 - fit.decay ** 10,
+        "r_squared": fit.r_squared,
+        "window": list(fit.window),
+        "cost_unit": fit.cost_unit,
     }
 
 
@@ -301,67 +395,32 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     cf_hydro = config.cf_hydro if config.cf_hydro is not None else constant("cf_hydro")
 
     # -- fits
-    pv_fit = growthfit.fit_exponential(series["pv"], config.pv_window)
-    wind_trend = growthfit.fit_exponential(series["wind"], config.wind_window)
-    wind_piecewise = growthfit.detect_changepoint(
-        series["wind"], config.changepoint_min_segment, config.wind_window)
-    wind_rebound = growthfit.fit_exponential(series["wind"], config.wind_regime_window)
-    offshore_fit = growthfit.fit_exponential(series["offshore_wind"],
-                                             config.offshore_window)
-    hydro_fit = growthfit.fit_polynomial(series["hydro"], config.hydro_degree,
-                                         config.hydro_window)
-
+    fits = {
+        "pv": growthfit.fit_exponential(series["pv"], config.pv_window),
+        "wind_trend": growthfit.fit_exponential(series["wind"], config.wind_window),
+        "wind_piecewise": growthfit.detect_changepoint(
+            series["wind"], config.changepoint_min_segment, config.wind_window),
+        "wind_rebound": growthfit.fit_exponential(series["wind"],
+                                                  config.wind_regime_window),
+        "offshore_wind": growthfit.fit_exponential(series["offshore_wind"],
+                                                   config.offshore_window),
+        "hydro": growthfit.fit_polynomial(series["hydro"], config.hydro_degree,
+                                          config.hydro_window),
+    }
     profiles = {
-        "pv": TechnologyProfile("pv", cf_pv, series["pv"], pv_fit),
-        "wind_trend": TechnologyProfile("wind", cf_wind, series["wind"], wind_trend),
+        "pv": TechnologyProfile("pv", cf_pv, series["pv"], fits["pv"]),
+        "wind_trend": TechnologyProfile("wind", cf_wind, series["wind"],
+                                        fits["wind_trend"]),
         # the piecewise treatment projects from the right segment
         "wind_piecewise": TechnologyProfile("wind", cf_wind, series["wind"],
-                                            wind_piecewise.right),
+                                            fits["wind_piecewise"].right),
         "wind_rebound": TechnologyProfile("wind", cf_wind, series["wind"],
-                                          wind_rebound),
-        "hydro": TechnologyProfile("hydro", cf_hydro, series["hydro"], hydro_fit),
+                                          fits["wind_rebound"]),
+        "hydro": TechnologyProfile("hydro", cf_hydro, series["hydro"], fits["hydro"]),
         "offshore_wind": TechnologyProfile("offshore_wind", cf_wind,
-                                           series["offshore_wind"], offshore_fit),
+                                           series["offshore_wind"],
+                                           fits["offshore_wind"]),
     }
-
-    regime_change = wind_piecewise.improvement_ratio >= config.changepoint_threshold
-    fits = {
-        "pv": {
-            **_exp_fit_dict(pv_fit),
-            "residual_signs": growthfit.residual_signs(series["pv"], pv_fit),
-        },
-        "wind_trend": _exp_fit_dict(wind_trend),
-        "wind_piecewise": {
-            "kind": "piecewise_exponential",
-            "changepoint_year": wind_piecewise.changepoint_year,
-            "left": _exp_fit_dict(wind_piecewise.left),
-            "right": _exp_fit_dict(wind_piecewise.right),
-            "sse_piecewise": wind_piecewise.sse_piecewise,
-            "sse_single": wind_piecewise.sse_single,
-            "improvement_ratio": wind_piecewise.improvement_ratio,
-            "regime_change": regime_change,
-            "window": list(wind_piecewise.window),
-        },
-        "wind_rebound": _exp_fit_dict(wind_rebound),
-        "offshore_wind": _exp_fit_dict(offshore_fit),
-        "hydro": {
-            "kind": "polynomial",
-            "reference_year": hydro_fit.reference_year,
-            "coefficients": list(hydro_fit.coefficients),
-            "degree": hydro_fit.degree,
-            "rmse": hydro_fit.rmse,
-            "window": list(hydro_fit.window),
-        },
-    }
-
-    warnings = []
-    if regime_change:
-        warnings.append(
-            f"wind growth regime change at {wind_piecewise.changepoint_year:g} "
-            f"(improvement_ratio "
-            f"{wind_piecewise.improvement_ratio:.3f} >= "
-            f"{config.changepoint_threshold:g})"
-        )
 
     # -- crossings, all treatments
     thresholds = [t for t in default_thresholds() if t.name in config.thresholds]
@@ -399,77 +458,21 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     # -- mixes at the configured years, headline wind treatment
     three_tech = projections_for("wind_pv_hydro", config.wind_treatment)
-    mixes = {}
-    for year in config.mix_years:
-        entries = scenario.mix_at_year(three_tech, year)
-        mixes[f"{year:g}"] = [
-            {
-                "technology": e.technology,
-                "generation_twh_per_year": e.generation_twh,
-                "share_pct": e.share_pct,
-            }
-            for e in entries
-        ]
+    mixes = {f"{year:g}": scenario.mix_at_year(three_tech, year)
+             for year in config.mix_years}
 
     # -- learning curves
     pv_cost = learncurve.cost_series(series["pv_lcoe"])
     wind_cost = learncurve.cost_series(series["wind_lcoe"])
-    battery_cost = learncurve.cost_series(series["battery"])
-    pv_lc = learncurve.fit_learning_curve(
-        learncurve.join_cost_to_generation(pv_cost, series["pv"], cf_pv))
-    wind_lc = learncurve.fit_learning_curve(
-        learncurve.join_cost_to_generation(wind_cost, series["wind"], cf_wind))
-    lc_cross_x, lc_cross_cost = learncurve.curve_crossing(pv_lc, wind_lc)
-    pv_decay = learncurve.fit_time_decay(pv_cost)
-    wind_decay = learncurve.fit_time_decay(wind_cost)
-    battery_decay = learncurve.fit_time_decay(battery_cost)
-
-    pv_cost_2030 = learncurve.cost_at(pv_lc, constant("stated_mix_2030_pv"))
-    floor = constant("stated_lcoe_floor")
-    for label, value in (("PV cost at stated 2030 generation", pv_cost_2030),
-                         ("learning-curve crossing cost", lc_cross_cost)):
-        if value < floor:
-            warnings.append(
-                f"{label} {float(value):.3f} USD/MWh lies below the stated "
-                f"{floor:g} USD/MWh floor"
-            )
-
-    def _lc_dict(fit):
-        return {
-            "log10_intercept": fit.log10_intercept,
-            "log10_slope": fit.log10_slope,
-            "learning_rate_per_doubling": learncurve.learning_rate(fit),
-            "r_squared": fit.r_squared,
-            "x_range_twh_per_year": list(fit.x_range),
-            "cost_unit": fit.cost_unit,
-        }
-
-    def _decay_dict(fit):
-        return {
-            "reference_year": fit.reference_year,
-            "cost_at_reference": fit.cost0,
-            "annual_decay_factor": fit.decay,
-            "decade_decline_fraction": 1.0 - fit.decay ** 10,
-            "r_squared": fit.r_squared,
-            "window": list(fit.window),
-            "cost_unit": fit.cost_unit,
-        }
-
-    battery_2030 = battery_decay.cost_at_year(2030.0)
     learning = {
-        "pv_learning_curve": _lc_dict(pv_lc),
-        "wind_learning_curve": _lc_dict(wind_lc),
-        "curve_crossing": {
-            "x_twh_per_year": lc_cross_x,
-            "cost_usd_per_mwh": lc_cross_cost,
-            "beyond_observed_range": lc_cross_x > max(pv_lc.x_range[1],
-                                                      wind_lc.x_range[1]),
-        },
-        "pv_cost_at_stated_2030_generation_usd_per_mwh": float(pv_cost_2030),
-        "pv_time_decay": _decay_dict(pv_decay),
-        "wind_time_decay": _decay_dict(wind_decay),
-        "battery_time_decay": _decay_dict(battery_decay),
-        "battery_cost_2030_usd_per_kwh": battery_2030,
+        "pv_learning_curve": learncurve.fit_learning_curve(
+            learncurve.join_cost_to_generation(pv_cost, series["pv"], cf_pv)),
+        "wind_learning_curve": learncurve.fit_learning_curve(
+            learncurve.join_cost_to_generation(wind_cost, series["wind"], cf_wind)),
+        "pv_time_decay": learncurve.fit_time_decay(pv_cost),
+        "wind_time_decay": learncurve.fit_time_decay(wind_cost),
+        "battery_time_decay": learncurve.fit_time_decay(
+            learncurve.cost_series(series["battery"])),
     }
 
     # -- resource budgets
@@ -490,18 +493,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             "desert_fraction": ab.fraction,
         }
     potentials = {
-        "onshore": resourcebudget.ResourcePotential(
-            "onshore", constant("onshore_wind_potential"), "onshore",
-            get_constant("onshore_wind_potential").citation),
-        "offshore_50m": resourcebudget.ResourcePotential(
-            "offshore_50m", constant("offshore_50m"), "water depth < 50 m",
-            get_constant("offshore_50m").citation),
-        "offshore_1000m": resourcebudget.ResourcePotential(
-            "offshore_1000m", constant("offshore_1000m"), "water depth < 1000 m",
-            get_constant("offshore_1000m").citation),
-        "wind_total_as_stated": resourcebudget.ResourcePotential(
-            "wind_total_as_stated", constant("wind_total_potential_as_stated"),
-            "as stated", get_constant("wind_total_potential_as_stated").citation),
+        name: resourcebudget.ResourcePotential(name, constant(const), qualifier,
+                                               get_constant(const).citation)
+        for name, const, qualifier in (
+            ("onshore", "onshore_wind_potential", "onshore"),
+            ("offshore_50m", "offshore_50m", "water depth < 50 m"),
+            ("offshore_1000m", "offshore_1000m", "water depth < 1000 m"),
+            ("wind_total_as_stated", "wind_total_potential_as_stated", "as stated"),
+        )
     }
     budget_fractions = {}
     for pot_name, pot in potentials.items():
@@ -526,97 +525,101 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         },
     }
 
-    # -- discrepancies: appendix recomputations + scenario-level rows
-    discrepancies = list(resourcebudget.appendix_discrepancies())
-
-    def _mix_value(year_key, technology):
-        for e in mixes[year_key]:
-            if e["technology"] == technology:
-                return e["generation_twh_per_year"]
-        raise MissingFit(f"no mix entry for {technology} in {year_key}")
-
-    def _stated_row(name, const_name, computed):
-        c = get_constant(const_name)
-        return resourcebudget.DiscrepancyRow(
-            name=name, stated=c.value, computed=computed,
-            relative_deviation=(c.value - computed) / computed,
-            citation=c.citation,
-        )
-
-    total_2025 = sum(e["generation_twh_per_year"] for e in mixes["2025"]) \
-        if "2025" in mixes else None
-    if "2025" in mixes:
-        discrepancies += [
-            _stated_row("mix_2025_pv_twh", "stated_mix_2025_pv",
-                        _mix_value("2025", "pv")),
-            _stated_row("mix_2025_wind_twh", "stated_mix_2025_wind",
-                        _mix_value("2025", "wind")),
-            _stated_row("mix_2025_hydro_twh", "stated_mix_2025_hydro",
-                        _mix_value("2025", "hydro")),
-            _stated_row("mix_2025_total_twh", "stated_mix_2025_total", total_2025),
-        ]
-    if "2030" in mixes:
-        discrepancies += [
-            _stated_row("mix_2030_pv_twh", "stated_mix_2030_pv",
-                        _mix_value("2030", "pv")),
-            _stated_row("mix_2030_wind_twh", "stated_mix_2030_wind",
-                        _mix_value("2030", "wind")),
-            _stated_row("mix_2030_hydro_twh", "stated_mix_2030_hydro",
-                        _mix_value("2030", "hydro")),
-        ]
-    discrepancies.append(_stated_row("battery_cost_2030_usd_per_kwh",
-                                     "stated_battery_cost_2030", battery_2030))
-    discrepancies.sort(key=lambda d: (-abs(d.relative_deviation), d.name))
-
-    # -- claims: stated years vs computed years
     report = ScenarioReport(
         config=config, series=series, fits=fits, profiles=profiles,
-        thresholds=tuple(thresholds), crossings=crossings, mixes=mixes,
-        learning=learning, budget=budget, discrepancies=discrepancies,
-        claims=[], warnings=warnings,
+        crossings=crossings, mixes=mixes, learning=learning,
+        budget=budget, discrepancies=[], claims=[], warnings=[],
     )
+    report.discrepancies = _discrepancies(report)
+    report.claims = _claims(report)
+    report.warnings = _warnings(report)
+    return report
 
-    def _claim(name, const_name, computed_year):
+
+def _discrepancies(report: ScenarioReport) -> list:
+    """Appendix recomputations plus the scenario-level rows, sorted by
+    |relative deviation| descending."""
+    rows = list(resourcebudget.appendix_discrepancies())
+    for year_key in ("2025", "2030"):
+        if year_key not in report.mixes:
+            continue
+        generation = {e.technology: e.generation_twh for e in report.mixes[year_key]}
+        for tech in ("pv", "wind", "hydro"):
+            rows.append(resourcebudget.discrepancy_row(
+                f"mix_{year_key}_{tech}_twh", f"stated_mix_{year_key}_{tech}",
+                generation[tech]))
+        if year_key == "2025":
+            rows.append(resourcebudget.discrepancy_row(
+                "mix_2025_total_twh", "stated_mix_2025_total",
+                sum(generation.values())))
+    rows.append(resourcebudget.discrepancy_row(
+        "battery_cost_2030_usd_per_kwh", "stated_battery_cost_2030",
+        report.battery_cost_2030))
+    rows.sort(key=lambda d: (-abs(d.relative_deviation), d.name))
+    return rows
+
+
+def _claims(report: ScenarioReport) -> list:
+    """Stated years against the computed ones, headline wind treatment."""
+    headline = report.config.wind_treatment
+
+    def claim(name, const_name, computed_year):
         c = get_constant(const_name)
         delta = None if computed_year is None else computed_year - c.value
         return ClaimRow(name, c.value, computed_year, delta, c.citation)
 
-    headline = config.wind_treatment
-
-    def _year(threshold, combo, treatment=None):
+    def year(threshold, combo, treatment=None):
         try:
             return report.crossing_for(threshold, combo, treatment).year
         except MissingFit:
             return None
 
     crossover_year = scenario.pv_wind_generation_crossover(
-        profiles["pv"], profiles[f"wind_{headline}"])
+        report.profiles["pv"], report.profiles[f"wind_{headline}"])
+    offshore_fit = report.fits["offshore_wind"]
     offshore_1tw_year = (
         (math.log(1000.0) - offshore_fit.ln_intercept) / offshore_fit.ln_slope
         + offshore_fit.reference_year
     )
-    claims = [
-        _claim("wind_pv_meet_electric_fig5", "stated_year_wind_pv_electric",
-               _year("electric_fig5", "wind_pv", headline)),
-        _claim("three_tech_meet_electric_fig5", "stated_year_three_tech_electric",
-               _year("electric_fig5", "wind_pv_hydro", headline)),
-        _claim("three_tech_meet_reduced_primary",
-               "stated_year_three_tech_reduced_primary",
-               _year("reduced_primary_2030", "wind_pv_hydro", headline)),
-        _claim("pv_alone_meets_electric_fig5", "stated_year_pv_alone_electric",
-               _year("electric_fig5", "pv")),
-        _claim("pv_alone_meets_electric_fig5_alt",
-               "stated_year_pv_alone_electric_alt", _year("electric_fig5", "pv")),
-        _claim("pv_alone_meets_primary_fig5", "stated_year_pv_alone_primary",
-               _year("primary_fig5", "pv")),
-        _claim("pv_overtakes_wind", "stated_year_pv_overtakes_wind",
-               crossover_year),
-        _claim("offshore_reaches_1tw", "stated_offshore_1tw_year",
-               offshore_1tw_year),
+    return [
+        claim("wind_pv_meet_electric_fig5", "stated_year_wind_pv_electric",
+              year("electric_fig5", "wind_pv", headline)),
+        claim("three_tech_meet_electric_fig5", "stated_year_three_tech_electric",
+              year("electric_fig5", "wind_pv_hydro", headline)),
+        claim("three_tech_meet_reduced_primary",
+              "stated_year_three_tech_reduced_primary",
+              year("reduced_primary_2030", "wind_pv_hydro", headline)),
+        claim("pv_alone_meets_electric_fig5", "stated_year_pv_alone_electric",
+              year("electric_fig5", "pv")),
+        claim("pv_alone_meets_electric_fig5_alt",
+              "stated_year_pv_alone_electric_alt", year("electric_fig5", "pv")),
+        claim("pv_alone_meets_primary_fig5", "stated_year_pv_alone_primary",
+              year("primary_fig5", "pv")),
+        claim("pv_overtakes_wind", "stated_year_pv_overtakes_wind", crossover_year),
+        claim("offshore_reaches_1tw", "stated_offshore_1tw_year", offshore_1tw_year),
     ]
-    report.claims = claims
 
-    for c in crossings:
+
+def _warnings(report: ScenarioReport) -> list:
+    warnings = []
+    piecewise = report.fits["wind_piecewise"]
+    if report.regime_change:
+        warnings.append(
+            f"wind growth regime change at {piecewise.changepoint_year:g} "
+            f"(improvement_ratio "
+            f"{piecewise.improvement_ratio:.3f} >= "
+            f"{report.config.changepoint_threshold:g})"
+        )
+    floor = constant("stated_lcoe_floor")
+    for label, value in (("PV cost at stated 2030 generation",
+                          report.pv_cost_at_stated_2030),
+                         ("learning-curve crossing cost", report.curve_crossing[1])):
+        if value < floor:
+            warnings.append(
+                f"{label} {float(value):.3f} USD/MWh lies below the stated "
+                f"{floor:g} USD/MWh floor"
+            )
+    for c in report.crossings:
         if c.horizon_warning:
             warnings.append(
                 f"crossing of {c.threshold} by {c.combination}"
@@ -624,7 +627,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                 f"at {c.year:.2f} extrapolates a fit more than "
                 f"{growthfit.HORIZON_WARNING_YEARS:g} years past its window"
             )
-    return report
+    return warnings
 
 
 # --------------------------------------------------------------------------
@@ -633,6 +636,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, bool):
+        return str(v).lower()
     if isinstance(v, float):
         return repr(v)
     text = str(v)
@@ -641,31 +646,25 @@ def _csv_cell(v) -> str:
     return text
 
 
-def _csv(rows) -> str:
-    return "\n".join(",".join(_csv_cell(c) for c in row) for row in rows) + "\n"
+def _csv(header, rows) -> str:
+    return "\n".join(",".join(_csv_cell(c) for c in row)
+                     for row in (header, *rows)) + "\n"
 
 
 def crossings_csv(report: ScenarioReport) -> str:
-    rows = [("threshold", "level_twh_per_year", "combination", "wind_treatment",
-             "status", "year", "horizon_warning")]
-    for c in report.crossings:
-        rows.append((c.threshold, c.level_twh, c.combination,
-                     c.wind_treatment or "", c.status, c.year,
-                     str(c.horizon_warning).lower()))
-    return _csv(rows)
+    return _csv(("threshold", "level_twh_per_year", "combination", "wind_treatment",
+                 "status", "year", "horizon_warning"),
+                map(astuple, report.crossings))
 
 
 def mixes_csv(report: ScenarioReport) -> str:
-    rows = [("year", "technology", "generation_twh_per_year", "share_pct")]
-    for year_key, entries in report.mixes.items():
-        for e in entries:
-            rows.append((year_key, e["technology"],
-                         e["generation_twh_per_year"], e["share_pct"]))
-    return _csv(rows)
+    return _csv(("year", "technology", "generation_twh_per_year", "share_pct"),
+                [(year, *astuple(e)) for year, entries in report.mixes.items()
+                 for e in entries])
 
 
 def budget_csv(report: ScenarioReport) -> str:
-    rows = [("name", "value", "unit")]
+    rows = []
     for name, entry in report.budget["areas"].items():
         rows.append((f"area_{name}", entry["required_area_km2"], "km2"))
         rows.append((f"desert_fraction_{name}", entry["desert_fraction"], "fraction"))
@@ -675,33 +674,28 @@ def budget_csv(report: ScenarioReport) -> str:
     ode = report.budget["offshore_depth_extrapolation"]
     rows.append(("offshore_depth_extrapolated_potential",
                  ode["extrapolated_potential_twh_per_year"], "TWh_per_year"))
-    return _csv(rows)
+    return _csv(("name", "value", "unit"), rows)
 
 
 def discrepancies_csv(report: ScenarioReport) -> str:
-    rows = [("name", "stated", "computed", "relative_deviation", "citation")]
-    for d in report.discrepancies:
-        rows.append((d.name, d.stated, d.computed, d.relative_deviation,
-                     d.citation))
-    return _csv(rows)
+    return _csv(("name", "stated", "computed", "relative_deviation", "citation"),
+                map(astuple, report.discrepancies))
 
 
 def claims_csv(report: ScenarioReport) -> str:
-    rows = [("name", "stated_year", "computed_year", "delta_years", "citation")]
-    for c in report.claims:
-        rows.append((c.name, c.stated_year, c.computed_year, c.delta_years,
-                     c.citation))
-    return _csv(rows)
+    return _csv(("name", "stated_year", "computed_year", "delta_years", "citation"),
+                map(astuple, report.claims))
 
 
 def emit_discrepancies(rows) -> str:
-    """Plain-text discrepancy table, one row per stated literal, sorted by
-    |relative deviation| descending. Values keep full precision so every
-    number shown also exists in the machine-readable output."""
+    """Plain-text discrepancy table, one row per stated literal, in the order
+    given (run_scenario sorts by |relative deviation| descending). Values
+    keep full precision so every number shown also exists in the
+    machine-readable output."""
     header = ("name", "stated", "computed", "relative_deviation")
     widths = [44, 24, 24, 24]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for d in sorted(rows, key=lambda d: (-abs(d.relative_deviation), d.name)):
+    for d in rows:
         cells = (d.name, repr(d.stated), repr(d.computed),
                  repr(d.relative_deviation))
         lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
@@ -709,37 +703,42 @@ def emit_discrepancies(rows) -> str:
 
 
 def report_json(report: ScenarioReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, allow_nan=False,
-                      default=_json_default) + "\n"
+    return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
-def _json_default(v):
-    if isinstance(v, float):
-        return v
-    raise TypeError(f"not JSON-serialisable: {type(v)}")
+def write_artifacts(out_dir, artifacts) -> list:
+    """Write (file name, text) pairs into out_dir as the iterable yields
+    them; returns the written paths.
+
+    Raises OutputUnwritable when the directory or a file cannot be written.
+    """
+    out = Path(out_dir)
+    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts:
+            path = out / name
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write to {out_dir}: {exc}") from None
+    return written
 
 
 def write_outputs(report: ScenarioReport, out_dir) -> list:
     """Write every artifact; returns the written paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    def artifacts():
+        yield "report.json", report_json(report)
+        yield "crossings.csv", crossings_csv(report)
+        yield "mixes.csv", mixes_csv(report)
+        yield "budget.csv", budget_csv(report)
+        yield "discrepancies.csv", discrepancies_csv(report)
+        yield "claims.csv", claims_csv(report)
+        yield "discrepancies.txt", emit_discrepancies(report.discrepancies)
+        for fig_id in FIGURE_IDS:
+            yield f"{fig_id}.svg", emit_figure(report, fig_id)
 
-    def _write(name, text):
-        p = out / name
-        p.write_text(text, encoding="utf-8")
-        written.append(p)
-
-    _write("report.json", report_json(report))
-    _write("crossings.csv", crossings_csv(report))
-    _write("mixes.csv", mixes_csv(report))
-    _write("budget.csv", budget_csv(report))
-    _write("discrepancies.csv", discrepancies_csv(report))
-    _write("claims.csv", claims_csv(report))
-    _write("discrepancies.txt", emit_discrepancies(report.discrepancies))
-    for fig_id in FIGURE_IDS:
-        _write(f"{fig_id}.svg", emit_figure(report, fig_id))
-    return written
+    return write_artifacts(out_dir, artifacts())
 
 
 # --------------------------------------------------------------------------
@@ -890,15 +889,8 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
     if figure_id == "fig7":
         pv_xs, pv_c = _series_xy(series["pv_lcoe"])
         w_xs, w_c = _series_xy(series["wind_lcoe"])
-        pv_decay = report.learning["pv_time_decay"]
-        wind_decay = report.learning["wind_time_decay"]
-
-        def decay_line(d):
-            xs = [pv_xs[0] + 0.5 * i
-                  for i in range(int((w_xs[-1] + 2 - pv_xs[0]) / 0.5) + 1)]
-            return xs, [d["cost_at_reference"]
-                        * d["annual_decay_factor"] ** (t - d["reference_year"])
-                        for t in xs]
+        xs = [pv_xs[0] + 0.5 * i
+              for i in range(int((w_xs[-1] + 2 - pv_xs[0]) / 0.5) + 1)]
 
         lin = Chart("LCOE (linear)", Axis("year", "linear", 2008, 2021),
                     Axis("LCOE [USD/MWh]", "linear", 0.0, max(pv_c) * 1.1))
@@ -907,22 +899,21 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         for chart in (lin, log):
             chart.add_points(pv_xs, pv_c, "#e6a817", "pv")
             chart.add_points(w_xs, w_c, "#2b6cb0", "wind")
-            for d, color in ((pv_decay, "#e6a817"), (wind_decay, "#2b6cb0")):
-                xs, ys = decay_line(d)
-                chart.add_line(xs, ys, color, dashed=True)
+            for decay, color in ((report.learning["pv_time_decay"], "#e6a817"),
+                                 (report.learning["wind_time_decay"], "#2b6cb0")):
+                chart.add_line(xs, [decay.cost_at_year(t) for t in xs], color,
+                               dashed=True)
         return render([lin, log], "levelized cost of electricity over time")
 
     if figure_id == "fig8":
-        pv_lc = report.learning["pv_learning_curve"]
-        wind_lc = report.learning["wind_learning_curve"]
-        cross = report.learning["curve_crossing"]
+        cross_x, cross_cost = report.curve_crossing
         k_pv = cf["pv"] * corpus.HOURS_PER_YEAR / 1000.0
         k_w = cf["wind"] * corpus.HOURS_PER_YEAR / 1000.0
         pv_pts = [(series["pv"].value_at(y) * k_pv, c)
                   for y, c in series["pv_lcoe"].samples]
         w_pts = [(series["wind"].value_at(y) * k_w, c)
                  for y, c in series["wind_lcoe"].samples]
-        x_hi = _pow10_hi(cross["x_twh_per_year"] * 2)
+        x_hi = _pow10_hi(cross_x * 2)
         chart = Chart("learning curves vs cumulative generation capability",
                       Axis("cumulative generation capability [TWh/yr]", "log",
                            10.0, x_hi),
@@ -932,19 +923,16 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
                          "#e6a817", "pv")
         chart.add_points([p[0] for p in w_pts], [p[1] for p in w_pts],
                          "#2b6cb0", "wind")
-        for lc, color in ((pv_lc, "#e6a817"), (wind_lc, "#2b6cb0")):
-            xs, ys = [], []
-            x = 10.0
-            while x <= x_hi * 1.0001:
-                xs.append(x)
-                ys.append(10.0 ** (lc["log10_intercept"]
-                                   + lc["log10_slope"] * math.log10(x)))
-                x *= 1.2589254117941673  # 10**0.1
-            chart.add_line(xs, ys, color, dashed=True)
+        xs, x = [], 10.0
+        while x <= x_hi * 1.0001:
+            xs.append(x)
+            x *= 1.2589254117941673  # 10**0.1
+        for lc, color in ((report.learning["pv_learning_curve"], "#e6a817"),
+                          (report.learning["wind_learning_curve"], "#2b6cb0")):
+            chart.add_line(xs, [lc.cost_at(x) for x in xs], color, dashed=True)
         chart.add_vline(thresholds["electric_fig5"].level_twh, "electricity demand")
         chart.add_vline(thresholds["primary_fig5"].level_twh, "primary demand")
-        chart.add_marker(cross["x_twh_per_year"], cross["cost_usd_per_mwh"],
-                         f"crossing at {cross['x_twh_per_year']:.0f} TWh/yr")
+        chart.add_marker(cross_x, cross_cost, f"crossing at {cross_x:.0f} TWh/yr")
         return render([chart], "learning curves")
 
     if figure_id == "appfig1":
@@ -959,14 +947,8 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         chart.add_points([p[0] for p in pts], [p[1] for p in pts],
                          "#2b6cb0", "published potentials")
         xs = [0.0, target * 1.1]
-        x = [p[0] for p in pts]
-        y = [p[1] for p in pts]
-        slope = resourcebudget.offshore_depth_extrapolation(
-            list(zip(x, y)), 1.0) - resourcebudget.offshore_depth_extrapolation(
-            list(zip(x, y)), 0.0)
-        intercept = resourcebudget.offshore_depth_extrapolation(list(zip(x, y)), 0.0)
-        chart.add_line(xs, [intercept + slope * v for v in xs], "#2b6cb0",
-                       dashed=True)
+        chart.add_line(xs, [resourcebudget.offshore_depth_extrapolation(pts, x)
+                            for x in xs], "#2b6cb0", dashed=True)
         chart.add_marker(target, value, f"extrapolated {value:.0f} TWh/yr")
         return render([chart], "offshore depth extrapolation")
 
@@ -978,10 +960,8 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
                   Axis("pack cost [USD/kWh]", "log", 1.0, 10000.0))
     chart.add_points(b_xs, b_c, "#2f855a", "survey data")
     xs = [b_xs[0] + 0.5 * i for i in range(int((2031 - b_xs[0]) / 0.5) + 1)]
-    chart.add_line(xs, [decay["cost_at_reference"]
-                        * decay["annual_decay_factor"] ** (t - decay["reference_year"])
-                        for t in xs], "#2f855a", dashed=True)
-    value_2030 = report.learning["battery_cost_2030_usd_per_kwh"]
+    chart.add_line(xs, [decay.cost_at_year(t) for t in xs], "#2f855a", dashed=True)
+    value_2030 = report.battery_cost_2030
     chart.add_marker(2030.0, value_2030, f"2030: {value_2030:.1f} USD/kWh")
     chart.add_hline(constant("stated_battery_cost_2030"), "stated 2030 cost")
     return render([chart], "battery cost decay")

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveDensity,
     TooFewPoints,
 )
+from .growthfit import ols
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,9 @@ def offshore_depth_extrapolation(points, target_area) -> float:
     for x, p in points:
         if x <= 0 or p <= 0:
             raise ValueError(f"area and potential must be > 0, got ({x!r}, {p!r})")
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
-    slope = float((dx * (y - ym)).sum() / (dx * dx).sum())
-    intercept = float(ym - slope * xm)
-    return intercept + slope * float(target_area)
+    x, y = np.array(points, dtype=float).T
+    slope, xm, ym, _, _ = ols(x, y)
+    return float(ym - slope * xm) + slope * float(target_area)
 
 
 def load_offshore_depth_fixture():
@@ -153,7 +150,8 @@ class DiscrepancyRow:
     citation: str
 
 
-def _row(name: str, constant_name: str, computed: float) -> DiscrepancyRow:
+def discrepancy_row(name: str, constant_name: str, computed: float) -> DiscrepancyRow:
+    """The registered constant_name as stated, against computed."""
     c = get_constant(constant_name)
     return DiscrepancyRow(
         name=name,
@@ -177,47 +175,41 @@ def appendix_discrepancies() -> list[DiscrepancyRow]:
     area_primary = pv_area_required(primary, density, cf_pv)
     area_reduced = pv_area_required(reduced, density, cf_pv)
 
+    points, target = load_offshore_depth_fixture()
     rows = [
-        _row("pv_area_electric_2030_km2", "stated_pv_area_electric_km2", area_electric),
-        _row("pv_area_primary_2030_km2", "stated_pv_area_primary_km2", area_primary),
+        ("pv_area_electric_2030_km2", "stated_pv_area_electric_km2", area_electric),
+        ("pv_area_primary_2030_km2", "stated_pv_area_primary_km2", area_primary),
         # The stated desert shares do not even follow from the stated areas;
         # recomputed here from the stated area (electric) and the recomputed
         # areas (primary, reduced) to expose both gaps.
-        _row("desert_fraction_electric_of_stated_area",
-             "stated_desert_fraction_electric",
-             desert_fraction(constant("stated_pv_area_electric_km2"))),
-        _row("desert_fraction_primary", "stated_desert_fraction_primary",
-             desert_fraction(area_primary)),
-        _row("desert_fraction_reduced", "stated_desert_fraction_reduced",
-             desert_fraction(area_reduced)),
-        _row("wind_fraction_electric", "stated_wind_fraction_electric",
-             electric / total_stated),
-        _row("wind_fraction_primary", "stated_wind_fraction_primary",
-             primary / total_stated),
-        _row("wind_fraction_reduced", "stated_wind_fraction_reduced",
-             reduced / total_stated),
-        _row("onshore_times_primary", "stated_onshore_times_primary",
-             constant("onshore_wind_potential") / primary),
-        _row("onshore_times_electric", "stated_onshore_times_electric",
-             constant("onshore_wind_potential") / electric),
-        _row("offshore50_times_electric", "stated_offshore50_times_electric",
-             constant("offshore_50m") / electric),
-        _row("offshore1000_times_primary", "stated_offshore1000_times_primary",
-             constant("offshore_1000m") / primary),
-        _row("wind_total_potential_twh", "wind_total_potential_as_stated",
-             constant("onshore_wind_potential") + constant("offshore_1000m")),
-        _row("reduced_primary_2030_twh", "reduced_primary_2030", reduced),
+        ("desert_fraction_electric_of_stated_area", "stated_desert_fraction_electric",
+         desert_fraction(constant("stated_pv_area_electric_km2"))),
+        ("desert_fraction_primary", "stated_desert_fraction_primary",
+         desert_fraction(area_primary)),
+        ("desert_fraction_reduced", "stated_desert_fraction_reduced",
+         desert_fraction(area_reduced)),
+        ("wind_fraction_electric", "stated_wind_fraction_electric",
+         electric / total_stated),
+        ("wind_fraction_primary", "stated_wind_fraction_primary",
+         primary / total_stated),
+        ("wind_fraction_reduced", "stated_wind_fraction_reduced",
+         reduced / total_stated),
+        ("onshore_times_primary", "stated_onshore_times_primary",
+         constant("onshore_wind_potential") / primary),
+        ("onshore_times_electric", "stated_onshore_times_electric",
+         constant("onshore_wind_potential") / electric),
+        ("offshore50_times_electric", "stated_offshore50_times_electric",
+         constant("offshore_50m") / electric),
+        ("offshore1000_times_primary", "stated_offshore1000_times_primary",
+         constant("offshore_1000m") / primary),
+        ("wind_total_potential_twh", "wind_total_potential_as_stated",
+         constant("onshore_wind_potential") + constant("offshore_1000m")),
+        ("reduced_primary_2030_twh", "reduced_primary_2030", reduced),
+        ("offshore_1000m_extrapolated_twh", "offshore_1000m",
+         offshore_depth_extrapolation(points, target)),
+        # Which demand the stated electric-demand area used is unstated;
+        # neither candidate reproduces it, so both recomputations are reported.
+        ("pv_area_electric_fig5_km2", "stated_pv_area_electric_km2",
+         pv_area_required(constant("electric_threshold_fig5"), density, cf_pv)),
     ]
-
-    points, target = load_offshore_depth_fixture()
-    extrapolated = offshore_depth_extrapolation(points, target)
-    rows.append(_row("offshore_1000m_extrapolated_twh", "offshore_1000m",
-                     extrapolated))
-
-    # Which demand the stated electric-demand area used is unstated; neither
-    # candidate reproduces it, so both recomputations are reported.
-    area_electric_fig5 = pv_area_required(constant("electric_threshold_fig5"),
-                                          density, cf_pv)
-    rows.append(_row("pv_area_electric_fig5_km2", "stated_pv_area_electric_km2",
-                     area_electric_fig5))
-    return rows
+    return [discrepancy_row(*row) for row in rows]

@@ -2,9 +2,10 @@
 
 Crossing years are continuous roots of monotone projections, found by
 bisection after a 0.1-year grid scan verifies monotonicity and brackets the
-level. Sums of exponentials have no general closed form; for a single
-exponential component the bisection result matches the closed form to well
-under 1e-6 years (tested).
+level; a projection that jumps over the level raises LevelNotMet. Sums of
+exponentials have no general closed form; for a single exponential
+component the bisection result matches the closed form to well under 1e-6
+years (tested).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     EmptyCombination,
+    LevelNotMet,
     NonMonotoneProjection,
     NotExponential,
     ParallelGrowth,
@@ -128,7 +130,12 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
         else:
             hi = mid
     year = 0.5 * (lo + hi)
-    assert abs(projection.value(year) - level) <= LEVEL_TOLERANCE * level
+    value = projection.value(year)
+    if abs(value - level) > LEVEL_TOLERANCE * level:
+        raise LevelNotMet(
+            f"projection jumps past {level:g} at {year:g} (value {value:g}); "
+            "the level is never met"
+        )
     return CrossingResult(threshold.name, level, CROSSED, year, horizon)
 
 

@@ -78,9 +78,9 @@ def test_c04b_pv_alone_primary_crossing(rep):
 
 def test_c05_mixes(rep):
     mix25 = {e["technology"]: e["generation_twh_per_year"]
-             for e in rep.mixes["2025"]}
+             for e in rep.to_dict()["mixes"]["2025"]}
     mix30 = {e["technology"]: e["generation_twh_per_year"]
-             for e in rep.mixes["2030"]}
+             for e in rep.to_dict()["mixes"]["2030"]}
     ok25 = (15000.0 * 0.8 <= mix25["pv"] <= 15000.0 * 1.2
             and 11700.0 * 0.8 <= mix25["wind"] <= 11700.0 * 1.2
             and 6300.0 * 0.8 <= mix25["hydro"] <= 6300.0 * 1.2)
@@ -93,8 +93,8 @@ def test_c05_mixes(rep):
 
 
 def test_c06_wind_changepoint(rep):
-    year = rep.fits["wind_piecewise"]["changepoint_year"]
-    ratio = rep.fits["wind_piecewise"]["improvement_ratio"]
+    year = rep.to_dict()["fits"]["wind_piecewise"]["changepoint_year"]
+    ratio = rep.to_dict()["fits"]["wind_piecewise"]["improvement_ratio"]
     _check("6", 2008.0 <= year <= 2011.0 and ratio >= 0.5,
            f"wind changepoint {year:g} (improvement {ratio:.3f}), "
            f"band [2008, 2011]")
@@ -108,7 +108,7 @@ def test_c07_pv_wind_crossover(rep):
 
 
 def test_c08a_pv_learning_rate_band(rep):
-    rate = rep.learning["pv_learning_curve"]["learning_rate_per_doubling"]
+    rate = rep.to_dict()["learning"]["pv_learning_curve"]["learning_rate_per_doubling"]
     _check("8a", 0.20 <= rate <= 0.40,
            f"pv learning rate {rate:.4f} per doubling, band [0.20, 0.40]")
 
@@ -116,8 +116,8 @@ def test_c08a_pv_learning_rate_band(rep):
 @pytest.mark.known_red
 def test_c08b_pv_learning_rate_exceeds_wind(rep):
     # Contradictory with criterion 9 given the observed geometry; expected red.
-    pv = rep.learning["pv_learning_curve"]["learning_rate_per_doubling"]
-    wind = rep.learning["wind_learning_curve"]["learning_rate_per_doubling"]
+    pv = rep.to_dict()["learning"]["pv_learning_curve"]["learning_rate_per_doubling"]
+    wind = rep.to_dict()["learning"]["wind_learning_curve"]["learning_rate_per_doubling"]
     _check("8b", pv > wind,
            f"pv learning rate {pv:.4f} vs wind {wind:.4f}")
 
@@ -132,11 +132,11 @@ def test_c08c_twenty_percent_slope_identity():
 
 
 def test_c09_learning_curve_crossing_and_cost(rep):
-    cross = rep.learning["curve_crossing"]
-    pv_range = rep.learning["pv_learning_curve"]["x_range_twh_per_year"]
-    wind_range = rep.learning["wind_learning_curve"]["x_range_twh_per_year"]
+    cross = rep.to_dict()["learning"]["curve_crossing"]
+    pv_range = rep.to_dict()["learning"]["pv_learning_curve"]["x_range_twh_per_year"]
+    wind_range = rep.to_dict()["learning"]["wind_learning_curve"]["x_range_twh_per_year"]
     beyond = cross["x_twh_per_year"] > max(pv_range[1], wind_range[1])
-    cost_2030 = rep.learning["pv_cost_at_stated_2030_generation_usd_per_mwh"]
+    cost_2030 = rep.to_dict()["learning"]["pv_cost_at_stated_2030_generation_usd_per_mwh"]
     _check("9", beyond and cost_2030 < 10.0,
            f"crossing x {cross['x_twh_per_year']:.0f} beyond observed "
            f"{max(pv_range[1], wind_range[1]):.0f}; pv cost at 75500 TWh/yr "
@@ -144,7 +144,7 @@ def test_c09_learning_curve_crossing_and_cost(rep):
 
 
 def test_c10_battery_extrapolation(rep):
-    value = rep.learning["battery_cost_2030_usd_per_kwh"]
+    value = rep.to_dict()["learning"]["battery_cost_2030_usd_per_kwh"]
     _check("10", 7.0 <= value <= 13.0,
            f"battery cost 2030 = {value:.3f} USD/kWh, band [7, 13]")
 

@@ -94,7 +94,7 @@ def test_below_floor_cost_warning(tmp_path):
         encoding="utf-8",
     )
     rep = rc.run_scenario(replace(rc.ScenarioConfig(), data_dir=str(data)))
-    assert rep.learning["pv_cost_at_stated_2030_generation_usd_per_mwh"] < 1.0
+    assert rep.to_dict()["learning"]["pv_cost_at_stated_2030_generation_usd_per_mwh"] < 1.0
     assert any("below the stated" in w for w in rep.warnings)
 
 
@@ -329,6 +329,45 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["project", "hydro", "--year", "1900"]) == 4
     assert main(["--out", str(tmp_path), "figures", "--id", "fig99"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config_text, argv", [
+    (None, ["--horizon", "nan", "cross", "--threshold", "electric_fig5"]),
+    (None, ["--horizon", "inf", "report"]),
+    (None, ["--horizon=-inf", "report"]),
+    (None, ["--horizon", "1e300", "report"]),
+    (None, ["--horizon", "2200.5", "report"]),
+    (None, ["project", "pv", "--year", "nan"]),
+    (None, ["project", "hydro", "--year", "inf"]),
+    (None, ["mix", "--year", "nan"]),
+    (None, ["mix", "--year", "1e300"]),
+    ("horizon = nan", ["report"]),
+    ("mix_years = 2025, nan", ["report"]),
+    ("mix_years = 2025, 1e300", ["mix", "--year", "2030"]),
+    ("changepoint_threshold = nan", ["fit", "wind"]),
+    ("changepoint_threshold = inf", ["fit", "wind"]),
+])
+def test_cli_rejects_nonfinite_and_unbounded_numbers(tmp_path, monkeypatch, capsys,
+                                                     config_text, argv):
+    def no_run(config):
+        raise AssertionError("the scenario ran although the input is invalid")
+
+    # rejected while the config is checked, before any fit or crossing grid
+    monkeypatch.setattr(report_mod, "run_scenario", no_run)
+    if config_text is not None:
+        conf = tmp_path / "run.conf"
+        conf.write_text(config_text + "\n", encoding="utf-8")
+        argv = ["--config", str(conf), *argv]
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["report"], ["figures", "--id", "fig1"]])
+def test_cli_unwritable_out_is_config_error(tmp_path, capsys, argv):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("a regular file, not a directory\n", encoding="utf-8")
+    assert main(["--out", str(a_file / "sub"), *argv]) == 2
+    assert "cannot write to" in capsys.readouterr().err
 
 
 def test_cli_horizon_override(capsys):

@@ -8,6 +8,8 @@ import pytest
 import renewcast as rc
 from renewcast.errors import (
     EmptyCombination,
+    LevelNotMet,
+    ModelError,
     NonMonotoneProjection,
     NotExponential,
     ParallelGrowth,
@@ -100,6 +102,27 @@ def test_nonmonotone_projection_rejected():
     p = _exp_profile("a", 4.0, 0.5)    # decaying
     with pytest.raises(NonMonotoneProjection):
         rc.crossing_year(rc.combine([p]), _threshold(1e3))
+
+
+class _StepModel:
+    """1 GW before 2005.03 and 1000 GW from then on."""
+
+    window = (2000.0, 2010.0)
+
+    def value_at(self, year):
+        return 1.0 if year < 2005.03 else 1000.0
+
+
+def test_step_projection_never_meets_level():
+    # generation jumps from 4.38 to 4380 TWh/yr at 2005.03: bisection closes
+    # in on the step, where the level of 100 is never met
+    series = rc.make_series("step", "installed_power", "GW",
+                            [(2000.0, 1.0), (2010.0, 1000.0)])
+    step = rc.TechnologyProfile("step", 0.5, series, _StepModel())
+    with pytest.raises(LevelNotMet) as err:
+        rc.crossing_year(rc.combine([step]), _threshold(100.0), 2020.0)
+    assert isinstance(err.value, ModelError)
+    assert "2005.03" in str(err.value)
 
 
 def test_threshold_monotonicity(pv_profile, wind_profile):

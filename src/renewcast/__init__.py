@@ -37,11 +37,13 @@ from .growthfit import (
     extrapolate,
     fit_exponential,
     fit_polynomial,
+    past_horizon,
 )
 from .learncurve import (
     CostSeries,
     LearningCurveFit,
     TimeDecayFit,
+    beyond_observed,
     cost_at,
     cost_series,
     curve_crossing,

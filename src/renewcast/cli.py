@@ -64,6 +64,11 @@ def _load_config(args) -> ScenarioConfig:
         config = replace(config, horizon=args.horizon)
     if getattr(args, "year", None) is not None:
         report_mod.check_year("--year", args.year)
+    # cross and mix compute only their own threshold or year
+    if args.command == "cross":
+        config = replace(config, thresholds=(args.threshold,))
+    if args.command == "mix":
+        config = replace(config, mix_years=(args.year,))
     return config.validate()
 
 
@@ -78,7 +83,7 @@ def _run(args) -> int:
     rep = report_mod.run_scenario(config)
 
     if args.command == "fit":
-        fits = rep.to_dict()["fits"]
+        fits = rep.fits_dict()
         keys = {"pv": ("pv",), "wind": ("wind_trend", "wind_piecewise", "wind_rebound"),
                 "offshore_wind": ("offshore_wind",), "hydro": ("hydro",)}
         for key in keys[args.technology]:
@@ -87,43 +92,36 @@ def _run(args) -> int:
 
     if args.command == "project":
         from .genconvert import generation_capability
-        from .growthfit import extrapolate
+        from .growthfit import extrapolate, past_horizon
 
         key = {"pv": "pv", "wind": f"wind_{config.wind_treatment}",
                "offshore_wind": "offshore_wind", "hydro": "hydro"}[args.technology]
         profile = rep.profiles[key]
         power = extrapolate(profile.model, args.year)
-        generation = generation_capability(float(power), profile.capacity_factor)
+        generation = generation_capability(power, profile.capacity_factor)
         print(f"technology = {args.technology}")
         print(f"year = {args.year}")
-        print(f"installed_power_gw = {float(power)!r}")
+        print(f"installed_power_gw = {power!r}")
         print(f"generation_twh_per_year = {generation!r}")
-        if power.horizon_warning:
+        if past_horizon(profile.model, args.year):
             print("horizon_warning = true")
         return 0
 
     if args.command == "cross":
         for c in rep.crossings:
-            if c.threshold == args.threshold:
-                treatment = c.wind_treatment or "-"
-                year = "" if c.year is None else repr(c.year)
-                print(f"{c.threshold},{c.combination},{treatment},{c.status},{year}")
+            treatment = c.wind_treatment or "-"
+            year = "" if c.year is None else repr(c.year)
+            print(f"{c.threshold},{c.combination},{treatment},{c.status},{year}")
         return 0
 
     if args.command == "mix":
-        from . import scenario as scenario_mod
-
-        proj = scenario_mod.combine([
-            rep.profiles["pv"],
-            rep.profiles[f"wind_{config.wind_treatment}"],
-            rep.profiles["hydro"],
-        ])
-        for entry in scenario_mod.mix_at_year(proj, args.year):
+        (entries,) = rep.mixes.values()
+        for entry in entries:
             print(f"{entry.technology},{entry.generation_twh!r},{entry.share_pct!r}")
         return 0
 
     if args.command == "learn":
-        for key, value in rep.to_dict()["learning"].items():
+        for key, value in rep.learning_dict().items():
             print(f"{key} = {value}")
         return 0
 

@@ -77,28 +77,6 @@ class CapacitySeries:
     def last_year(self) -> float:
         return self.samples[-1][0]
 
-    def window(self, start=None, end=None) -> "CapacitySeries":
-        """Sub-series restricted to start <= year <= end."""
-        picked = [
-            (i, s)
-            for i, s in enumerate(self.samples)
-            if (start is None or s[0] >= start) and (end is None or s[0] <= end)
-        ]
-        if not picked:
-            raise EmptySeries(
-                f"{self.technology}: no samples in window [{start}, {end}]"
-            )
-        rows = tuple(self.row_text[i] for i, _ in picked) if self.row_text else ()
-        return CapacitySeries(
-            technology=self.technology,
-            quantity_kind=self.quantity_kind,
-            unit=self.unit,
-            samples=tuple(s for _, s in picked),
-            provenance=self.provenance,
-            header_lines=self.header_lines,
-            row_text=rows,
-        )
-
     def value_at(self, year: float) -> float:
         for y, v in self.samples:
             if y == year:

@@ -85,6 +85,10 @@ class NegativeDemand(ModelError):
     pass
 
 
+class NegativePower(ModelError):
+    pass
+
+
 class NonPositiveDensity(ModelError):
     pass
 
@@ -118,6 +122,10 @@ class NonPositiveX(ModelError):
 
 
 class ParallelLines(ModelError):
+    pass
+
+
+class CrossingOutOfRange(ModelError):
     pass
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import HOURS_PER_YEAR, CapacitySeries
-from .errors import CapacityFactorOutOfRange
+from .errors import CapacityFactorOutOfRange, NegativeDemand, NegativePower
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def generation_capability(power_gw: float, capacity_factor: float) -> float:
     """TWh/yr generated by power_gw running at the given capacity factor."""
     _check_cf(capacity_factor)
     if power_gw < 0:
-        raise ValueError(f"installed power must be >= 0, got {power_gw!r}")
+        raise NegativePower(f"installed power must be >= 0, got {power_gw!r}")
     return power_gw * capacity_factor * HOURS_PER_YEAR / 1000.0
 
 
@@ -59,7 +59,7 @@ def power_required(generation_twh: float, capacity_factor: float) -> float:
     """Inverse of generation_capability: GW needed for a TWh/yr target."""
     _check_cf(capacity_factor)
     if generation_twh < 0:
-        raise ValueError(f"generation must be >= 0, got {generation_twh!r}")
+        raise NegativeDemand(f"generation must be >= 0, got {generation_twh!r}")
     return generation_twh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
 
 

@@ -23,19 +23,8 @@ from .errors import (
 )
 
 # Extrapolations further than this past the fit window are still computed
-# but flagged.
+# but flagged (past_horizon).
 HORIZON_WARNING_YEARS = 15.0
-
-
-class ExtrapolatedValue(float):
-    """Float carrying the horizon_warning flag for far extrapolations."""
-
-    horizon_warning: bool = False
-
-    def __new__(cls, value, horizon_warning=False):
-        obj = super().__new__(cls, value)
-        obj.horizon_warning = horizon_warning
-        return obj
 
 
 @dataclass(frozen=True)
@@ -51,6 +40,10 @@ class ExponentialFit:
 
     def value_at(self, year: float) -> float:
         return math.exp(self.ln_intercept + self.ln_slope * (year - self.reference_year))
+
+    def year_at(self, value: float) -> float:
+        """Inverse of value_at: the year the fit reaches value."""
+        return (math.log(value) - self.ln_intercept) / self.ln_slope + self.reference_year
 
 
 @dataclass(frozen=True)
@@ -241,21 +234,19 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
     )
 
 
-def extrapolate(model, year: float) -> ExtrapolatedValue:
-    """Closed-form model evaluation at any year >= window start.
-
-    The returned float carries horizon_warning=True when the year exceeds
-    the window end by more than HORIZON_WARNING_YEARS.
-    """
-    lo, hi = model.window
+def extrapolate(model, year: float) -> float:
+    """Closed-form model evaluation at any year >= window start."""
+    lo = model.window[0]
     if year < lo:
         raise YearBeforeWindow(
             f"year {year:g} precedes fit window start {lo:g}"
         )
-    return ExtrapolatedValue(
-        model.value_at(year),
-        horizon_warning=(year > hi + HORIZON_WARNING_YEARS),
-    )
+    return model.value_at(year)
+
+
+def past_horizon(model, year: float) -> bool:
+    """True when year lies more than HORIZON_WARNING_YEARS past the fit window."""
+    return year > model.window[1] + HORIZON_WARNING_YEARS
 
 
 def doubling_time(fit: ExponentialFit) -> float:

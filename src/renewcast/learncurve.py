@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import CapacitySeries
 from .errors import (
+    CrossingOutOfRange,
     MissingYear,
     NonPositiveValue,
     NonPositiveX,
@@ -128,17 +129,6 @@ class TimeDecayFit:
         return self.cost0 * self.decay ** (year - self.reference_year)
 
 
-class CostValue(float):
-    """Float carrying an extrapolation flag for out-of-range evaluations."""
-
-    beyond_observed: bool = False
-
-    def __new__(cls, value, beyond_observed=False):
-        obj = super().__new__(cls, value)
-        obj.beyond_observed = beyond_observed
-        return obj
-
-
 def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
     """Least squares on (log10 x, log10 cost) of a capability-indexed series."""
     if series.x_kind != X_GENERATION:
@@ -175,13 +165,17 @@ def learning_rate(fit: LearningCurveFit) -> float:
     return 1.0 - 2.0 ** fit.log10_slope
 
 
-def cost_at(fit: LearningCurveFit, x: float) -> CostValue:
-    """Model cost at cumulative generation x, flagged when x is outside the
-    observed range."""
+def cost_at(fit: LearningCurveFit, x: float) -> float:
+    """Model cost at cumulative generation x > 0."""
     if x <= 0:
         raise NonPositiveX(f"cumulative generation must be > 0, got {x!r}")
+    return fit.cost_at(x)
+
+
+def beyond_observed(fit: LearningCurveFit, x: float) -> bool:
+    """True when x lies outside the observed range the fit was made on."""
     lo, hi = fit.x_range
-    return CostValue(fit.cost_at(x), beyond_observed=not (lo <= x <= hi))
+    return not (lo <= x <= hi)
 
 
 def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, float]:
@@ -191,7 +185,11 @@ def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, flo
             f"slopes are equal ({a.log10_slope!r}); the lines never cross"
         )
     log_x = (b.log10_intercept - a.log10_intercept) / (a.log10_slope - b.log10_slope)
-    x = 10.0 ** log_x
+    try:
+        x = 10.0 ** log_x
+    except OverflowError:
+        raise CrossingOutOfRange(
+            f"the lines meet at x = 10**{log_x:g}, beyond the float range") from None
     return x, a.cost_at(x)
 
 

@@ -1,10 +1,13 @@
-"""Scenario orchestration: configuration, the full report and its artifacts.
+"""Scenario orchestration: configuration, the report and its artifacts.
 
-run_scenario loads the datasets, fits every technology, solves all
-threshold crossings under each wind treatment, evaluates mixes, learning
-curves and resource budgets, and assembles the discrepancy and claims
-tables. Outputs are a versioned JSON document, CSV tables and standalone
-SVG figures; identical config and datasets produce identical bytes.
+run_scenario validates the config and loads the datasets. Every other
+section of the ScenarioReport it returns is computed when first read and
+then kept: fits, threshold crossings under each wind treatment, mixes,
+learning curves, resource budgets, and the discrepancy, claims and
+warnings tables. A caller pays only for the sections it reads, and a
+model error aborts only the callers that read the failing section.
+Outputs are a versioned JSON document, CSV tables and standalone SVG
+figures; identical config and datasets produce identical bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import corpus, growthfit, learncurve, resourcebudget, scenario
@@ -29,13 +33,14 @@ COMBINATIONS = ("pv", "wind_pv", "wind_pv_hydro")
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
               "appfig1", "appfig6")
 
-_THRESHOLD_SPECS = (
-    ("electric_fig5", "electric_threshold_fig5", 2026.0),
-    ("electric_2030", "electric_demand_2030", 2030.0),
-    ("reduced_primary_2030", "reduced_primary_2030", 2030.0),
-    ("primary_fig5", "primary_threshold_fig5", 2032.0),
-)
-THRESHOLD_NAMES = tuple(s[0] for s in _THRESHOLD_SPECS)
+# threshold name -> registered constant holding its level
+_THRESHOLD_CONSTANTS = {
+    "electric_fig5": "electric_threshold_fig5",
+    "electric_2030": "electric_demand_2030",
+    "reduced_primary_2030": "reduced_primary_2030",
+    "primary_fig5": "primary_threshold_fig5",
+}
+THRESHOLD_NAMES = tuple(_THRESHOLD_CONSTANTS)
 
 
 def check_year(name: str, year: float):
@@ -46,11 +51,8 @@ def check_year(name: str, year: float):
 
 
 def default_thresholds():
-    out = []
-    for name, const_name, year in _THRESHOLD_SPECS:
-        c = get_constant(const_name)
-        out.append(scenario.DemandThreshold(name, c.value, year, c.citation))
-    return tuple(out)
+    return tuple(scenario.DemandThreshold(name, constant(const_name))
+                 for name, const_name in _THRESHOLD_CONSTANTS.items())
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,10 @@ class ScenarioConfig:
             raise ConfigInvalid("changepoint_min_segment must be >= 2")
         if self.hydro_degree < 1:
             raise ConfigInvalid("hydro_degree must be >= 1")
-        known = {s[0] for s in _THRESHOLD_SPECS}
         for t in self.thresholds:
-            if t not in known:
+            if t not in THRESHOLD_NAMES:
                 raise ConfigInvalid(
-                    f"unknown threshold {t!r}; known: {', '.join(sorted(known))}"
+                    f"unknown threshold {t!r}; known: {', '.join(sorted(THRESHOLD_NAMES))}"
                 )
         for cf in (self.cf_pv, self.cf_wind, self.cf_hydro):
             if cf is not None and not (0.0 < cf <= 1.0):
@@ -180,20 +181,13 @@ class ClaimRow:
 
 @dataclass
 class ScenarioReport:
-    """Everything one run computed, held as the typed objects that computed
-    it; to_dict is the one place they become JSON keys."""
+    """One scenario over its loaded series. Every other section is computed
+    from these two fields when it is first read, then kept, and is held as
+    the typed objects that computed it; to_dict is the one place they
+    become JSON keys."""
 
     config: ScenarioConfig
     series: dict
-    fits: dict          # name -> growthfit Exponential/PiecewiseExponential/PolynomialFit
-    profiles: dict
-    crossings: list
-    mixes: dict         # "%g" year -> list of scenario.MixEntry
-    learning: dict      # name -> learncurve LearningCurveFit/TimeDecayFit
-    budget: dict
-    discrepancies: list
-    claims: list
-    warnings: list
 
     def to_dict(self) -> dict:
         # out_dir is not echoed: artifacts must not depend on where they are
@@ -210,47 +204,14 @@ class ScenarioReport:
             "offshore_window": list(self.config.offshore_window),
             "hydro_window": list(self.config.hydro_window),
             "hydro_degree": self.config.hydro_degree,
-            "capacity_factors": self.capacity_factors(),
+            "capacity_factors": self.capacity_factors,
             "mix_years": list(self.config.mix_years),
             "thresholds": list(self.config.thresholds),
         }
-        fits = self.fits
-        piecewise, hydro = fits["wind_piecewise"], fits["hydro"]
-        pv_lc = self.learning["pv_learning_curve"]
-        wind_lc = self.learning["wind_learning_curve"]
-        cross_x, cross_cost = self.curve_crossing
         return {
             "schema_version": SCHEMA_VERSION,
             "config": cfg,
-            "fits": {
-                "pv": {
-                    **_exp_fit_dict(fits["pv"]),
-                    "residual_signs": growthfit.residual_signs(self.series["pv"],
-                                                               fits["pv"]),
-                },
-                "wind_trend": _exp_fit_dict(fits["wind_trend"]),
-                "wind_piecewise": {
-                    "kind": "piecewise_exponential",
-                    "changepoint_year": piecewise.changepoint_year,
-                    "left": _exp_fit_dict(piecewise.left),
-                    "right": _exp_fit_dict(piecewise.right),
-                    "sse_piecewise": piecewise.sse_piecewise,
-                    "sse_single": piecewise.sse_single,
-                    "improvement_ratio": piecewise.improvement_ratio,
-                    "regime_change": self.regime_change,
-                    "window": list(piecewise.window),
-                },
-                "wind_rebound": _exp_fit_dict(fits["wind_rebound"]),
-                "offshore_wind": _exp_fit_dict(fits["offshore_wind"]),
-                "hydro": {
-                    "kind": "polynomial",
-                    "reference_year": hydro.reference_year,
-                    "coefficients": list(hydro.coefficients),
-                    "degree": hydro.degree,
-                    "rmse": hydro.rmse,
-                    "window": list(hydro.window),
-                },
-            },
+            "fits": self.fits_dict(),
             "crossings": [
                 {
                     "threshold": c.threshold,
@@ -269,33 +230,225 @@ class ScenarioReport:
                         "share_pct": e.share_pct} for e in entries]
                 for year, entries in self.mixes.items()
             },
-            "learning": {
-                "pv_learning_curve": _learning_curve_dict(pv_lc),
-                "wind_learning_curve": _learning_curve_dict(wind_lc),
-                "curve_crossing": {
-                    "x_twh_per_year": cross_x,
-                    "cost_usd_per_mwh": cross_cost,
-                    "beyond_observed_range": cross_x > max(pv_lc.x_range[1],
-                                                           wind_lc.x_range[1]),
-                },
-                "pv_cost_at_stated_2030_generation_usd_per_mwh":
-                    float(self.pv_cost_at_stated_2030),
-                "pv_time_decay": _decay_dict(self.learning["pv_time_decay"]),
-                "wind_time_decay": _decay_dict(self.learning["wind_time_decay"]),
-                "battery_time_decay": _decay_dict(self.learning["battery_time_decay"]),
-                "battery_cost_2030_usd_per_kwh": self.battery_cost_2030,
-            },
+            "learning": self.learning_dict(),
             "budget": self.budget,
             "discrepancies": [asdict(d) for d in self.discrepancies],
             "claims": [asdict(c) for c in self.claims],
             "warnings": self.warnings,
         }
 
-    def capacity_factors(self):
+    def fits_dict(self) -> dict:
+        fits = self.fits
+        piecewise, hydro = fits["wind_piecewise"], fits["hydro"]
         return {
-            "pv": self.profiles["pv"].capacity_factor,
-            "wind": self.profiles["wind_trend"].capacity_factor,
-            "hydro": self.profiles["hydro"].capacity_factor,
+            "pv": {
+                **_exp_fit_dict(fits["pv"]),
+                "residual_signs": growthfit.residual_signs(self.series["pv"],
+                                                           fits["pv"]),
+            },
+            "wind_trend": _exp_fit_dict(fits["wind_trend"]),
+            "wind_piecewise": {
+                "kind": "piecewise_exponential",
+                "changepoint_year": piecewise.changepoint_year,
+                "left": _exp_fit_dict(piecewise.left),
+                "right": _exp_fit_dict(piecewise.right),
+                "sse_piecewise": piecewise.sse_piecewise,
+                "sse_single": piecewise.sse_single,
+                "improvement_ratio": piecewise.improvement_ratio,
+                "regime_change": self.regime_change,
+                "window": list(piecewise.window),
+            },
+            "wind_rebound": _exp_fit_dict(fits["wind_rebound"]),
+            "offshore_wind": _exp_fit_dict(fits["offshore_wind"]),
+            "hydro": {
+                "kind": "polynomial",
+                "reference_year": hydro.reference_year,
+                "coefficients": list(hydro.coefficients),
+                "degree": hydro.degree,
+                "rmse": hydro.rmse,
+                "window": list(hydro.window),
+            },
+        }
+
+    def learning_dict(self) -> dict:
+        pv_lc = self.learning["pv_learning_curve"]
+        wind_lc = self.learning["wind_learning_curve"]
+        cross_x, cross_cost = self.curve_crossing
+        return {
+            "pv_learning_curve": _learning_curve_dict(pv_lc),
+            "wind_learning_curve": _learning_curve_dict(wind_lc),
+            "curve_crossing": {
+                "x_twh_per_year": cross_x,
+                "cost_usd_per_mwh": cross_cost,
+                "beyond_observed_range": cross_x > max(pv_lc.x_range[1],
+                                                       wind_lc.x_range[1]),
+            },
+            "pv_cost_at_stated_2030_generation_usd_per_mwh":
+                self.pv_cost_at_stated_2030,
+            "pv_time_decay": _decay_dict(self.learning["pv_time_decay"]),
+            "wind_time_decay": _decay_dict(self.learning["wind_time_decay"]),
+            "battery_time_decay": _decay_dict(self.learning["battery_time_decay"]),
+            "battery_cost_2030_usd_per_kwh": self.battery_cost_2030,
+        }
+
+    @cached_property
+    def capacity_factors(self) -> dict:
+        config = self.config
+        cf_pv = config.cf_pv if config.cf_pv is not None else constant("cf_pv")
+        cf_wind = config.cf_wind if config.cf_wind is not None else constant("cf_wind")
+        cf_hydro = config.cf_hydro if config.cf_hydro is not None else constant("cf_hydro")
+        return {"pv": cf_pv, "wind": cf_wind, "hydro": cf_hydro}
+
+    @cached_property
+    def fits(self) -> dict:
+        """name -> growthfit Exponential/PiecewiseExponential/PolynomialFit."""
+        config, series = self.config, self.series
+        return {
+            "pv": growthfit.fit_exponential(series["pv"], config.pv_window),
+            "wind_trend": growthfit.fit_exponential(series["wind"], config.wind_window),
+            "wind_piecewise": growthfit.detect_changepoint(
+                series["wind"], config.changepoint_min_segment, config.wind_window),
+            "wind_rebound": growthfit.fit_exponential(series["wind"],
+                                                      config.wind_regime_window),
+            "offshore_wind": growthfit.fit_exponential(series["offshore_wind"],
+                                                       config.offshore_window),
+            "hydro": growthfit.fit_polynomial(series["hydro"], config.hydro_degree,
+                                              config.hydro_window),
+        }
+
+    @cached_property
+    def profiles(self) -> dict:
+        series, fits = self.series, self.fits
+        cf_pv, cf_wind, cf_hydro = self.capacity_factors.values()
+        return {
+            "pv": TechnologyProfile("pv", cf_pv, series["pv"], fits["pv"]),
+            "wind_trend": TechnologyProfile("wind", cf_wind, series["wind"],
+                                            fits["wind_trend"]),
+            # the piecewise treatment projects from the right segment
+            "wind_piecewise": TechnologyProfile("wind", cf_wind, series["wind"],
+                                                fits["wind_piecewise"].right),
+            "wind_rebound": TechnologyProfile("wind", cf_wind, series["wind"],
+                                              fits["wind_rebound"]),
+            "hydro": TechnologyProfile("hydro", cf_hydro, series["hydro"], fits["hydro"]),
+            "offshore_wind": TechnologyProfile("offshore_wind", cf_wind,
+                                               series["offshore_wind"],
+                                               fits["offshore_wind"]),
+        }
+
+    def projection(self, combo, treatment) -> scenario.CombinedProjection:
+        """Summed generation of one combination under one wind treatment."""
+        profiles = self.profiles
+        if combo == "pv":
+            return scenario.combine([profiles["pv"]])
+        wind_profile = profiles[f"wind_{treatment}"]
+        parts = [profiles["pv"], wind_profile]
+        if combo == "wind_pv_hydro":
+            parts.append(profiles["hydro"])
+        return scenario.combine(parts)
+
+    @cached_property
+    def crossings(self) -> list:
+        """CrossingEntry per configured threshold, combination and treatment."""
+        thresholds = [t for t in default_thresholds()
+                      if t.name in self.config.thresholds]
+        crossings = []
+        for threshold in thresholds:
+            for combo in COMBINATIONS:
+                treatments = (None,) if combo == "pv" else WIND_TREATMENTS
+                for treatment in treatments:
+                    proj = self.projection(combo, treatment)
+                    res = scenario.crossing_year(proj, threshold, self.config.horizon)
+                    # a crossing is flagged when any component fit had to
+                    # reach more than HORIZON_WARNING_YEARS past its own window
+                    warn = res.year is not None and any(
+                        growthfit.past_horizon(p.model, res.year)
+                        for p in proj.components)
+                    crossings.append(CrossingEntry(
+                        threshold=threshold.name,
+                        level_twh=threshold.level_twh,
+                        combination=combo,
+                        wind_treatment=treatment,
+                        status=res.status,
+                        year=res.year,
+                        horizon_warning=warn,
+                    ))
+        return crossings
+
+    @cached_property
+    def mixes(self) -> dict:
+        """"%g" year -> list of scenario.MixEntry, headline wind treatment."""
+        three_tech = self.projection("wind_pv_hydro", self.config.wind_treatment)
+        return {f"{year:g}": scenario.mix_at_year(three_tech, year)
+                for year in self.config.mix_years}
+
+    @cached_property
+    def learning(self) -> dict:
+        """name -> learncurve LearningCurveFit/TimeDecayFit."""
+        series, cf = self.series, self.capacity_factors
+        pv_cost = learncurve.cost_series(series["pv_lcoe"])
+        wind_cost = learncurve.cost_series(series["wind_lcoe"])
+        return {
+            "pv_learning_curve": learncurve.fit_learning_curve(
+                learncurve.join_cost_to_generation(pv_cost, series["pv"], cf["pv"])),
+            "wind_learning_curve": learncurve.fit_learning_curve(
+                learncurve.join_cost_to_generation(wind_cost, series["wind"],
+                                                   cf["wind"])),
+            "pv_time_decay": learncurve.fit_time_decay(pv_cost),
+            "wind_time_decay": learncurve.fit_time_decay(wind_cost),
+            "battery_time_decay": learncurve.fit_time_decay(
+                learncurve.cost_series(series["battery"])),
+        }
+
+    @cached_property
+    def budget(self) -> dict:
+        density = constant("pv_density")
+        demands = {
+            "electric_2030": constant("electric_demand_2030"),
+            "electric_fig5": constant("electric_threshold_fig5"),
+            "primary_2030": constant("primary_demand_2030"),
+            "primary_fig5": constant("primary_threshold_fig5"),
+            "reduced_primary_2030": corpus.reduced_primary(
+                constant("primary_demand_2030")),
+        }
+        budget_areas = {}
+        for name, demand in demands.items():
+            ab = resourcebudget.area_budget(demand, density, self.capacity_factors["pv"])
+            budget_areas[name] = {
+                "demand_twh_per_year": demand,
+                "required_area_km2": ab.required_area_km2,
+                "desert_fraction": ab.fraction,
+            }
+        potentials = {
+            name: resourcebudget.ResourcePotential(name, constant(const), qualifier,
+                                                   get_constant(const).citation)
+            for name, const, qualifier in (
+                ("onshore", "onshore_wind_potential", "onshore"),
+                ("offshore_50m", "offshore_50m", "water depth < 50 m"),
+                ("offshore_1000m", "offshore_1000m", "water depth < 1000 m"),
+                ("wind_total_as_stated", "wind_total_potential_as_stated", "as stated"),
+            )
+        }
+        budget_fractions = {}
+        for pot_name, pot in potentials.items():
+            for dem_name in ("electric_2030", "primary_2030", "reduced_primary_2030"):
+                frac, times = resourcebudget.potential_fraction(demands[dem_name], pot)
+                budget_fractions[f"{dem_name}_vs_{pot_name}"] = {
+                    "fraction": frac,
+                    "times_over": times,
+                }
+        fixture_points, fixture_target = resourcebudget.load_offshore_depth_fixture()
+        offshore_extrapolated = resourcebudget.offshore_depth_extrapolation(
+            fixture_points, fixture_target)
+        return {
+            "pv_density_mw_per_km2": density,
+            "desert_area_km2": constant("desert_area"),
+            "areas": budget_areas,
+            "potential_fractions": budget_fractions,
+            "offshore_depth_extrapolation": {
+                "points_area_mkm2_potential_twh": [list(p) for p in fixture_points],
+                "target_area_mkm2": fixture_target,
+                "extrapolated_potential_twh_per_year": offshore_extrapolated,
+            },
         }
 
     @property
@@ -310,7 +463,7 @@ class ScenarioReport:
                                          self.learning["wind_learning_curve"])
 
     @property
-    def pv_cost_at_stated_2030(self) -> learncurve.CostValue:
+    def pv_cost_at_stated_2030(self) -> float:
         return learncurve.cost_at(self.learning["pv_learning_curve"],
                                   constant("stated_mix_2030_pv"))
 
@@ -326,6 +479,96 @@ class ScenarioReport:
         raise MissingFit(
             f"no crossing entry for {threshold}/{combination}/{wind_treatment}"
         )
+
+    @cached_property
+    def discrepancies(self) -> list:
+        """Appendix recomputations plus the scenario-level rows, sorted by
+        |relative deviation| descending."""
+        rows = list(resourcebudget.appendix_discrepancies())
+        for year_key in ("2025", "2030"):
+            if year_key not in self.mixes:
+                continue
+            generation = {e.technology: e.generation_twh for e in self.mixes[year_key]}
+            for tech in ("pv", "wind", "hydro"):
+                rows.append(resourcebudget.discrepancy_row(
+                    f"mix_{year_key}_{tech}_twh", f"stated_mix_{year_key}_{tech}",
+                    generation[tech]))
+            if year_key == "2025":
+                rows.append(resourcebudget.discrepancy_row(
+                    "mix_2025_total_twh", "stated_mix_2025_total",
+                    sum(generation.values())))
+        rows.append(resourcebudget.discrepancy_row(
+            "battery_cost_2030_usd_per_kwh", "stated_battery_cost_2030",
+            self.battery_cost_2030))
+        rows.sort(key=lambda d: (-abs(d.relative_deviation), d.name))
+        return rows
+
+    @cached_property
+    def claims(self) -> list:
+        """Stated years against the computed ones, headline wind treatment."""
+        headline = self.config.wind_treatment
+
+        def claim(name, const_name, computed_year):
+            c = get_constant(const_name)
+            delta = None if computed_year is None else computed_year - c.value
+            return ClaimRow(name, c.value, computed_year, delta, c.citation)
+
+        def year(threshold, combo, treatment=None):
+            try:
+                return self.crossing_for(threshold, combo, treatment).year
+            except MissingFit:
+                return None
+
+        crossover_year = scenario.pv_wind_generation_crossover(
+            self.profiles["pv"], self.profiles[f"wind_{headline}"])
+        offshore_1tw_year = self.fits["offshore_wind"].year_at(1000.0)
+        return [
+            claim("wind_pv_meet_electric_fig5", "stated_year_wind_pv_electric",
+                  year("electric_fig5", "wind_pv", headline)),
+            claim("three_tech_meet_electric_fig5", "stated_year_three_tech_electric",
+                  year("electric_fig5", "wind_pv_hydro", headline)),
+            claim("three_tech_meet_reduced_primary",
+                  "stated_year_three_tech_reduced_primary",
+                  year("reduced_primary_2030", "wind_pv_hydro", headline)),
+            claim("pv_alone_meets_electric_fig5", "stated_year_pv_alone_electric",
+                  year("electric_fig5", "pv")),
+            claim("pv_alone_meets_electric_fig5_alt",
+                  "stated_year_pv_alone_electric_alt", year("electric_fig5", "pv")),
+            claim("pv_alone_meets_primary_fig5", "stated_year_pv_alone_primary",
+                  year("primary_fig5", "pv")),
+            claim("pv_overtakes_wind", "stated_year_pv_overtakes_wind", crossover_year),
+            claim("offshore_reaches_1tw", "stated_offshore_1tw_year", offshore_1tw_year),
+        ]
+
+    @cached_property
+    def warnings(self) -> list:
+        warnings = []
+        piecewise = self.fits["wind_piecewise"]
+        if self.regime_change:
+            warnings.append(
+                f"wind growth regime change at {piecewise.changepoint_year:g} "
+                f"(improvement_ratio "
+                f"{piecewise.improvement_ratio:.3f} >= "
+                f"{self.config.changepoint_threshold:g})"
+            )
+        floor = constant("stated_lcoe_floor")
+        for label, value in (("PV cost at stated 2030 generation",
+                              self.pv_cost_at_stated_2030),
+                             ("learning-curve crossing cost", self.curve_crossing[1])):
+            if value < floor:
+                warnings.append(
+                    f"{label} {value:.3f} USD/MWh lies below the stated "
+                    f"{floor:g} USD/MWh floor"
+                )
+        for c in self.crossings:
+            if c.horizon_warning:
+                warnings.append(
+                    f"crossing of {c.threshold} by {c.combination}"
+                    f"{'' if c.wind_treatment is None else '/' + c.wind_treatment} "
+                    f"at {c.year:.2f} extrapolates a fit more than "
+                    f"{growthfit.HORIZON_WARNING_YEARS:g} years past its window"
+                )
+        return warnings
 
 
 def _exp_fit_dict(fit: growthfit.ExponentialFit) -> dict:
@@ -381,6 +624,8 @@ def load_series(config: ScenarioConfig) -> dict:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    """Validate the config and load the series; config and data errors are
+    raised here, model errors by the first report section that meets one."""
     config.validate()
     series = load_series(config)
     last_data_year = max(s.last_year for s in series.values())
@@ -389,245 +634,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             f"horizon {config.horizon:g} must exceed the last data year "
             f"{last_data_year:g}"
         )
-
-    cf_pv = config.cf_pv if config.cf_pv is not None else constant("cf_pv")
-    cf_wind = config.cf_wind if config.cf_wind is not None else constant("cf_wind")
-    cf_hydro = config.cf_hydro if config.cf_hydro is not None else constant("cf_hydro")
-
-    # -- fits
-    fits = {
-        "pv": growthfit.fit_exponential(series["pv"], config.pv_window),
-        "wind_trend": growthfit.fit_exponential(series["wind"], config.wind_window),
-        "wind_piecewise": growthfit.detect_changepoint(
-            series["wind"], config.changepoint_min_segment, config.wind_window),
-        "wind_rebound": growthfit.fit_exponential(series["wind"],
-                                                  config.wind_regime_window),
-        "offshore_wind": growthfit.fit_exponential(series["offshore_wind"],
-                                                   config.offshore_window),
-        "hydro": growthfit.fit_polynomial(series["hydro"], config.hydro_degree,
-                                          config.hydro_window),
-    }
-    profiles = {
-        "pv": TechnologyProfile("pv", cf_pv, series["pv"], fits["pv"]),
-        "wind_trend": TechnologyProfile("wind", cf_wind, series["wind"],
-                                        fits["wind_trend"]),
-        # the piecewise treatment projects from the right segment
-        "wind_piecewise": TechnologyProfile("wind", cf_wind, series["wind"],
-                                            fits["wind_piecewise"].right),
-        "wind_rebound": TechnologyProfile("wind", cf_wind, series["wind"],
-                                          fits["wind_rebound"]),
-        "hydro": TechnologyProfile("hydro", cf_hydro, series["hydro"], fits["hydro"]),
-        "offshore_wind": TechnologyProfile("offshore_wind", cf_wind,
-                                           series["offshore_wind"],
-                                           fits["offshore_wind"]),
-    }
-
-    # -- crossings, all treatments
-    thresholds = [t for t in default_thresholds() if t.name in config.thresholds]
-    crossings = []
-
-    def projections_for(combo, treatment):
-        if combo == "pv":
-            return scenario.combine([profiles["pv"]])
-        wind_profile = profiles[f"wind_{treatment}"]
-        parts = [profiles["pv"], wind_profile]
-        if combo == "wind_pv_hydro":
-            parts.append(profiles["hydro"])
-        return scenario.combine(parts)
-
-    for threshold in thresholds:
-        for combo in COMBINATIONS:
-            treatments = (None,) if combo == "pv" else WIND_TREATMENTS
-            for treatment in treatments:
-                proj = projections_for(combo, treatment)
-                res = scenario.crossing_year(proj, threshold, config.horizon)
-                # a crossing is flagged when any component fit had to reach
-                # more than HORIZON_WARNING_YEARS past its own window
-                warn = res.year is not None and any(
-                    growthfit.extrapolate(p.model, res.year).horizon_warning
-                    for p in proj.components)
-                crossings.append(CrossingEntry(
-                    threshold=threshold.name,
-                    level_twh=threshold.level_twh,
-                    combination=combo,
-                    wind_treatment=treatment,
-                    status=res.status,
-                    year=res.year,
-                    horizon_warning=warn,
-                ))
-
-    # -- mixes at the configured years, headline wind treatment
-    three_tech = projections_for("wind_pv_hydro", config.wind_treatment)
-    mixes = {f"{year:g}": scenario.mix_at_year(three_tech, year)
-             for year in config.mix_years}
-
-    # -- learning curves
-    pv_cost = learncurve.cost_series(series["pv_lcoe"])
-    wind_cost = learncurve.cost_series(series["wind_lcoe"])
-    learning = {
-        "pv_learning_curve": learncurve.fit_learning_curve(
-            learncurve.join_cost_to_generation(pv_cost, series["pv"], cf_pv)),
-        "wind_learning_curve": learncurve.fit_learning_curve(
-            learncurve.join_cost_to_generation(wind_cost, series["wind"], cf_wind)),
-        "pv_time_decay": learncurve.fit_time_decay(pv_cost),
-        "wind_time_decay": learncurve.fit_time_decay(wind_cost),
-        "battery_time_decay": learncurve.fit_time_decay(
-            learncurve.cost_series(series["battery"])),
-    }
-
-    # -- resource budgets
-    density = constant("pv_density")
-    demands = {
-        "electric_2030": constant("electric_demand_2030"),
-        "electric_fig5": constant("electric_threshold_fig5"),
-        "primary_2030": constant("primary_demand_2030"),
-        "primary_fig5": constant("primary_threshold_fig5"),
-        "reduced_primary_2030": corpus.reduced_primary(constant("primary_demand_2030")),
-    }
-    budget_areas = {}
-    for name, demand in demands.items():
-        ab = resourcebudget.area_budget(demand, density, cf_pv)
-        budget_areas[name] = {
-            "demand_twh_per_year": demand,
-            "required_area_km2": ab.required_area_km2,
-            "desert_fraction": ab.fraction,
-        }
-    potentials = {
-        name: resourcebudget.ResourcePotential(name, constant(const), qualifier,
-                                               get_constant(const).citation)
-        for name, const, qualifier in (
-            ("onshore", "onshore_wind_potential", "onshore"),
-            ("offshore_50m", "offshore_50m", "water depth < 50 m"),
-            ("offshore_1000m", "offshore_1000m", "water depth < 1000 m"),
-            ("wind_total_as_stated", "wind_total_potential_as_stated", "as stated"),
-        )
-    }
-    budget_fractions = {}
-    for pot_name, pot in potentials.items():
-        for dem_name in ("electric_2030", "primary_2030", "reduced_primary_2030"):
-            frac, times = resourcebudget.potential_fraction(demands[dem_name], pot)
-            budget_fractions[f"{dem_name}_vs_{pot_name}"] = {
-                "fraction": frac,
-                "times_over": times,
-            }
-    fixture_points, fixture_target = resourcebudget.load_offshore_depth_fixture()
-    offshore_extrapolated = resourcebudget.offshore_depth_extrapolation(
-        fixture_points, fixture_target)
-    budget = {
-        "pv_density_mw_per_km2": density,
-        "desert_area_km2": constant("desert_area"),
-        "areas": budget_areas,
-        "potential_fractions": budget_fractions,
-        "offshore_depth_extrapolation": {
-            "points_area_mkm2_potential_twh": [list(p) for p in fixture_points],
-            "target_area_mkm2": fixture_target,
-            "extrapolated_potential_twh_per_year": offshore_extrapolated,
-        },
-    }
-
-    report = ScenarioReport(
-        config=config, series=series, fits=fits, profiles=profiles,
-        crossings=crossings, mixes=mixes, learning=learning,
-        budget=budget, discrepancies=[], claims=[], warnings=[],
-    )
-    report.discrepancies = _discrepancies(report)
-    report.claims = _claims(report)
-    report.warnings = _warnings(report)
-    return report
-
-
-def _discrepancies(report: ScenarioReport) -> list:
-    """Appendix recomputations plus the scenario-level rows, sorted by
-    |relative deviation| descending."""
-    rows = list(resourcebudget.appendix_discrepancies())
-    for year_key in ("2025", "2030"):
-        if year_key not in report.mixes:
-            continue
-        generation = {e.technology: e.generation_twh for e in report.mixes[year_key]}
-        for tech in ("pv", "wind", "hydro"):
-            rows.append(resourcebudget.discrepancy_row(
-                f"mix_{year_key}_{tech}_twh", f"stated_mix_{year_key}_{tech}",
-                generation[tech]))
-        if year_key == "2025":
-            rows.append(resourcebudget.discrepancy_row(
-                "mix_2025_total_twh", "stated_mix_2025_total",
-                sum(generation.values())))
-    rows.append(resourcebudget.discrepancy_row(
-        "battery_cost_2030_usd_per_kwh", "stated_battery_cost_2030",
-        report.battery_cost_2030))
-    rows.sort(key=lambda d: (-abs(d.relative_deviation), d.name))
-    return rows
-
-
-def _claims(report: ScenarioReport) -> list:
-    """Stated years against the computed ones, headline wind treatment."""
-    headline = report.config.wind_treatment
-
-    def claim(name, const_name, computed_year):
-        c = get_constant(const_name)
-        delta = None if computed_year is None else computed_year - c.value
-        return ClaimRow(name, c.value, computed_year, delta, c.citation)
-
-    def year(threshold, combo, treatment=None):
-        try:
-            return report.crossing_for(threshold, combo, treatment).year
-        except MissingFit:
-            return None
-
-    crossover_year = scenario.pv_wind_generation_crossover(
-        report.profiles["pv"], report.profiles[f"wind_{headline}"])
-    offshore_fit = report.fits["offshore_wind"]
-    offshore_1tw_year = (
-        (math.log(1000.0) - offshore_fit.ln_intercept) / offshore_fit.ln_slope
-        + offshore_fit.reference_year
-    )
-    return [
-        claim("wind_pv_meet_electric_fig5", "stated_year_wind_pv_electric",
-              year("electric_fig5", "wind_pv", headline)),
-        claim("three_tech_meet_electric_fig5", "stated_year_three_tech_electric",
-              year("electric_fig5", "wind_pv_hydro", headline)),
-        claim("three_tech_meet_reduced_primary",
-              "stated_year_three_tech_reduced_primary",
-              year("reduced_primary_2030", "wind_pv_hydro", headline)),
-        claim("pv_alone_meets_electric_fig5", "stated_year_pv_alone_electric",
-              year("electric_fig5", "pv")),
-        claim("pv_alone_meets_electric_fig5_alt",
-              "stated_year_pv_alone_electric_alt", year("electric_fig5", "pv")),
-        claim("pv_alone_meets_primary_fig5", "stated_year_pv_alone_primary",
-              year("primary_fig5", "pv")),
-        claim("pv_overtakes_wind", "stated_year_pv_overtakes_wind", crossover_year),
-        claim("offshore_reaches_1tw", "stated_offshore_1tw_year", offshore_1tw_year),
-    ]
-
-
-def _warnings(report: ScenarioReport) -> list:
-    warnings = []
-    piecewise = report.fits["wind_piecewise"]
-    if report.regime_change:
-        warnings.append(
-            f"wind growth regime change at {piecewise.changepoint_year:g} "
-            f"(improvement_ratio "
-            f"{piecewise.improvement_ratio:.3f} >= "
-            f"{report.config.changepoint_threshold:g})"
-        )
-    floor = constant("stated_lcoe_floor")
-    for label, value in (("PV cost at stated 2030 generation",
-                          report.pv_cost_at_stated_2030),
-                         ("learning-curve crossing cost", report.curve_crossing[1])):
-        if value < floor:
-            warnings.append(
-                f"{label} {float(value):.3f} USD/MWh lies below the stated "
-                f"{floor:g} USD/MWh floor"
-            )
-    for c in report.crossings:
-        if c.horizon_warning:
-            warnings.append(
-                f"crossing of {c.threshold} by {c.combination}"
-                f"{'' if c.wind_treatment is None else '/' + c.wind_treatment} "
-                f"at {c.year:.2f} extrapolates a fit more than "
-                f"{growthfit.HORIZON_WARNING_YEARS:g} years past its window"
-            )
-    return warnings
+    return ScenarioReport(config, series)
 
 
 # --------------------------------------------------------------------------
@@ -689,7 +696,7 @@ def claims_csv(report: ScenarioReport) -> str:
 
 def emit_discrepancies(rows) -> str:
     """Plain-text discrepancy table, one row per stated literal, in the order
-    given (run_scenario sorts by |relative deviation| descending). Values
+    given (the report sorts them by |relative deviation| descending). Values
     keep full precision so every number shown also exists in the
     machine-readable output."""
     header = ("name", "stated", "computed", "relative_deviation")
@@ -799,7 +806,7 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
     series = report.series
     profiles = report.profiles
     pv_fit = profiles["pv"].model
-    cf = report.capacity_factors()
+    cf = report.capacity_factors
 
     if figure_id == "fig1":
         return _capacity_panels(series["pv"], [(pv_fit, "#e6a817", "fit")],

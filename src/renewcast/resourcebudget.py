@@ -20,6 +20,7 @@ from .errors import (
     MalformedRow,
     NegativeDemand,
     NonPositiveDensity,
+    NonPositiveValue,
     TooFewPoints,
 )
 from .growthfit import ols
@@ -34,19 +35,15 @@ class ResourcePotential:
 
     def __post_init__(self):
         if self.annual_potential_twh <= 0:
-            raise ValueError(
+            raise NonPositiveValue(
                 f"potential must be > 0, got {self.annual_potential_twh!r}"
             )
 
 
 @dataclass(frozen=True)
 class AreaBudget:
-    demand_twh: float
-    density_mw_km2: float
-    capacity_factor: float
     required_area_km2: float
-    reference_area_km2: float
-    fraction: float
+    fraction: float              # of the global desert area
 
 
 def pv_area_required(demand_twh: float, density_mw_km2: float,
@@ -67,18 +64,10 @@ def pv_area_required(demand_twh: float, density_mw_km2: float,
     return demand_twh * 1e6 / (density_mw_km2 * capacity_factor * HOURS_PER_YEAR)
 
 
-def area_budget(demand_twh: float, density_mw_km2: float, capacity_factor: float,
-                reference_area_km2: float | None = None) -> AreaBudget:
-    ref = constant("desert_area") if reference_area_km2 is None else reference_area_km2
+def area_budget(demand_twh: float, density_mw_km2: float,
+                capacity_factor: float) -> AreaBudget:
     area = pv_area_required(demand_twh, density_mw_km2, capacity_factor)
-    return AreaBudget(
-        demand_twh=demand_twh,
-        density_mw_km2=density_mw_km2,
-        capacity_factor=capacity_factor,
-        required_area_km2=area,
-        reference_area_km2=ref,
-        fraction=area / ref,
-    )
+    return AreaBudget(required_area_km2=area, fraction=desert_fraction(area))
 
 
 def desert_fraction(area_km2: float) -> float:
@@ -103,7 +92,7 @@ def offshore_depth_extrapolation(points, target_area) -> float:
         raise TooFewPoints(f"depth extrapolation needs >= 2 points, got {len(points)}")
     for x, p in points:
         if x <= 0 or p <= 0:
-            raise ValueError(f"area and potential must be > 0, got ({x!r}, {p!r})")
+            raise NonPositiveValue(f"area and potential must be > 0, got ({x!r}, {p!r})")
     x, y = np.array(points, dtype=float).T
     slope, xm, ym, _, _ = ols(x, y)
     return float(ym - slope * xm) + slope * float(target_area)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     EmptyCombination,
     LevelNotMet,
+    NegativeDemand,
     NonMonotoneProjection,
     NotExponential,
     ParallelGrowth,
@@ -37,16 +38,14 @@ NOT_REACHED = "not_reached"
 
 @dataclass(frozen=True)
 class DemandThreshold:
-    """A named demand level with the calendar year a source attaches to it."""
+    """A named demand level."""
 
     name: str
     level_twh: float
-    stated_year: float | None = None
-    citation: str = ""
 
     def __post_init__(self):
         if self.level_twh <= 0:
-            raise ValueError(f"threshold level must be > 0, got {self.level_twh!r}")
+            raise NegativeDemand(f"threshold level must be > 0, got {self.level_twh!r}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,6 @@ class CrossingResult:
     status: str                  # already_satisfied | crossed | not_reached
     year: float | None
     horizon: float
-
-    @property
-    def crossed(self) -> bool:
-        return self.status == CROSSED
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class CombinedProjection:
                 f"year {year:g} precedes projection start {self.start_year:g}"
             )
         return [
-            (p.name, generation_capability(float(extrapolate(p.model, year)),
+            (p.name, generation_capability(extrapolate(p.model, year),
                                            p.capacity_factor))
             for p in self.components
         ]
@@ -105,7 +100,7 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
     level = threshold.level_twh
     start = projection.start_year
     if horizon <= start:
-        raise ValueError(f"horizon {horizon:g} must exceed start {start:g}")
+        raise YearBeforeWindow(f"horizon {horizon:g} must exceed start {start:g}")
 
     n_steps = int(math.ceil((horizon - start) / GRID_STEP_YEARS))
     grid = [start + i * GRID_STEP_YEARS for i in range(n_steps)] + [horizon]

@@ -7,9 +7,15 @@ to fixed precision; text is XML-escaped.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for SVG text content."""
+    return html.escape(text, quote=False)
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"

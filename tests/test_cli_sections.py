@@ -1,0 +1,113 @@
+"""Each CLI subcommand computes only the report sections it prints, and every
+input ends in one of the documented exit codes."""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import renewcast
+from renewcast import scenario
+from renewcast.cli import main
+from renewcast.report import FIGURE_IDS, THRESHOLD_NAMES, WIND_TREATMENTS
+
+_TECHS = ("pv", "wind", "offshore_wind", "hydro")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "pv"],
+    ["fit", "wind"],
+    ["project", "hydro", "--year", "2040"],
+    ["learn"],
+    ["mix", "--year", "2030"],
+    ["budget"],
+    ["figures", "--id", "fig1"],
+])
+def test_subcommands_that_print_no_crossing_solve_none(tmp_path, monkeypatch, capsys,
+                                                       argv):
+    def no_crossing(*args, **kwargs):
+        raise AssertionError("a crossing was solved")
+
+    monkeypatch.setattr(scenario, "crossing_year", no_crossing)
+    assert main(["--out", str(tmp_path), *argv]) == 0
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["cross", "--threshold", "electric_fig5"], 7),
+    (["report"], 28),
+])
+def test_crossings_solved_per_subcommand(tmp_path, monkeypatch, capsys, argv, calls):
+    solved = []
+    crossing_year = scenario.crossing_year
+
+    def counting(projection, threshold, horizon):
+        solved.append(threshold.name)
+        return crossing_year(projection, threshold, horizon)
+
+    monkeypatch.setattr(scenario, "crossing_year", counting)
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    assert len(solved) == calls
+
+
+def test_negative_hydro_generation_fails_only_what_reads_it(tmp_path, capsys):
+    # a quartic hydro fit turns negative inside the default horizon
+    conf = tmp_path / "quartic.conf"
+    conf.write_text("hydro_degree = 4\n", encoding="utf-8")
+    assert main(["--config", str(conf), "cross", "--threshold", "electric_fig5"]) == 4
+    assert "installed power must be >= 0" in capsys.readouterr().err
+    assert main(["--config", str(conf), "fit", "hydro"]) == 0
+    assert "[hydro]" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_xml_and_urllib():
+    src = Path(renewcast.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
+                                                       os.environ.get("PYTHONPATH"))))}
+    probe = ("import sys, renewcast.cli; "
+             "print(sorted(m for m in ('urllib.request', 'xml.sax') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+_YEARS = st.floats(2021.0, 2200.0)
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "horizon": _YEARS.map(repr),
+    "wind_treatment": st.sampled_from(WIND_TREATMENTS + ("linear",)),
+    "hydro_degree": st.integers(1, 5).map(str),
+    "changepoint_min_segment": st.integers(1, 8).map(str),
+    "wind_regime_window": st.sampled_from(("1996:2009", "2015:2016", "2019:", ":")),
+    "cf_pv": st.floats(0.0, 1.2).map(repr),
+    "mix_years": st.lists(_YEARS.map(repr), min_size=1, max_size=3).map(", ".join),
+    "thresholds": st.lists(st.sampled_from(THRESHOLD_NAMES), min_size=1, max_size=4,
+                           unique=True).map(", ".join),
+})
+_ARGVS = st.one_of(
+    st.sampled_from(_TECHS).map(lambda tech: ["fit", tech]),
+    st.tuples(st.sampled_from(_TECHS), _YEARS).map(
+        lambda a: ["project", a[0], "--year", repr(a[1])]),
+    st.sampled_from(THRESHOLD_NAMES).map(lambda t: ["cross", "--threshold", t]),
+    _YEARS.map(lambda year: ["mix", "--year", repr(year)]),
+    st.sampled_from(FIGURE_IDS).map(lambda fig: ["figures", "--id", fig]),
+    st.sampled_from((["learn"], ["budget"], ["report"])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields=_CONFIGS, argv=_ARGVS)
+# the learning curves would meet beyond the float range
+@example(fields={"cf_pv": "1e-133"}, argv=["learn"])
+@example(fields={"hydro_degree": "4"}, argv=["report"])
+def test_fuzzed_configs_exit_with_a_contract_code(fields, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "fuzz.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()),
+                        encoding="utf-8")
+        code = main(["--config", str(conf), "--out", str(Path(tmp) / "out"), *argv])
+    assert code in (0, 2, 3, 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import renewcast as rc
-from renewcast.errors import CapacityFactorOutOfRange
+from renewcast.errors import CapacityFactorOutOfRange, NegativePower
 
 
 def test_full_utilization():
@@ -51,7 +51,7 @@ def test_capacity_factor_bounds(cf):
 
 
 def test_negative_power_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NegativePower):
         rc.generation_capability(-1.0, 0.5)
 
 

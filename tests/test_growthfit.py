@@ -219,8 +219,8 @@ def test_extrapolate_rejects_years_before_window():
 
 def test_horizon_warning_flag():
     fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0), (2002, 4.0)]))
-    assert rc.extrapolate(fit, 2016.9).horizon_warning is False
-    assert rc.extrapolate(fit, 2017.1).horizon_warning is True
+    assert rc.past_horizon(fit, 2016.9) is False
+    assert rc.past_horizon(fit, 2017.1) is True
 
 
 def test_piecewise_extrapolation_uses_right_segment():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -188,6 +188,10 @@ class ScenarioReport:
 
     config: ScenarioConfig
     series: dict
+    # (threshold, combination, wind treatment) -> CrossingEntry, solved on
+    # first request
+    _solved: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def to_dict(self) -> dict:
         # out_dir is not echoed: artifacts must not depend on where they are
@@ -335,49 +339,32 @@ class ScenarioReport:
                                                fits["offshore_wind"]),
         }
 
-    def projection(self, combo, treatment) -> scenario.CombinedProjection:
-        """Summed generation of one combination under one wind treatment."""
+    @cached_property
+    def projections(self) -> dict:
+        """(combination, wind treatment) -> summed generation, in crossing
+        order; "pv" alone has treatment None. Every section shares these
+        objects, and with them each projection's crossing grid."""
         profiles = self.profiles
-        if combo == "pv":
-            return scenario.combine([profiles["pv"]])
-        wind_profile = profiles[f"wind_{treatment}"]
-        parts = [profiles["pv"], wind_profile]
-        if combo == "wind_pv_hydro":
-            parts.append(profiles["hydro"])
-        return scenario.combine(parts)
+        out = {("pv", None): scenario.combine([profiles["pv"]])}
+        for combo in COMBINATIONS[1:]:
+            for treatment in WIND_TREATMENTS:
+                parts = [profiles["pv"], profiles[f"wind_{treatment}"]]
+                if combo == "wind_pv_hydro":
+                    parts.append(profiles["hydro"])
+                out[(combo, treatment)] = scenario.combine(parts)
+        return out
 
     @cached_property
     def crossings(self) -> list:
         """CrossingEntry per configured threshold, combination and treatment."""
-        thresholds = [t for t in default_thresholds()
-                      if t.name in self.config.thresholds]
-        crossings = []
-        for threshold in thresholds:
-            for combo in COMBINATIONS:
-                treatments = (None,) if combo == "pv" else WIND_TREATMENTS
-                for treatment in treatments:
-                    proj = self.projection(combo, treatment)
-                    res = scenario.crossing_year(proj, threshold, self.config.horizon)
-                    # a crossing is flagged when any component fit had to
-                    # reach more than HORIZON_WARNING_YEARS past its own window
-                    warn = res.year is not None and any(
-                        growthfit.past_horizon(p.model, res.year)
-                        for p in proj.components)
-                    crossings.append(CrossingEntry(
-                        threshold=threshold.name,
-                        level_twh=threshold.level_twh,
-                        combination=combo,
-                        wind_treatment=treatment,
-                        status=res.status,
-                        year=res.year,
-                        horizon_warning=warn,
-                    ))
-        return crossings
+        return [self.crossing_for(name, combo, treatment)
+                for name in THRESHOLD_NAMES if name in self.config.thresholds
+                for combo, treatment in self.projections]
 
     @cached_property
     def mixes(self) -> dict:
         """"%g" year -> list of scenario.MixEntry, headline wind treatment."""
-        three_tech = self.projection("wind_pv_hydro", self.config.wind_treatment)
+        three_tech = self.projections[("wind_pv_hydro", self.config.wind_treatment)]
         return {f"{year:g}": scenario.mix_at_year(three_tech, year)
                 for year in self.config.mix_years}
 
@@ -472,13 +459,33 @@ class ScenarioReport:
         return self.learning["battery_time_decay"].cost_at_year(2030.0)
 
     def crossing_for(self, threshold, combination, wind_treatment=None):
-        for c in self.crossings:
-            if (c.threshold == threshold and c.combination == combination
-                    and c.wind_treatment == wind_treatment):
-                return c
-        raise MissingFit(
-            f"no crossing entry for {threshold}/{combination}/{wind_treatment}"
+        """The CrossingEntry of one configured threshold, solved on first
+        request; MissingFit for a threshold or pair the report does not have."""
+        key = (threshold, combination, wind_treatment)
+        if key in self._solved:
+            return self._solved[key]
+        proj = self.projections.get((combination, wind_treatment))
+        if threshold not in self.config.thresholds or proj is None:
+            raise MissingFit(
+                f"no crossing entry for {threshold}/{combination}/{wind_treatment}"
+            )
+        level = constant(_THRESHOLD_CONSTANTS[threshold])
+        res = scenario.crossing_year(proj, scenario.DemandThreshold(threshold, level),
+                                     self.config.horizon)
+        # a crossing is flagged when any component fit had to reach more
+        # than HORIZON_WARNING_YEARS past its own window
+        warn = res.year is not None and any(
+            growthfit.past_horizon(p.model, res.year) for p in proj.components)
+        entry = self._solved[key] = CrossingEntry(
+            threshold=threshold,
+            level_twh=level,
+            combination=combination,
+            wind_treatment=wind_treatment,
+            status=res.status,
+            year=res.year,
+            horizon_warning=warn,
         )
+        return entry
 
     @cached_property
     def discrepancies(self) -> list:
@@ -715,7 +722,8 @@ def report_json(report: ScenarioReport) -> str:
 
 def write_artifacts(out_dir, artifacts) -> list:
     """Write (file name, text) pairs into out_dir as the iterable yields
-    them; returns the written paths.
+    them; returns the written paths. If anything fails, the files this call
+    wrote are removed before the error propagates.
 
     Raises OutputUnwritable when the directory or a file cannot be written.
     """
@@ -727,8 +735,12 @@ def write_artifacts(out_dir, artifacts) -> list:
             path = out / name
             path.write_text(text, encoding="utf-8")
             written.append(path)
-    except OSError as exc:
-        raise OutputUnwritable(f"cannot write to {out_dir}: {exc}") from None
+    except BaseException as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OutputUnwritable(f"cannot write to {out_dir}: {exc}") from None
+        raise
     return written
 
 
@@ -878,15 +890,15 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
                       Axis("generation capability [TWh/yr]", "log", 10.0, 1e6),
                       width=720, height=480)
         start = max(wind_prof.model.window[0], 2000.0)
-        two = scenario.combine([profiles["pv"], wind_prof])
-        three = scenario.combine([profiles["pv"], wind_prof, profiles["hydro"]])
+        two = report.projections[("wind_pv", headline)]
+        three = report.projections[("wind_pv_hydro", headline)]
         for proj, color, label in ((two, "#6b46c1", "wind+pv"),
                                    (three, "#2f855a", "wind+pv+hydro")):
             xs = [start + 0.5 * i for i in range(int((2040 - start) / 0.5) + 1)]
             chart.add_line(xs, [proj.value(t) for t in xs], color, label)
         for t, label in hline_specs:
             chart.add_hline(t.level_twh, f"{label} ({t.level_twh:g} TWh/yr)")
-        for combo, proj in (("wind_pv", two), ("wind_pv_hydro", three)):
+        for combo in ("wind_pv", "wind_pv_hydro"):
             entry = report.crossing_for("electric_fig5", combo, headline)
             if entry.year is not None:
                 chart.add_marker(entry.year, entry.level_twh,

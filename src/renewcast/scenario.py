@@ -2,8 +2,10 @@
 
 Crossing years are continuous roots of monotone projections, found by
 bisection after a 0.1-year grid scan verifies monotonicity and brackets the
-level; a projection that jumps over the level raises LevelNotMet. Sums of
-exponentials have no general closed form; for a single exponential
+level; a projection that jumps over the level raises LevelNotMet. Each
+projection samples its grid once per horizon, on the first crossing asked of
+it, and every later threshold brackets its level from that same grid. Sums
+of exponentials have no general closed form; for a single exponential
 component the bisection result matches the closed form to well under 1e-6
 years (tested).
 """
@@ -11,20 +13,21 @@ years (tested).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     EmptyCombination,
     LevelNotMet,
     NegativeDemand,
+    NegativePower,
     NonMonotoneProjection,
     NotExponential,
     ParallelGrowth,
     YearBeforeWindow,
 )
 from .corpus import HOURS_PER_YEAR
-from .genconvert import TechnologyProfile, generation_capability
-from .growthfit import ExponentialFit, extrapolate
+from .genconvert import TechnologyProfile
+from .growthfit import ExponentialFit
 
 DEFAULT_HORIZON = 2050.0
 GRID_STEP_YEARS = 0.1
@@ -62,28 +65,64 @@ class CombinedProjection:
     """Sum of per-technology generation extrapolations."""
 
     components: tuple[TechnologyProfile, ...]
+    start_year: float = field(init=False)
+    # (name, model.value_at, capacity factor) per component
+    _terms: tuple = field(init=False, repr=False, compare=False)
+    # horizon -> values sampled on the crossing grid, kept once they pass
+    # the sign and monotonicity checks
+    _grids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
             raise EmptyCombination("a projection needs at least one component")
+        # the capacity factors were validated when each profile was made
+        object.__setattr__(self, "start_year",
+                           max(p.model.window[0] for p in self.components))
+        object.__setattr__(self, "_terms", tuple(
+            (p.name, p.model.value_at, p.capacity_factor) for p in self.components))
+        object.__setattr__(self, "_grids", {})
 
-    @property
-    def start_year(self) -> float:
-        return max(p.model.window[0] for p in self.components)
-
-    def component_values(self, year: float) -> list[tuple[str, float]]:
+    def _generation(self, year: float) -> list[float]:
+        """TWh/yr of each component, in component order."""
         if year < self.start_year:
             raise YearBeforeWindow(
                 f"year {year:g} precedes projection start {self.start_year:g}"
             )
-        return [
-            (p.name, generation_capability(extrapolate(p.model, year),
-                                           p.capacity_factor))
-            for p in self.components
-        ]
+        out = []
+        for _, value_at, cf in self._terms:
+            power = value_at(year)
+            if power < 0:
+                raise NegativePower(f"installed power must be >= 0, got {power!r}")
+            out.append(power * cf * HOURS_PER_YEAR / 1000.0)
+        return out
+
+    def component_values(self, year: float) -> list[tuple[str, float]]:
+        return [(term[0], v) for term, v in zip(self._terms, self._generation(year))]
 
     def value(self, year: float) -> float:
-        return sum(v for _, v in self.component_values(year))
+        return sum(self._generation(year))
+
+    def grid_values(self, horizon: float) -> list[float]:
+        """Values at start + i * GRID_STEP_YEARS (i < n) and at horizon, where
+        n = ceil((horizon - start) / GRID_STEP_YEARS); sampled on the first
+        call for a horizon. Any decrease beyond float noise raises
+        NonMonotoneProjection."""
+        values = self._grids.get(horizon)
+        if values is not None:
+            return values
+        start = self.start_year
+        n_steps = int(math.ceil((horizon - start) / GRID_STEP_YEARS))
+        values = [self.value(start + i * GRID_STEP_YEARS) for i in range(n_steps)]
+        values.append(self.value(horizon))
+        for i, (v0, v1) in enumerate(zip(values, values[1:])):
+            if v1 < v0 - 1e-9 * max(1.0, abs(v0)):
+                t0 = start + i * GRID_STEP_YEARS
+                t1 = horizon if i + 1 == n_steps else start + (i + 1) * GRID_STEP_YEARS
+                raise NonMonotoneProjection(
+                    f"projection decreases between {t0:g} ({v0:g}) and {t1:g} ({v1:g})"
+                )
+        self._grids[horizon] = values
+        return values
 
 
 def combine(profiles) -> CombinedProjection:
@@ -94,30 +133,23 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
                   horizon: float = DEFAULT_HORIZON) -> CrossingResult:
     """First year the projection meets the threshold level, by bisection.
 
-    The projection is sampled on a 0.1-year grid over [start, horizon] first;
-    any decrease beyond float noise raises NonMonotoneProjection.
+    The level is bracketed on the projection's 0.1-year grid over
+    [start, horizon] (see CombinedProjection.grid_values).
     """
     level = threshold.level_twh
     start = projection.start_year
     if horizon <= start:
         raise YearBeforeWindow(f"horizon {horizon:g} must exceed start {start:g}")
 
-    n_steps = int(math.ceil((horizon - start) / GRID_STEP_YEARS))
-    grid = [start + i * GRID_STEP_YEARS for i in range(n_steps)] + [horizon]
-    values = [projection.value(t) for t in grid]
-    for (t0, v0), (t1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if v1 < v0 - 1e-9 * max(1.0, abs(v0)):
-            raise NonMonotoneProjection(
-                f"projection decreases between {t0:g} ({v0:g}) and {t1:g} ({v1:g})"
-            )
-
+    values = projection.grid_values(horizon)
     if values[0] >= level:
         return CrossingResult(threshold.name, level, ALREADY_SATISFIED, start, horizon)
     if values[-1] < level:
         return CrossingResult(threshold.name, level, NOT_REACHED, None, horizon)
 
     hit = next(i for i, v in enumerate(values) if v >= level)
-    lo, hi = grid[hit - 1], grid[hit]
+    lo = start + (hit - 1) * GRID_STEP_YEARS
+    hi = horizon if hit == len(values) - 1 else start + hit * GRID_STEP_YEARS
     while hi - lo > YEAR_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if projection.value(mid) < level:

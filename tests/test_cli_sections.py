@@ -40,6 +40,8 @@ def test_subcommands_that_print_no_crossing_solve_none(tmp_path, monkeypatch, ca
 @pytest.mark.parametrize("argv, calls", [
     (["cross", "--threshold", "electric_fig5"], 7),
     (["report"], 28),
+    # fig6 marks the headline treatment's two electric_fig5 crossings
+    (["figures", "--id", "fig6"], 2),
 ])
 def test_crossings_solved_per_subcommand(tmp_path, monkeypatch, capsys, argv, calls):
     solved = []
@@ -52,6 +54,32 @@ def test_crossings_solved_per_subcommand(tmp_path, monkeypatch, capsys, argv, ca
     monkeypatch.setattr(scenario, "crossing_year", counting)
     assert main(["--out", str(tmp_path), *argv]) == 0
     assert len(solved) == calls
+
+
+def test_report_samples_each_projection_once(tmp_path, monkeypatch, capsys):
+    # seven grids sampled once each, the bisections and fig6's lines; a grid
+    # re-sampled for each of the four thresholds would need about 14,000
+    calls = []
+    value = scenario.CombinedProjection.value
+
+    def counting(self, year):
+        calls.append(year)
+        return value(self, year)
+
+    monkeypatch.setattr(scenario.CombinedProjection, "value", counting)
+    assert main(["--out", str(tmp_path), "report"]) == 0
+    assert len(calls) <= 4500
+
+
+def test_failed_figures_leave_no_partial_output(tmp_path, capsys):
+    conf = tmp_path / "quartic.conf"
+    conf.write_text("hydro_degree = 4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept\n", encoding="utf-8")
+    # fig1-fig5 draw fine; fig6 meets the negative hydro projection
+    assert main(["--config", str(conf), "--out", str(out), "figures"]) == 4
+    assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
 
 
 def test_negative_hydro_generation_fails_only_what_reads_it(tmp_path, capsys):

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renewcast as rc
 from renewcast.errors import (
     EmptyCombination,
     LevelNotMet,
     ModelError,
+    NegativePower,
     NonMonotoneProjection,
     NotExponential,
     ParallelGrowth,
@@ -113,16 +116,61 @@ class _StepModel:
         return 1.0 if year < 2005.03 else 1000.0
 
 
+def _step_profile():
+    series = rc.make_series("step", "installed_power", "GW",
+                            [(2000.0, 1.0), (2010.0, 1000.0)])
+    return rc.TechnologyProfile("step", 0.5, series, _StepModel())
+
+
 def test_step_projection_never_meets_level():
     # generation jumps from 4.38 to 4380 TWh/yr at 2005.03: bisection closes
     # in on the step, where the level of 100 is never met
-    series = rc.make_series("step", "installed_power", "GW",
-                            [(2000.0, 1.0), (2010.0, 1000.0)])
-    step = rc.TechnologyProfile("step", 0.5, series, _StepModel())
     with pytest.raises(LevelNotMet) as err:
-        rc.crossing_year(rc.combine([step]), _threshold(100.0), 2020.0)
+        rc.crossing_year(rc.combine([_step_profile()]), _threshold(100.0), 2020.0)
     assert isinstance(err.value, ModelError)
     assert "2005.03" in str(err.value)
+
+
+def _quartic_hydro_profile():
+    # a quartic hydro fit turns negative inside the default horizon
+    series = rc.load_bundled("hydro")
+    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), series,
+                                rc.fit_polynomial(series, 4))
+
+
+@pytest.mark.parametrize("make_profile, level, horizon, error", [
+    (lambda: _exp_profile("a", 4.0, 0.5), 1e3, 2050.0, NonMonotoneProjection),
+    (_step_profile, 100.0, 2020.0, LevelNotMet),
+    (_quartic_hydro_profile, 5000.0, 2050.0, NegativePower),
+])
+def test_failed_crossing_fails_again_on_the_same_projection(make_profile, level,
+                                                           horizon, error):
+    # a grid that failed its checks is never kept for the next threshold
+    proj = rc.combine([make_profile()])
+    for _ in range(2):
+        with pytest.raises(error):
+            rc.crossing_year(proj, _threshold(level), horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(requests=st.lists(
+    st.tuples(st.floats(1e3, 1e6), st.sampled_from((2030.0, 2050.0, 2077.7))),
+    min_size=1, max_size=8, unique=True))
+def test_shared_projection_solves_like_fresh_ones(pv_profile, wind_profile,
+                                                  hydro_profile, requests):
+    # requests arrive in arbitrary level and horizon order; every grid the
+    # shared projection keeps must give the fresh projection's answer
+    parts = [pv_profile, wind_profile, hydro_profile]
+    shared = rc.combine(parts)
+    results = {}
+    for level, horizon in requests:
+        res = rc.crossing_year(shared, _threshold(level), horizon)
+        assert res == rc.crossing_year(rc.combine(parts), _threshold(level), horizon)
+        results[level, horizon] = res
+    for horizon in {h for _, h in requests}:
+        years = [math.inf if res.year is None else res.year
+                 for (_, h), res in sorted(results.items()) if h == horizon]
+        assert years == sorted(years)
 
 
 def test_threshold_monotonicity(pv_profile, wind_profile):

@@ -8,8 +8,12 @@ noise and the log-space one is the contract here.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul, sub, truediv
 
 import numpy as np
 
@@ -171,11 +175,15 @@ def fit_polynomial(series: CapacitySeries, degree: int, window=None) -> Polynomi
 
 def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
                        window=None) -> PiecewiseExponentialFit:
-    """Exhaustive scan for the split minimising total log-space SSE.
+    """Split minimising the total log-space SSE of two straight lines.
 
     Candidate changepoints are the sample years; each side gets its own
-    log-space line and needs at least min_segment points. The caller judges
-    significance from improvement_ratio against a configured threshold.
+    log-space line and needs at least min_segment points. One pass over
+    prefix moments scores every split, then every split whose score lies
+    within a rounding bound of the best is refitted with ols, in ascending
+    order, and the first with the least total wins: the answer, bit for
+    bit, of refitting every split. The caller judges significance from
+    improvement_ratio against a configured threshold.
     """
     if min_segment < 2:
         raise TooFewPoints("min_segment must be >= 2 so each side is fittable")
@@ -191,15 +199,20 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
             raise NonPositiveValue(
                 f"{series.technology}: value {v!r} at {y:g} not log-fittable"
             )
-    t = np.array([s[0] for s in samples], dtype=float)
+    years = [s[0] for s in samples]
+    t = np.array(years, dtype=float)
     lnv = np.log([s[1] for s in samples])
 
     sse_single = ols(t, lnv)[3]
 
+    @functools.cache
+    def split_sse(k):
+        return ols(t[:k], lnv[:k])[3] + ols(t[k:], lnv[k:])[3]
+
     best_k = None
     best_sse = math.inf
-    for k in range(min_segment, n - min_segment + 1):
-        total = ols(t[:k], lnv[:k])[3] + ols(t[k:], lnv[k:])[3]
+    for k in _near_minimal_splits(years, lnv.tolist(), min_segment, split_sse):
+        total = split_sse(k)
         if total < best_sse:
             best_sse = total
             best_k = k
@@ -232,6 +245,103 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
         improvement_ratio=improvement,
         window=(float(t[0]), float(t[-1])),
     )
+
+
+_U = sys.float_info.epsilon / 2     # unit roundoff: fl(a op b) = (a op b)(1 + d), |d| <= _U
+
+
+def _gamma(k: int) -> float:
+    # bound on the relative error of k chained roundings
+    return k * _U / (1.0 - k * _U)
+
+
+def _max_slope(xs, ys) -> float:
+    """Upper bound on |ys[i+1]-ys[i]| / (xs[i+1]-xs[i]); inf unless xs rises.
+
+    Any least-squares slope through a run of the points is a weighted mean
+    of these consecutive slopes, so this bounds it too.
+    """
+    dx = list(map(sub, xs[1:], xs[:-1]))
+    if not min(dx) > 0.0:
+        return math.inf
+    dy = map(sub, ys[1:], ys[:-1])
+    return max(map(abs, map(truediv, dy, dx))) * (1.0 + 8 * _U)
+
+
+def _segment_sses(counts, sx, sz, sxx, sxz, szz) -> list:
+    """Szz - Sxz**2 / Sxx of each segment from its raw moment sums; nan
+    where the centred Sxx does not come out positive."""
+    out = []
+    for m, a, b, aa, ab, bb in zip(counts, sx, sz, sxx, sxz, szz):
+        cxx = aa - a * a / m
+        cxz = ab - a * b / m
+        out.append((bb - b * b / m) - cxz * cxz / cxx if cxx > 0.0 else math.nan)
+    return out
+
+
+def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
+    """Ascending splits k that may minimise split_sse(k), the ols total.
+
+    One pass scores each split as P(k) = sse(0, k) + sse(k, n), a segment's
+    sse being Szz - Sxz**2 / Sxx from running sums of x = t - t[0],
+    z = y - y[0], x*x, x*z and z*z. Let j be the split of least score. The
+    minimiser k* of split_sse has F(k*) <= F(j), so every k with
+    P(k) <= T(F(j)) is returned, where T(F) bounds the score of any split
+    whose ols total is F; splits with no finite score are returned too.
+
+    T comes from the standard rounding model: u is the unit roundoff,
+    gamma(k) = ku / (1 - ku), and g = 2 gamma(n + 1) bounds the error of a
+    segment sum, taken as a difference of prefix sums, relative to the sum
+    of its absolute terms. X1, Z1 are the sums and Xm, Zm the maxima of |x|
+    and |z|. L is the largest consecutive slope of (t, y) and of (x, z),
+    which bounds every segment's least-squares slope. W = (Z1 + 2L X1)
+    (Zm + 2L Xm).
+
+    - A segment's centred Sxx, Sxz and Szz are off by at most 4g X1 Xm,
+      4g (X1 Zm + Z1 Xm) and 4g Z1 Zm. As Sxz**2 / Sxx is the maximum over
+      b of 2b Sxz - b**2 Sxx, and |b| <= L at the exact optimum, a score
+      exceeds the exact SSE E' of the rounded (x, z) by at most 4g W, plus
+      3.1u sum(z**2) <= 0.4g W for rounding the formula, given Sxx > 0.
+    - x and z are the exact differences up to u|x| and u|z|, so
+      sqrt(E') <= sqrt(E) + p with p = 1.01u (||z|| + L ||x||), E being
+      the exact SSE of the samples.
+    - ols's fitted values lie within 5.1u max|y| + 3.1u |residual| of a
+      line, so sqrt(E) <= a sqrt(F_seg) + 6u max|y| sqrt(n) with
+      a = 1 + gamma(n) + 5u.
+
+    Over both segments, with c = 6u max|y| sqrt(n) + p,
+    P(k) <= (1 + u)((a sqrt(F(k) / (1 - u)) + sqrt(2) c)**2 + 8.8g W).
+    The code rounds the constants up to absorb the rounding of T itself.
+    The moment bounds assume n g <= 0.01; past that every split is
+    returned.
+    """
+    n = len(t)
+    lo, hi = min_segment, n - min_segment + 1
+    ks = range(lo, hi)
+    x = [ti - t[0] for ti in t]
+    z = [yi - y[0] for yi in y]
+    sums = [list(accumulate(terms, initial=0.0))
+            for terms in (x, z, map(mul, x, x), map(mul, x, z), map(mul, z, z))]
+    left = _segment_sses(ks, *(s[lo:hi] for s in sums))
+    right = _segment_sses([n - k for k in ks],
+                          *([s[-1] - p for p in s[lo:hi]] for s in sums))
+    scores = [a + b for a, b in zip(left, right)]
+    scored = [(s, k) for s, k in zip(scores, ks) if math.isfinite(s)]
+    g = 2 * _gamma(n + 1)
+    if not scored or n * g > 0.01:
+        return list(ks)
+
+    slope = max(_max_slope(t, y), _max_slope(x, z))
+    x1, xm = sum(map(abs, x)), max(map(abs, x))
+    z1, zm = sum(map(abs, z)), max(map(abs, z))
+    w = (z1 + 2 * slope * x1) * (zm + 2 * slope * xm)
+    a = 1.0 + _gamma(n) + 8 * _U
+    c = (6 * _U * max(map(abs, y)) * math.sqrt(n)
+         + 1.01 * _U * (math.sqrt(sums[4][-1]) + slope * math.sqrt(sums[2][-1])))
+    f = split_sse(min(scored)[1])
+    thresh = ((a * math.sqrt(f) + 1.5 * c) ** 2 + 10 * g * w) * (1.0 + 32 * _U)
+    # nan scores and a nan or infinite threshold keep the split
+    return [k for k, s in zip(ks, scores) if not s > thresh]
 
 
 def extrapolate(model, year: float) -> float:

@@ -100,13 +100,20 @@ class ScenarioConfig:
         for cf in (self.cf_pv, self.cf_wind, self.cf_hydro):
             if cf is not None and not (0.0 < cf <= 1.0):
                 raise ConfigInvalid(f"capacity factor {cf!r} outside (0, 1]")
+        for key in _WINDOW_KEYS:
+            lo, hi = getattr(self, key)
+            text = ":".join("" if b is None else repr(b) for b in (lo, hi))
+            if any(b is not None and not math.isfinite(b) for b in (lo, hi)):
+                raise ConfigInvalid(f"{key} bounds must be finite, got {text}")
+            if lo is not None and hi is not None and lo > hi:
+                raise ConfigInvalid(f"{key} starts after it ends: {text}")
         return self
 
 
-_WINDOW_KEYS = {
+_WINDOW_KEYS = (
     "pv_window", "wind_window", "wind_regime_window", "offshore_window",
     "hydro_window",
-}
+)
 _FLOAT_KEYS = {"horizon", "changepoint_threshold", "cf_pv", "cf_wind", "cf_hydro"}
 _INT_KEYS = {"changepoint_min_segment", "hydro_degree"}
 _STR_KEYS = {"data_dir", "out_dir", "wind_treatment"}

@@ -60,14 +60,20 @@ class Axis:
     lo: float = 0.0
     hi: float = 1.0
 
-    def scale(self, v: float, a: float, b: float) -> float:
-        """Map data value v onto pixel range [a, b]."""
+    def scaler(self, a: float, b: float):
+        """Function mapping a data value onto pixel range [a, b].
+
+        The axis constants are computed once; each value takes
+        a + ((v - lo) / span) * (b - a), in log10 space for a log axis.
+        """
+        width = b - a
         if self.kind == "log":
-            f = (math.log10(v) - math.log10(self.lo)) / (
-                math.log10(self.hi) - math.log10(self.lo))
-        else:
-            f = (v - self.lo) / (self.hi - self.lo)
-        return a + f * (b - a)
+            lo = math.log10(self.lo)
+            span = math.log10(self.hi) - lo
+            return lambda v: a + ((math.log10(v) - lo) / span) * width
+        lo = self.lo
+        span = self.hi - lo
+        return lambda v: a + ((v - lo) / span) * width
 
     def ticks(self):
         return _decade_ticks(self.lo, self.hi) if self.kind == "log" \
@@ -83,16 +89,6 @@ class Chart:
     height: int = 420
     margin: tuple = (46, 16, 40, 78)   # top, right, bottom, left
     elements: list = field(default_factory=list)
-
-    # -- plot-area pixel bounds
-    @property
-    def _px(self):
-        top, right, bottom, left = self.margin
-        return left, self.width - right, self.height - bottom, top  # x0, x1, y0(bottom), y1(top)
-
-    def _xy(self, vx, vy):
-        x0, x1, y0, y1 = self._px
-        return self.x.scale(vx, x0, x1), self.y.scale(vy, y0, y1)
 
     def add_points(self, xs, ys, color, label="", radius=3.0):
         self.elements.append(("points", list(zip(xs, ys)), color, label, radius))
@@ -117,7 +113,9 @@ class Chart:
         return out
 
     def render_group(self, dx=0.0) -> str:
-        x0, x1, y0, y1 = self._px
+        top, right, bottom, left = self.margin
+        x0, x1, y0, y1 = left, self.width - right, self.height - bottom, top  # y0 is the bottom
+        sx, sy = self.x.scaler(x0, x1), self.y.scaler(y0, y1)
         parts = [f'<g transform="translate({_fmt(dx)},0)" font-family="sans-serif">']
         parts.append(
             f'<text x="{_fmt((x0 + x1) / 2)}" y="20" text-anchor="middle" '
@@ -132,7 +130,7 @@ class Chart:
         for t in self.x.ticks():
             if not (self.x.lo <= t <= self.x.hi):
                 continue
-            px = self.x.scale(t, x0, x1)
+            px = sx(t)
             parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
                          f'y2="{_fmt(y0 + 4)}" stroke="#222222" stroke-width="1"/>')
             parts.append(f'<text x="{_fmt(px)}" y="{_fmt(y0 + 16)}" text-anchor="middle" '
@@ -140,7 +138,7 @@ class Chart:
         for t in self.y.ticks():
             if not (self.y.lo <= t <= self.y.hi):
                 continue
-            py = self.y.scale(t, y0, y1)
+            py = sy(t)
             parts.append(f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(py)}" x2="{_fmt(x0)}" '
                          f'y2="{_fmt(py)}" stroke="#222222" stroke-width="1"/>')
             parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
@@ -159,20 +157,19 @@ class Chart:
             kind = el[0]
             if kind == "points":
                 _, pairs, color, label, radius = el
-                for vx, vy in self._clip(pairs):
-                    px, py = self._xy(vx, vy)
-                    parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                                 f'r="{_fmt(radius)}" fill="{color}"/>')
+                # the hottest loop: _fmt's format spec inlined
+                tail = f'" r="{_fmt(radius)}" fill="{color}"/>'
+                parts.extend(f'<circle cx="{sx(vx):.2f}" cy="{sy(vy):.2f}{tail}'
+                             for vx, vy in self._clip(pairs))
             elif kind == "line":
                 _, pairs, color, label, dashed, width = el
-                pts = " ".join(f"{_fmt(self._xy(vx, vy)[0])},{_fmt(self._xy(vx, vy)[1])}"
-                               for vx, vy in self._clip(pairs))
+                pts = " ".join(f"{sx(vx):.2f},{sy(vy):.2f}" for vx, vy in self._clip(pairs))
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="{color}" stroke-width="{_fmt(width)}"{dash}/>')
             elif kind == "hline":
                 _, value, label, color = el
-                py = self.y.scale(value, y0, y1)
+                py = sy(value)
                 parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
                              f'y2="{_fmt(py)}" stroke="{color}" stroke-width="1.2" '
                              f'stroke-dasharray="3 3"/>')
@@ -180,7 +177,7 @@ class Chart:
                              f'font-size="10" fill="{color}">{escape(label)}</text>')
             elif kind == "vline":
                 _, value, label, color = el
-                px = self.x.scale(value, x0, x1)
+                px = sx(value)
                 parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
                              f'y2="{_fmt(y1)}" stroke="{color}" stroke-width="1.2" '
                              f'stroke-dasharray="3 3"/>')
@@ -188,7 +185,7 @@ class Chart:
                              f'font-size="10" fill="{color}">{escape(label)}</text>')
             elif kind == "marker":
                 _, vx, vy, label, color = el
-                px, py = self._xy(vx, vy)
+                px, py = sx(vx), sy(vy)
                 parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
                              f'fill="none" stroke="{color}" stroke-width="2"/>')
                 parts.append(f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 6)}" '

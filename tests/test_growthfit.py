@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renewcast as rc
 from renewcast import growthfit
@@ -194,6 +196,55 @@ def test_sse_piecewise_never_exceeds_sse_single():
         s = _series([(2000.0 + k, float(v)) for k, v in enumerate(values)])
         piecewise = rc.detect_changepoint(s, min_segment=3)
         assert piecewise.sse_piecewise <= piecewise.sse_single * (1 + 1e-12)
+
+
+def _exhaustive_changepoint(samples, min_segment):
+    """Refit both ols lines at every split: (split year, sse_piecewise,
+    sse_single, improvement_ratio), with detect_changepoint's noise floor."""
+    t = np.array([y for y, _ in samples], dtype=float)
+    lnv = np.log([v for _, v in samples])
+    best_k, best_sse = None, math.inf
+    for k in range(min_segment, len(t) - min_segment + 1):
+        total = growthfit.ols(t[:k], lnv[:k])[3] + growthfit.ols(t[k:], lnv[k:])[3]
+        if total < best_sse:
+            best_k, best_sse = k, total
+    sse_single = growthfit.ols(t, lnv)[3]
+    noise_floor = len(t) * (1e-12 * max(1.0, float(np.abs(lnv).max()))) ** 2
+    sse_single = 0.0 if sse_single <= noise_floor else sse_single
+    best_sse = 0.0 if best_sse <= noise_floor else best_sse
+    improvement = 0.0 if sse_single == 0.0 else 1.0 - best_sse / sse_single
+    return float(t[best_k]), best_sse, sse_single, improvement
+
+
+@st.composite
+def _changepoint_cases(draw):
+    min_segment = draw(st.integers(2, 4))
+    n = draw(st.one_of(st.just(2 * min_segment), st.integers(2 * min_segment, 40)))
+    origin = draw(st.sampled_from((0.0, 2000.0))) + draw(st.floats(-3.0, 3.0))
+    step = draw(st.sampled_from((1.0, 0.25, 1.0 / 52)))
+    years = [origin + i * step for i in range(n)]
+    shape = draw(st.sampled_from(("noisy", "noiseless", "mirror")))
+    if shape == "noisy":
+        lnv = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    elif shape == "noiseless":
+        a, b = draw(st.floats(-3.0, 3.0)), draw(st.floats(-1.0, 1.0))
+        lnv = [a + b * (y - years[0]) for y in years]
+    else:
+        # mirror-symmetric values tie split k with split n - k, and a
+        # constant run of ones ties every split at exactly zero
+        half = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+                             min_size=n - n // 2, max_size=n - n // 2))
+        lnv = half + half[:n // 2][::-1]
+    return [(y, math.exp(v)) for y, v in zip(years, lnv)], min_segment
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_changepoint_cases())
+def test_changepoint_equals_exhaustive_scan(case):
+    samples, min_segment = case
+    piecewise = rc.detect_changepoint(_series(samples), min_segment=min_segment)
+    assert (piecewise.changepoint_year, piecewise.sse_piecewise, piecewise.sse_single,
+            piecewise.improvement_ratio) == _exhaustive_changepoint(samples, min_segment)
 
 
 # -- extrapolation and doubling time -----------------------------------------

@@ -362,6 +362,26 @@ def test_cli_rejects_nonfinite_and_unbounded_numbers(tmp_path, monkeypatch, caps
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", report_mod._WINDOW_KEYS)
+@pytest.mark.parametrize("window", ["nan:", "inf:", ":1e400", "2010:2000"])
+def test_cli_rejects_bad_windows(tmp_path, monkeypatch, capsys, key, window):
+    def no_run(config):
+        raise AssertionError("the scenario ran although the window is invalid")
+
+    monkeypatch.setattr(report_mod, "run_scenario", no_run)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {window}\n", encoding="utf-8")
+    assert main(["--config", str(conf), "--out", str(tmp_path / "out"), "report"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def test_cli_window_with_too_few_points_is_model_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("wind_window = 2015:2016\n", encoding="utf-8")
+    assert main(["--config", str(conf), "fit", "wind"]) == 4
+    assert "changepoint scan needs >= 6 points, got 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["report"], ["figures", "--id", "fig1"]])
 def test_cli_unwritable_out_is_config_error(tmp_path, capsys, argv):
     a_file = tmp_path / "a_file"

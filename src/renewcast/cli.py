@@ -83,11 +83,10 @@ def _run(args) -> int:
     rep = report_mod.run_scenario(config)
 
     if args.command == "fit":
-        fits = rep.fits_dict()
         keys = {"pv": ("pv",), "wind": ("wind_trend", "wind_piecewise", "wind_rebound"),
                 "offshore_wind": ("offshore_wind",), "hydro": ("hydro",)}
         for key in keys[args.technology]:
-            _print_fit(key, fits[key])
+            _print_fit(key, rep.fit_dict(key))
         return 0
 
     if args.command == "project":

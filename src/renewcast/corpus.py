@@ -20,8 +20,10 @@ happen only at load and report boundaries.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -67,25 +69,27 @@ class CapacitySeries:
 
     @property
     def years(self) -> tuple[float, ...]:
-        return tuple(s[0] for s in self.samples)
+        return tuple(map(itemgetter(0), self.samples))
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(s[1] for s in self.samples)
+        return tuple(map(itemgetter(1), self.samples))
 
     @property
     def last_year(self) -> float:
         return self.samples[-1][0]
 
     def value_at(self, year: float) -> float:
-        for y, v in self.samples:
-            if y == year:
-                return v
+        i = bisect_left(self.samples, year, key=itemgetter(0))
+        if i < len(self.samples) and self.samples[i][0] == year:
+            return self.samples[i][1]
         raise KeyError(f"{self.technology}: no sample for year {year}")
 
 
 def _format_row(year: float, value: float) -> str:
     ytxt = f"{year:g}"
+    if float(ytxt) != year:     # :g keeps 6 significant digits
+        ytxt = repr(float(year))
     vtxt = repr(value) if isinstance(value, float) else str(value)
     return f"{ytxt},{vtxt}"
 

@@ -129,5 +129,9 @@ class CrossingOutOfRange(ModelError):
     pass
 
 
+class FitOutOfRange(ModelError):
+    pass
+
+
 class MissingFit(ModelError):
     pass

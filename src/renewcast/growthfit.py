@@ -13,13 +13,13 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
+from math import fsum
 from operator import mul, sub, truediv
-
-import numpy as np
 
 from .corpus import CapacitySeries
 from .errors import (
     DegreeZero,
+    FitOutOfRange,
     NonGrowingSeries,
     NonPositiveValue,
     TooFewPoints,
@@ -89,28 +89,38 @@ def _windowed(series: CapacitySeries, window):
     if window is None:
         return series.samples
     lo, hi = window
-    picked = tuple(
-        s for s in series.samples
-        if (lo is None or s[0] >= lo) and (hi is None or s[0] <= hi)
-    )
-    return picked
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
+    return tuple([s for s in series.samples if lo <= s[0] <= hi])
 
 
-def ols(x: np.ndarray, y: np.ndarray):
-    """Centred least-squares line through (x, y).
+def ols(x, y):
+    """Centred least-squares line through the points (x, y).
 
     Returns (slope, mean x, mean y, sse, sst); the line is
-    mean_y + slope * (x - mean_x).
+    mean_y + slope * (x - mean_x). Every sum is math.fsum, so each is
+    exactly rounded whatever its length or order. TooFewPoints when x
+    holds fewer than two distinct values, FitOutOfRange when a sum
+    overflows.
     """
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    denom = float((dx * dx).sum())
-    slope = float((dx * (y - ym)).sum() / denom)
-    resid = y - (ym + slope * dx)
-    sse = float((resid * resid).sum())
-    sst = float(((y - ym) ** 2).sum())
-    return slope, xm, ym, sse, sst
+    n = len(x)
+    try:
+        xm = fsum(x) / n
+        ym = fsum(y) / n
+        dx = [v - xm for v in x]
+        dy = [v - ym for v in y]
+        denom = fsum(map(mul, dx, dx))
+        if denom == 0.0:
+            raise TooFewPoints("a least-squares line needs >= 2 distinct x values")
+        slope = fsum(map(mul, dx, dy)) / denom
+        resid = [v - (ym + slope * d) for d, v in zip(dx, y)]
+        line = slope, xm, ym, fsum(map(mul, resid, resid)), fsum(map(mul, dy, dy))
+        finite = all(map(math.isfinite, (denom, *line)))
+    except (OverflowError, ValueError):     # fsum past the float range, or inf - inf
+        finite = False
+    if not finite:
+        raise FitOutOfRange("a least-squares line overflows the float range")
+    return line
 
 
 def r_squared(sse: float, sst: float) -> float:
@@ -131,22 +141,32 @@ def fit_exponential(series: CapacitySeries, window=None) -> ExponentialFit:
             f"{series.technology}: exponential fit needs >= 2 points, "
             f"got {len(samples)}"
         )
-    for y, v in samples:
-        if v <= 0:
-            raise NonPositiveValue(
-                f"{series.technology}: value {v!r} at {y:g} not log-fittable"
-            )
-    t = np.array([s[0] for s in samples], dtype=float)
-    lnv = np.log([s[1] for s in samples])
-    slope, tm, ym, sse, sst = ols(t, lnv)
+    years, _, line = _log_line(series.technology, samples)
+    return _exponential(years, line)
+
+
+def _exponential(years, line) -> ExponentialFit:
+    """The ExponentialFit of an ols line through (years, ln value)."""
+    slope, tm, ym, sse, sst = line
     return ExponentialFit(
-        reference_year=float(t[0]),
-        ln_intercept=float(ym + slope * (t[0] - tm)),
+        reference_year=years[0],
+        ln_intercept=ym + slope * (years[0] - tm),
         ln_slope=slope,
         r_squared_logspace=r_squared(sse, sst),
-        rmse_logspace=math.sqrt(sse / len(samples)),
-        window=(float(t[0]), float(t[-1])),
+        rmse_logspace=math.sqrt(sse / len(years)),
+        window=(years[0], years[-1]),
     )
+
+
+def _log_line(technology: str, samples):
+    """(years, ln values, ols line) of windowed samples, all > 0."""
+    years = [s[0] for s in samples]
+    values = [s[1] for s in samples]
+    if min(values) <= 0:
+        y, v = next(s for s in samples if s[1] <= 0)
+        raise NonPositiveValue(f"{technology}: value {v!r} at {y:g} not log-fittable")
+    lnv = list(map(math.log, values))
+    return years, lnv, ols(years, lnv)
 
 
 def fit_polynomial(series: CapacitySeries, degree: int, window=None) -> PolynomialFit:
@@ -159,18 +179,68 @@ def fit_polynomial(series: CapacitySeries, degree: int, window=None) -> Polynomi
             f"{series.technology}: degree-{degree} fit needs >= {degree + 1} "
             f"points, got {len(samples)}"
         )
-    t = np.array([s[0] for s in samples], dtype=float)
-    v = np.array([s[1] for s in samples], dtype=float)
-    x = t - t[0]
-    coeffs = np.polynomial.polynomial.polyfit(x, v, degree)
-    resid = v - np.polynomial.polynomial.polyval(x, coeffs)
+    t0 = samples[0][0]
+    x = [s[0] - t0 for s in samples]
+    v = [s[1] for s in samples]
+    try:
+        coeffs = _polyfit(x, v, degree)
+        fitted = [0.0] * len(x)
+        for c in reversed(coeffs):          # value_at's Horner steps, column-wise
+            fitted = [f * xi + c for f, xi in zip(fitted, x)]
+        resid = list(map(sub, v, fitted))
+        rmse = math.sqrt(fsum(map(mul, resid, resid)) / len(samples))
+        finite = all(map(math.isfinite, (*coeffs, rmse)))
+    except (OverflowError, ValueError):     # fsum past the float range, or inf - inf
+        finite = False
+    if not finite:
+        raise FitOutOfRange(f"{series.technology}: degree-{degree} fit overflows "
+                            f"the float range")
     return PolynomialFit(
-        reference_year=float(t[0]),
-        coefficients=tuple(float(c) for c in coeffs),
+        reference_year=t0,
+        coefficients=coeffs,
         degree=degree,
-        rmse=math.sqrt(float((resid * resid).sum()) / len(samples)),
-        window=(float(t[0]), float(t[-1])),
+        rmse=rmse,
+        window=(t0, samples[-1][0]),
     )
+
+
+def _polyfit(x: list, v: list, degree: int) -> tuple:
+    """Coefficients, lowest power first, of the least-squares polynomial.
+
+    Householder QR of the Vandermonde matrix (Golub & Van Loan, Matrix
+    Computations, 5.3), each reflection applied to a column's tail as one
+    exactly rounded dot product and one list comprehension. numpy's polyfit
+    scales the columns for its SVD cut-off; Householder QR's solution does
+    not depend on column scaling (Higham, Accuracy and Stability of
+    Numerical Algorithms, 19.4), so none is done.
+    """
+    cols = [[1.0] * len(x)]
+    for _ in range(degree):
+        cols.append(list(map(mul, cols[-1], x)))
+    rhs = list(v)
+    diag = []
+    for j, col in enumerate(cols):
+        # reflect head onto alpha * e1, alpha = -sign(h0) |head|: the vector
+        # head - alpha * e1 has no cancellation and half_vv = |v|**2 / 2
+        head = col[j:]
+        h0 = head[0]
+        norm = math.sqrt(fsum(map(mul, head, head)))
+        if norm == 0.0:
+            raise TooFewPoints(f"degree-{degree} fit needs >= {degree + 1} distinct years")
+        alpha = -norm if h0 >= 0.0 else norm
+        head[0] = h0 - alpha
+        half_vv = norm * (norm + abs(h0))
+        for other in (*cols[j + 1:], rhs):
+            tail = other[j:]
+            f = fsum(map(mul, head, tail)) / half_vv
+            other[j:] = [a - f * h for a, h in zip(tail, head)]
+        diag.append(alpha)
+    # back substitution in R, whose row i holds diag[i] and cols[k][i], k > i
+    coeffs = [0.0] * len(cols)
+    for i in reversed(range(len(cols))):
+        dot = fsum(cols[k][i] * coeffs[k] for k in range(i + 1, len(cols)))
+        coeffs[i] = (rhs[i] - dot) / diag[i]
+    return tuple(coeffs)
 
 
 def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
@@ -182,8 +252,9 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
     prefix moments scores every split, then every split whose score lies
     within a rounding bound of the best is refitted with ols, in ascending
     order, and the first with the least total wins: the answer, bit for
-    bit, of refitting every split. The caller judges significance from
-    improvement_ratio against a configured threshold.
+    bit, of refitting every split. Its two ols lines become left and right.
+    The caller judges significance from improvement_ratio against a
+    configured threshold.
     """
     if min_segment < 2:
         raise TooFewPoints("min_segment must be >= 2 so each side is fittable")
@@ -194,24 +265,20 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
             f"{series.technology}: changepoint scan needs >= {2 * min_segment} "
             f"points, got {n}"
         )
-    for y, v in samples:
-        if v <= 0:
-            raise NonPositiveValue(
-                f"{series.technology}: value {v!r} at {y:g} not log-fittable"
-            )
-    years = [s[0] for s in samples]
-    t = np.array(years, dtype=float)
-    lnv = np.log([s[1] for s in samples])
-
-    sse_single = ols(t, lnv)[3]
+    years, lnv, single = _log_line(series.technology, samples)
+    sse_single = single[3]
 
     @functools.cache
+    def split(k):
+        return ols(years[:k], lnv[:k]), ols(years[k:], lnv[k:])
+
     def split_sse(k):
-        return ols(t[:k], lnv[:k])[3] + ols(t[k:], lnv[k:])[3]
+        left, right = split(k)
+        return left[3] + right[3]
 
     best_k = None
     best_sse = math.inf
-    for k in _near_minimal_splits(years, lnv.tolist(), min_segment, split_sse):
+    for k in _near_minimal_splits(years, lnv, min_segment, split_sse):
         total = split_sse(k)
         if total < best_sse:
             best_sse = total
@@ -220,30 +287,22 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
     # SSEs at float-noise level are exactly-zero fits in disguise; clamping
     # keeps sse_piecewise <= sse_single and improvement_ratio meaningful for
     # noiselessly exponential inputs.
-    noise_floor = n * (1e-12 * max(1.0, float(np.abs(lnv).max()))) ** 2
+    noise_floor = n * (1e-12 * max(1.0, max(map(abs, lnv)))) ** 2
     if sse_single <= noise_floor:
         sse_single = 0.0
     if best_sse <= noise_floor:
         best_sse = 0.0
 
-    sub = CapacitySeries(
-        technology=series.technology,
-        quantity_kind=series.quantity_kind,
-        unit=series.unit,
-        samples=tuple(samples),
-        provenance=series.provenance,
-    )
-    left = fit_exponential(sub, window=(t[0], t[best_k - 1]))
-    right = fit_exponential(sub, window=(t[best_k], t[-1]))
+    left, right = split(best_k)
     improvement = 0.0 if sse_single == 0.0 else 1.0 - best_sse / sse_single
     return PiecewiseExponentialFit(
-        changepoint_year=float(t[best_k]),
-        left=left,
-        right=right,
+        changepoint_year=years[best_k],
+        left=_exponential(years[:best_k], left),
+        right=_exponential(years[best_k:], right),
         sse_piecewise=best_sse,
         sse_single=sse_single,
         improvement_ratio=improvement,
-        window=(float(t[0]), float(t[-1])),
+        window=(years[0], years[-1]),
     )
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import CapacitySeries
 from .errors import (
     CrossingOutOfRange,
@@ -141,12 +139,12 @@ def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
     for x, _ in series.samples:
         if x <= 0:
             raise NonPositiveValue(f"x value {x!r} must be > 0")
-    lx = np.log10([s[0] for s in series.samples])
-    lc = np.log10([s[1] for s in series.samples])
+    lx = [math.log10(s[0]) for s in series.samples]
+    lc = [math.log10(s[1]) for s in series.samples]
     slope, xm, ym, sse, sst = ols(lx, lc)
     return LearningCurveFit(
         technology=series.technology,
-        log10_intercept=float(ym - slope * xm),
+        log10_intercept=ym - slope * xm,
         log10_slope=slope,
         r_squared=r_squared(sse, sst),
         rmse_log10=math.sqrt(sse / len(series.samples)),
@@ -199,15 +197,15 @@ def fit_time_decay(series: CostSeries) -> TimeDecayFit:
         raise UnitMismatch("time decay needs a year-indexed cost series")
     if len(series.samples) < 2:
         raise TooFewPoints("time-decay fit needs >= 2 samples")
-    t = np.array([s[0] for s in series.samples], dtype=float)
-    lnc = np.log([s[1] for s in series.samples])
+    t = [float(s[0]) for s in series.samples]
+    lnc = [math.log(s[1]) for s in series.samples]
     slope, tm, ym, sse, sst = ols(t, lnc)
     return TimeDecayFit(
         technology=series.technology,
-        reference_year=float(t[0]),
+        reference_year=t[0],
         cost0=math.exp(ym + slope * (t[0] - tm)),
         decay=math.exp(slope),
         r_squared=r_squared(sse, sst),
-        window=(float(t[0]), float(t[-1])),
+        window=(t[0], t[-1]),
         cost_unit=series.cost_unit,
     )

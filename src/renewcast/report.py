@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, astuple, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from . import corpus, growthfit, learncurve, resourcebudget, scenario
@@ -27,6 +28,9 @@ from .svgchart import Axis, Chart, render
 SCHEMA_VERSION = 1
 # Latest accepted horizon or evaluation year; it bounds the crossing grid.
 MAX_HORIZON = 2200.0
+# Highest accepted hydro_degree: on the bundled hydro series the fit's and
+# numpy polyfit's coefficients agree to 3e-14 up to degree 5, 1.3e-12 at 6.
+MAX_HYDRO_DEGREE = 5
 
 WIND_TREATMENTS = ("trend", "piecewise", "rebound")
 COMBINATIONS = ("pv", "wind_pv", "wind_pv_hydro")
@@ -90,8 +94,9 @@ class ScenarioConfig:
             raise ConfigInvalid("changepoint_threshold must be finite")
         if self.changepoint_min_segment < 2:
             raise ConfigInvalid("changepoint_min_segment must be >= 2")
-        if self.hydro_degree < 1:
-            raise ConfigInvalid("hydro_degree must be >= 1")
+        if not 1 <= self.hydro_degree <= MAX_HYDRO_DEGREE:
+            raise ConfigInvalid(
+                f"hydro_degree must be in 1..{MAX_HYDRO_DEGREE}, got {self.hydro_degree}")
         for t in self.thresholds:
             if t not in THRESHOLD_NAMES:
                 raise ConfigInvalid(
@@ -222,7 +227,7 @@ class ScenarioReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": cfg,
-            "fits": self.fits_dict(),
+            "fits": {name: self.fit_dict(name) for name in self.fits},
             "crossings": [
                 {
                     "threshold": c.threshold,
@@ -248,38 +253,34 @@ class ScenarioReport:
             "warnings": self.warnings,
         }
 
-    def fits_dict(self) -> dict:
-        fits = self.fits
-        piecewise, hydro = fits["wind_piecewise"], fits["hydro"]
-        return {
-            "pv": {
-                **_exp_fit_dict(fits["pv"]),
-                "residual_signs": growthfit.residual_signs(self.series["pv"],
-                                                           fits["pv"]),
-            },
-            "wind_trend": _exp_fit_dict(fits["wind_trend"]),
-            "wind_piecewise": {
+    def fit_dict(self, name: str) -> dict:
+        """JSON form of one fit; name is a key of fits."""
+        fit = self.fits[name]
+        if name == "wind_piecewise":
+            return {
                 "kind": "piecewise_exponential",
-                "changepoint_year": piecewise.changepoint_year,
-                "left": _exp_fit_dict(piecewise.left),
-                "right": _exp_fit_dict(piecewise.right),
-                "sse_piecewise": piecewise.sse_piecewise,
-                "sse_single": piecewise.sse_single,
-                "improvement_ratio": piecewise.improvement_ratio,
+                "changepoint_year": fit.changepoint_year,
+                "left": _exp_fit_dict(fit.left),
+                "right": _exp_fit_dict(fit.right),
+                "sse_piecewise": fit.sse_piecewise,
+                "sse_single": fit.sse_single,
+                "improvement_ratio": fit.improvement_ratio,
                 "regime_change": self.regime_change,
-                "window": list(piecewise.window),
-            },
-            "wind_rebound": _exp_fit_dict(fits["wind_rebound"]),
-            "offshore_wind": _exp_fit_dict(fits["offshore_wind"]),
-            "hydro": {
+                "window": list(fit.window),
+            }
+        if name == "hydro":
+            return {
                 "kind": "polynomial",
-                "reference_year": hydro.reference_year,
-                "coefficients": list(hydro.coefficients),
-                "degree": hydro.degree,
-                "rmse": hydro.rmse,
-                "window": list(hydro.window),
-            },
-        }
+                "reference_year": fit.reference_year,
+                "coefficients": list(fit.coefficients),
+                "degree": fit.degree,
+                "rmse": fit.rmse,
+                "window": list(fit.window),
+            }
+        out = _exp_fit_dict(fit)
+        if name == "pv":
+            out["residual_signs"] = growthfit.residual_signs(self.series["pv"], fit)
+        return out
 
     def learning_dict(self) -> dict:
         pv_lc = self.learning["pv_learning_curve"]
@@ -311,55 +312,56 @@ class ScenarioReport:
         return {"pv": cf_pv, "wind": cf_wind, "hydro": cf_hydro}
 
     @cached_property
-    def fits(self) -> dict:
-        """name -> growthfit Exponential/PiecewiseExponential/PolynomialFit."""
+    def fits(self) -> Mapping:
+        """name -> growthfit Exponential/PiecewiseExponential/PolynomialFit,
+        each fitted when first read."""
         config, series = self.config, self.series
-        return {
-            "pv": growthfit.fit_exponential(series["pv"], config.pv_window),
-            "wind_trend": growthfit.fit_exponential(series["wind"], config.wind_window),
-            "wind_piecewise": growthfit.detect_changepoint(
-                series["wind"], config.changepoint_min_segment, config.wind_window),
-            "wind_rebound": growthfit.fit_exponential(series["wind"],
-                                                      config.wind_regime_window),
-            "offshore_wind": growthfit.fit_exponential(series["offshore_wind"],
-                                                       config.offshore_window),
-            "hydro": growthfit.fit_polynomial(series["hydro"], config.hydro_degree,
-                                              config.hydro_window),
-        }
+        exponential = growthfit.fit_exponential
+        return _LazyMap({
+            "pv": partial(exponential, series["pv"], config.pv_window),
+            "wind_trend": partial(exponential, series["wind"], config.wind_window),
+            "wind_piecewise": partial(growthfit.detect_changepoint, series["wind"],
+                                      config.changepoint_min_segment, config.wind_window),
+            "wind_rebound": partial(exponential, series["wind"], config.wind_regime_window),
+            "offshore_wind": partial(exponential, series["offshore_wind"],
+                                     config.offshore_window),
+            "hydro": partial(growthfit.fit_polynomial, series["hydro"], config.hydro_degree,
+                             config.hydro_window),
+        })
 
     @cached_property
-    def profiles(self) -> dict:
-        series, fits = self.series, self.fits
-        cf_pv, cf_wind, cf_hydro = self.capacity_factors.values()
-        return {
-            "pv": TechnologyProfile("pv", cf_pv, series["pv"], fits["pv"]),
-            "wind_trend": TechnologyProfile("wind", cf_wind, series["wind"],
-                                            fits["wind_trend"]),
+    def profiles(self) -> Mapping:
+        """name -> TechnologyProfile of the fit of that name, built when first read."""
+        # the makers hold no reference to self, so a report is freed without
+        # waiting for the cycle collector
+        series, fits, factors = self.series, self.fits, self.capacity_factors
+
+        def profile(name):
+            tech = "wind" if name.startswith("wind_") else name
+            fit = fits[name]
             # the piecewise treatment projects from the right segment
-            "wind_piecewise": TechnologyProfile("wind", cf_wind, series["wind"],
-                                                fits["wind_piecewise"].right),
-            "wind_rebound": TechnologyProfile("wind", cf_wind, series["wind"],
-                                              fits["wind_rebound"]),
-            "hydro": TechnologyProfile("hydro", cf_hydro, series["hydro"], fits["hydro"]),
-            "offshore_wind": TechnologyProfile("offshore_wind", cf_wind,
-                                               series["offshore_wind"],
-                                               fits["offshore_wind"]),
-        }
+            model = fit.right if name == "wind_piecewise" else fit
+            return TechnologyProfile(tech, factors["wind" if tech == "offshore_wind" else tech],
+                                     series[tech], model)
+
+        return _LazyMap({name: partial(profile, name) for name in fits})
 
     @cached_property
-    def projections(self) -> dict:
+    def projections(self) -> Mapping:
         """(combination, wind treatment) -> summed generation, in crossing
-        order; "pv" alone has treatment None. Every section shares these
-        objects, and with them each projection's crossing grid."""
+        order, each combined when first read; "pv" alone has treatment None.
+        Every section shares these objects, and with them each projection's
+        crossing grid."""
         profiles = self.profiles
-        out = {("pv", None): scenario.combine([profiles["pv"]])}
-        for combo in COMBINATIONS[1:]:
-            for treatment in WIND_TREATMENTS:
-                parts = [profiles["pv"], profiles[f"wind_{treatment}"]]
-                if combo == "wind_pv_hydro":
-                    parts.append(profiles["hydro"])
-                out[(combo, treatment)] = scenario.combine(parts)
-        return out
+
+        def projection(combo, treatment):
+            parts = ["pv"] if combo == "pv" else ["pv", f"wind_{treatment}"]
+            if combo == "wind_pv_hydro":
+                parts.append("hydro")
+            return scenario.combine([profiles[name] for name in parts])
+
+        keys = [("pv", None)] + [(c, t) for c in COMBINATIONS[1:] for t in WIND_TREATMENTS]
+        return _LazyMap({key: partial(projection, *key) for key in keys})
 
     @cached_property
     def crossings(self) -> list:
@@ -583,6 +585,24 @@ class ScenarioReport:
                     f"{growthfit.HORIZON_WARNING_YEARS:g} years past its window"
                 )
         return warnings
+
+
+class _LazyMap(Mapping):
+    """name -> value, each made by its maker when first read, then kept."""
+
+    def __init__(self, makers: dict):
+        self._makers, self._values = makers, {}
+
+    def __getitem__(self, key):
+        if key not in self._values:
+            self._values[key] = self._makers[key]()
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._makers)
+
+    def __len__(self):
+        return len(self._makers)
 
 
 def _exp_fit_dict(fit: growthfit.ExponentialFit) -> dict:

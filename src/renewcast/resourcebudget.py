@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import HOURS_PER_YEAR, bundled_path, constant, get_constant, reduced_primary
 from .errors import (
     CapacityFactorOutOfRange,
@@ -93,9 +91,9 @@ def offshore_depth_extrapolation(points, target_area) -> float:
     for x, p in points:
         if x <= 0 or p <= 0:
             raise NonPositiveValue(f"area and potential must be > 0, got ({x!r}, {p!r})")
-    x, y = np.array(points, dtype=float).T
-    slope, xm, ym, _, _ = ols(x, y)
-    return float(ym - slope * xm) + slope * float(target_area)
+    slope, xm, ym, _, _ = ols([float(x) for x, _ in points],
+                              [float(p) for _, p in points])
+    return (ym - slope * xm) + slope * float(target_area)
 
 
 def load_offshore_depth_fixture():

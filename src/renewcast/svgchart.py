@@ -60,8 +60,8 @@ class Axis:
     lo: float = 0.0
     hi: float = 1.0
 
-    def scaler(self, a: float, b: float):
-        """Function mapping a data value onto pixel range [a, b].
+    def scale(self, values, a: float, b: float) -> list:
+        """Map data values onto pixel range [a, b] in one list pass.
 
         The axis constants are computed once; each value takes
         a + ((v - lo) / span) * (b - a), in log10 space for a log axis.
@@ -70,10 +70,11 @@ class Axis:
         if self.kind == "log":
             lo = math.log10(self.lo)
             span = math.log10(self.hi) - lo
-            return lambda v: a + ((math.log10(v) - lo) / span) * width
+            log10 = math.log10
+            return [a + ((log10(v) - lo) / span) * width for v in values]
         lo = self.lo
         span = self.hi - lo
-        return lambda v: a + ((v - lo) / span) * width
+        return [a + ((v - lo) / span) * width for v in values]
 
     def ticks(self):
         return _decade_ticks(self.lo, self.hi) if self.kind == "log" \
@@ -105,17 +106,16 @@ class Chart:
     def add_marker(self, vx, vy, label, color="#c53030"):
         self.elements.append(("marker", vx, vy, label, color))
 
-    def _clip(self, pairs):
-        out = []
-        for vx, vy in pairs:
-            if self.x.lo <= vx <= self.x.hi and self.y.lo <= vy <= self.y.hi:
-                out.append((vx, vy))
-        return out
+    def _clip(self, pairs, x0, x1, y0, y1):
+        """Pixel (x, y) pairs of the data pairs inside both axis ranges."""
+        xlo, xhi, ylo, yhi = self.x.lo, self.x.hi, self.y.lo, self.y.hi
+        kept = [p for p in pairs if xlo <= p[0] <= xhi and ylo <= p[1] <= yhi]
+        return zip(self.x.scale([p[0] for p in kept], x0, x1),
+                   self.y.scale([p[1] for p in kept], y0, y1))
 
     def render_group(self, dx=0.0) -> str:
         top, right, bottom, left = self.margin
         x0, x1, y0, y1 = left, self.width - right, self.height - bottom, top  # y0 is the bottom
-        sx, sy = self.x.scaler(x0, x1), self.y.scaler(y0, y1)
         parts = [f'<g transform="translate({_fmt(dx)},0)" font-family="sans-serif">']
         parts.append(
             f'<text x="{_fmt((x0 + x1) / 2)}" y="20" text-anchor="middle" '
@@ -127,18 +127,14 @@ class Chart:
             f'height="{_fmt(y0 - y1)}" fill="none" stroke="#222222" stroke-width="1"/>'
         )
         # ticks + grid
-        for t in self.x.ticks():
-            if not (self.x.lo <= t <= self.x.hi):
-                continue
-            px = sx(t)
+        ticks = [t for t in self.x.ticks() if self.x.lo <= t <= self.x.hi]
+        for t, px in zip(ticks, self.x.scale(ticks, x0, x1)):
             parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
                          f'y2="{_fmt(y0 + 4)}" stroke="#222222" stroke-width="1"/>')
             parts.append(f'<text x="{_fmt(px)}" y="{_fmt(y0 + 16)}" text-anchor="middle" '
                          f'font-size="10">{escape(_tick_label(t))}</text>')
-        for t in self.y.ticks():
-            if not (self.y.lo <= t <= self.y.hi):
-                continue
-            py = sy(t)
+        ticks = [t for t in self.y.ticks() if self.y.lo <= t <= self.y.hi]
+        for t, py in zip(ticks, self.y.scale(ticks, y0, y1)):
             parts.append(f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(py)}" x2="{_fmt(x0)}" '
                          f'y2="{_fmt(py)}" stroke="#222222" stroke-width="1"/>')
             parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
@@ -157,19 +153,19 @@ class Chart:
             kind = el[0]
             if kind == "points":
                 _, pairs, color, label, radius = el
-                # the hottest loop: _fmt's format spec inlined
-                tail = f'" r="{_fmt(radius)}" fill="{color}"/>'
-                parts.extend(f'<circle cx="{sx(vx):.2f}" cy="{sy(vy):.2f}{tail}'
-                             for vx, vy in self._clip(pairs))
+                # the hottest loop: one %-format per point, _fmt's spec inlined
+                circle = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(radius)}" fill="{color}"/>'
+                parts.extend(map(circle.__mod__, self._clip(pairs, x0, x1, y0, y1)))
             elif kind == "line":
                 _, pairs, color, label, dashed, width = el
-                pts = " ".join(f"{sx(vx):.2f},{sy(vy):.2f}" for vx, vy in self._clip(pairs))
+                pts = " ".join(map("%.2f,%.2f".__mod__,
+                                   self._clip(pairs, x0, x1, y0, y1)))
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="{color}" stroke-width="{_fmt(width)}"{dash}/>')
             elif kind == "hline":
                 _, value, label, color = el
-                py = sy(value)
+                (py,) = self.y.scale((value,), y0, y1)
                 parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
                              f'y2="{_fmt(py)}" stroke="{color}" stroke-width="1.2" '
                              f'stroke-dasharray="3 3"/>')
@@ -177,7 +173,7 @@ class Chart:
                              f'font-size="10" fill="{color}">{escape(label)}</text>')
             elif kind == "vline":
                 _, value, label, color = el
-                px = sx(value)
+                (px,) = self.x.scale((value,), x0, x1)
                 parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
                              f'y2="{_fmt(y1)}" stroke="{color}" stroke-width="1.2" '
                              f'stroke-dasharray="3 3"/>')
@@ -185,7 +181,7 @@ class Chart:
                              f'font-size="10" fill="{color}">{escape(label)}</text>')
             elif kind == "marker":
                 _, vx, vy, label, color = el
-                px, py = sx(vx), sy(vy)
+                (px,), (py,) = self.x.scale((vx,), x0, x1), self.y.scale((vy,), y0, y1)
                 parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
                              f'fill="none" stroke="{color}" stroke-width="2"/>')
                 parts.append(f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 6)}" '

@@ -1,10 +1,13 @@
 """Each CLI subcommand computes only the report sections it prints, and every
 input ends in one of the documented exit codes."""
 
+import gc
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewcast
-from renewcast import scenario
+from renewcast import growthfit, report, scenario
 from renewcast.cli import main
-from renewcast.report import FIGURE_IDS, THRESHOLD_NAMES, WIND_TREATMENTS
+from renewcast.report import FIGURE_IDS, MAX_HYDRO_DEGREE, THRESHOLD_NAMES, WIND_TREATMENTS
 
 _TECHS = ("pv", "wind", "offshore_wind", "hydro")
 
@@ -71,6 +74,54 @@ def test_report_samples_each_projection_once(tmp_path, monkeypatch, capsys):
     assert len(calls) <= 4500
 
 
+@pytest.mark.parametrize("argv, calls", [
+    (["fit", "pv"], 0),
+    (["project", "pv", "--year", "2030"], 0),
+    (["fit", "hydro"], 0),
+    (["fit", "wind"], 1),
+    (["project", "wind", "--year", "2030"], 0),
+    (["mix", "--year", "2030"], 0),
+    (["budget"], 0),
+    (["cross", "--threshold", "electric_fig5"], 1),
+])
+def test_changepoint_scanned_only_where_printed(tmp_path, monkeypatch, capsys, argv,
+                                                calls):
+    scans = []
+    detect_changepoint = growthfit.detect_changepoint
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return detect_changepoint(*args, **kwargs)
+
+    monkeypatch.setattr(growthfit, "detect_changepoint", counting)
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    assert len(scans) == calls
+
+
+def test_report_is_freed_without_the_cycle_collector(tmp_path):
+    # lazy sections must not reach back to the report, or every run's series
+    # and fits would wait for the cycle collector
+    gc.disable()
+    try:
+        rep = report.run_scenario(report.ScenarioConfig())
+        report.write_outputs(rep, tmp_path)
+        ref = weakref.ref(rep)
+        del rep
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("degree, code", [(MAX_HYDRO_DEGREE, 0),
+                                          (MAX_HYDRO_DEGREE + 1, 2), (0, 2)])
+def test_hydro_degree_is_bounded(tmp_path, capsys, degree, code):
+    conf = tmp_path / "degree.conf"
+    conf.write_text(f"hydro_degree = {degree}\n", encoding="utf-8")
+    assert main(["--config", str(conf), "fit", "hydro"]) == code
+    if code == 2:
+        assert f"hydro_degree must be in 1..{MAX_HYDRO_DEGREE}" in capsys.readouterr().err
+
+
 def test_failed_figures_leave_no_partial_output(tmp_path, capsys):
     conf = tmp_path / "quartic.conf"
     conf.write_text("hydro_degree = 4\n", encoding="utf-8")
@@ -92,16 +143,35 @@ def test_negative_hydro_generation_fails_only_what_reads_it(tmp_path, capsys):
     assert "[hydro]" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_out_xml_and_urllib():
+def _run_python(*args):
+    """A fresh interpreter that imports renewcast from this source tree."""
     src = Path(renewcast.__file__).resolve().parent.parent
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (str(src),
                                                        os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def test_cli_import_leaves_out_xml_and_urllib():
     probe = ("import sys, renewcast.cli; "
              "print(sorted(m for m in ('urllib.request', 'xml.sax') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _run_python("-c", probe).stdout.strip() == "[]"
+
+
+def test_no_subcommand_imports_numpy(tmp_path):
+    # every subcommand, all figures included, in one process; the last
+    # stdout line reports the exit codes and whether numpy was imported
+    argvs = [*(["fit", tech] for tech in _TECHS), ["project", "hydro", "--year", "2040"],
+             ["cross", "--threshold", "electric_fig5"], ["mix", "--year", "2030"],
+             ["learn"], ["budget"], ["report"], ["figures"]]
+    probe = ("import json, sys; from renewcast.cli import main; "
+             "codes = [main(['--out', sys.argv[1], *a]) for a in json.loads(sys.argv[2])]; "
+             "print(json.dumps([codes, 'numpy' in sys.modules]))")
+    done = _run_python("-c", probe, str(tmp_path), json.dumps(argvs))
+    codes, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert not numpy_loaded
 
 
 _YEARS = st.floats(2021.0, 2200.0)

@@ -201,19 +201,19 @@ def test_sse_piecewise_never_exceeds_sse_single():
 def _exhaustive_changepoint(samples, min_segment):
     """Refit both ols lines at every split: (split year, sse_piecewise,
     sse_single, improvement_ratio), with detect_changepoint's noise floor."""
-    t = np.array([y for y, _ in samples], dtype=float)
-    lnv = np.log([v for _, v in samples])
+    t = [y for y, _ in samples]
+    lnv = [math.log(v) for _, v in samples]
     best_k, best_sse = None, math.inf
     for k in range(min_segment, len(t) - min_segment + 1):
         total = growthfit.ols(t[:k], lnv[:k])[3] + growthfit.ols(t[k:], lnv[k:])[3]
         if total < best_sse:
             best_k, best_sse = k, total
     sse_single = growthfit.ols(t, lnv)[3]
-    noise_floor = len(t) * (1e-12 * max(1.0, float(np.abs(lnv).max()))) ** 2
+    noise_floor = len(t) * (1e-12 * max(1.0, max(map(abs, lnv)))) ** 2
     sse_single = 0.0 if sse_single <= noise_floor else sse_single
     best_sse = 0.0 if best_sse <= noise_floor else best_sse
     improvement = 0.0 if sse_single == 0.0 else 1.0 - best_sse / sse_single
-    return float(t[best_k]), best_sse, sse_single, improvement
+    return t[best_k], best_sse, sse_single, improvement
 
 
 @st.composite

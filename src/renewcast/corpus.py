@@ -100,32 +100,31 @@ def make_series(technology, quantity_kind, unit, samples, provenance="") -> Capa
     header = [f"# technology: {technology}", f"# kind: {quantity_kind}", f"# unit: {unit}"]
     if provenance:
         header = [f"# {provenance}"] + header
-    return _assemble(technology, quantity_kind, unit, list(samples), provenance,
-                     header, rows)
+    return _assemble(technology, quantity_kind, unit,
+                     [(float(y), float(v)) for y, v in samples], provenance, header, rows)
 
 
 def _assemble(technology, kind, unit, samples, provenance, header_lines, row_text):
+    """Check and year-order (float year, float value) samples into a series."""
     if kind not in QUANTITY_KINDS:
         raise UnitMismatch(f"unknown quantity kind {kind!r}")
     if unit not in _KIND_UNITS[kind]:
         raise UnitMismatch(f"unit {unit!r} not valid for kind {kind!r}")
     if not samples:
         raise EmptySeries(f"series {technology!r} has no data rows")
-    order = sorted(range(len(samples)), key=lambda i: samples[i][0])
-    samples = [(float(samples[i][0]), float(samples[i][1])) for i in order]
-    row_text = [row_text[i] for i in order] if row_text else []
+    years = [s[0] for s in samples]
+    if years != sorted(years):          # rows usually come in year order
+        order = sorted(range(len(samples)), key=years.__getitem__)
+        samples = [samples[i] for i in order]
+        row_text = [row_text[i] for i in order] if row_text else []
     for (y0, _), (y1, _) in zip(samples, samples[1:]):
         if y1 == y0:
             raise DuplicateYear(f"series {technology!r}: year {y0:g} repeated")
+    strict = kind in _LOG_FIT_KINDS     # annual_generation may be 0
     for y, v in samples:
-        if kind in _LOG_FIT_KINDS and v <= 0:
-            raise NonPositiveValue(
-                f"series {technology!r}: value {v!r} at {y:g} must be > 0"
-            )
-        if kind == "annual_generation" and v < 0:
-            raise NonPositiveValue(
-                f"series {technology!r}: value {v!r} at {y:g} must be >= 0"
-            )
+        if v < 0 or strict and v == 0:
+            raise NonPositiveValue(f"series {technology!r}: value {v!r} at {y:g} "
+                                   f"must be {'>' if strict else '>='} 0")
     return CapacitySeries(
         technology=technology,
         quantity_kind=kind,

@@ -350,8 +350,8 @@ class ScenarioReport:
     def projections(self) -> Mapping:
         """(combination, wind treatment) -> summed generation, in crossing
         order, each combined when first read; "pv" alone has treatment None.
-        Every section shares these objects, and with them each projection's
-        crossing grid."""
+        Every section shares these objects, so each is built at most once
+        per report."""
         profiles = self.profiles
 
         def projection(combo, treatment):

@@ -1,18 +1,19 @@
 """Combined projections, demand-threshold crossings and generation mixes.
 
-Crossing years are continuous roots of monotone projections, found by
-bisection after a 0.1-year grid scan verifies monotonicity and brackets the
-level; a projection that jumps over the level raises LevelNotMet. Each
-projection samples its grid once per horizon, on the first crossing asked of
-it, and every later threshold brackets its level from that same grid. Sums
-of exponentials have no general closed form; for a single exponential
-component the bisection result matches the closed form to well under 1e-6
-years (tested).
+Crossing years are continuous roots, found by bisection from the 0.1-year
+lattice step whose upper end is the first lattice point at or above the level.
+On a projection proven non-decreasing in closed form (growing exponentials and
+polynomials of degree <= 2 with a non-negative derivative at both ends) binary
+search finds that point; any other projection is sampled on the whole lattice,
+which must not decrease. A projection that jumps over the level raises
+LevelNotMet. For a single exponential component the bisection result matches
+the closed form to well under 1e-6 years (tested).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .corpus import HOURS_PER_YEAR
 from .genconvert import TechnologyProfile
-from .growthfit import ExponentialFit
+from .growthfit import ExponentialFit, PolynomialFit
 
 DEFAULT_HORIZON = 2050.0
 GRID_STEP_YEARS = 0.1
@@ -68,9 +69,6 @@ class CombinedProjection:
     start_year: float = field(init=False)
     # (name, model.value_at, capacity factor) per component
     _terms: tuple = field(init=False, repr=False, compare=False)
-    # horizon -> values sampled on the crossing grid, kept once they pass
-    # the sign and monotonicity checks
-    _grids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -80,7 +78,6 @@ class CombinedProjection:
                            max(p.model.window[0] for p in self.components))
         object.__setattr__(self, "_terms", tuple(
             (p.name, p.model.value_at, p.capacity_factor) for p in self.components))
-        object.__setattr__(self, "_grids", {})
 
     def _generation(self, year: float) -> list[float]:
         """TWh/yr of each component, in component order."""
@@ -102,54 +99,58 @@ class CombinedProjection:
     def value(self, year: float) -> float:
         return sum(self._generation(year))
 
-    def grid_values(self, horizon: float) -> list[float]:
-        """Values at start + i * GRID_STEP_YEARS (i < n) and at horizon, where
-        n = ceil((horizon - start) / GRID_STEP_YEARS); sampled on the first
-        call for a horizon. Any decrease beyond float noise raises
-        NonMonotoneProjection."""
-        values = self._grids.get(horizon)
-        if values is not None:
-            return values
-        start = self.start_year
-        n_steps = int(math.ceil((horizon - start) / GRID_STEP_YEARS))
-        values = [self.value(start + i * GRID_STEP_YEARS) for i in range(n_steps)]
-        values.append(self.value(horizon))
-        for i, (v0, v1) in enumerate(zip(values, values[1:])):
-            if v1 < v0 - 1e-9 * max(1.0, abs(v0)):
-                t0 = start + i * GRID_STEP_YEARS
-                t1 = horizon if i + 1 == n_steps else start + (i + 1) * GRID_STEP_YEARS
-                raise NonMonotoneProjection(
-                    f"projection decreases between {t0:g} ({v0:g}) and {t1:g} ({v1:g})"
-                )
-        self._grids[horizon] = values
-        return values
-
 
 def combine(profiles) -> CombinedProjection:
     return CombinedProjection(components=tuple(profiles))
+
+
+def _non_decreasing(model, start: float, horizon: float) -> bool:
+    """Whether model provably does not decrease on [start, horizon]."""
+    if isinstance(model, ExponentialFit):
+        return model.ln_slope >= 0
+    if isinstance(model, PolynomialFit) and model.degree <= 2:
+        _, c1, c2 = (*model.coefficients, 0.0, 0.0)[:3]   # c1 + 2 c2 x is smallest at an end
+        return all(c1 + 2 * c2 * (t - model.reference_year) >= 0 for t in (start, horizon))
+    return False
 
 
 def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
                   horizon: float = DEFAULT_HORIZON) -> CrossingResult:
     """First year the projection meets the threshold level, by bisection.
 
-    The level is bracketed on the projection's 0.1-year grid over
-    [start, horizon] (see CombinedProjection.grid_values).
+    Lattice point i < n is start + i * GRID_STEP_YEARS and point n is the
+    horizon, n = ceil((horizon - start) / GRID_STEP_YEARS). A sampled lattice
+    that decreases beyond float noise raises NonMonotoneProjection.
     """
     level = threshold.level_twh
     start = projection.start_year
     if horizon <= start:
         raise YearBeforeWindow(f"horizon {horizon:g} must exceed start {start:g}")
+    n = int(math.ceil((horizon - start) / GRID_STEP_YEARS))
 
-    values = projection.grid_values(horizon)
+    def year_of(i):
+        return horizon if i == n else start + i * GRID_STEP_YEARS
+
+    proven = all(_non_decreasing(p.model, start, horizon) for p in projection.components)
+    if proven:
+        values = {0: projection.value(start), n: projection.value(horizon)}   # the ends only
+    else:
+        values = [projection.value(year_of(i)) for i in range(n + 1)]
+        for i, (v0, v1) in enumerate(zip(values, values[1:])):
+            if v1 < v0 - 1e-9 * max(1.0, abs(v0)):
+                raise NonMonotoneProjection(f"projection decreases between {year_of(i):g} "
+                                            f"({v0:g}) and {year_of(i + 1):g} ({v1:g})")
     if values[0] >= level:
         return CrossingResult(threshold.name, level, ALREADY_SATISFIED, start, horizon)
-    if values[-1] < level:
+    if values[n] < level:
         return CrossingResult(threshold.name, level, NOT_REACHED, None, horizon)
 
-    hit = next(i for i, v in enumerate(values) if v >= level)
-    lo = start + (hit - 1) * GRID_STEP_YEARS
-    hi = horizon if hit == len(values) - 1 else start + hit * GRID_STEP_YEARS
+    if proven:
+        hit = bisect_left(range(n), True, 1, n,
+                          key=lambda i: projection.value(year_of(i)) >= level)
+    else:
+        hit = next(i for i, v in enumerate(values) if v >= level)
+    lo, hi = year_of(hit - 1), year_of(hit)
     while hi - lo > YEAR_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if projection.value(mid) < level:

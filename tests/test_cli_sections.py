@@ -59,9 +59,7 @@ def test_crossings_solved_per_subcommand(tmp_path, monkeypatch, capsys, argv, ca
     assert len(solved) == calls
 
 
-def test_report_samples_each_projection_once(tmp_path, monkeypatch, capsys):
-    # seven grids sampled once each, the bisections and fig6's lines; a grid
-    # re-sampled for each of the four thresholds would need about 14,000
+def _count_value_calls(monkeypatch, argv, out):
     calls = []
     value = scenario.CombinedProjection.value
 
@@ -70,8 +68,21 @@ def test_report_samples_each_projection_once(tmp_path, monkeypatch, capsys):
         return value(self, year)
 
     monkeypatch.setattr(scenario.CombinedProjection, "value", counting)
-    assert main(["--out", str(tmp_path), "report"]) == 0
-    assert len(calls) <= 4500
+    assert main(["--out", str(out), *argv]) == 0
+    return len(calls)
+
+
+def test_report_samples_each_projection_once(tmp_path, monkeypatch, capsys):
+    # 28 crossings of about 40 samples each (the bracket's binary search and
+    # the bisection) and fig6's lines; one full 0.1-year lattice per
+    # projection would need about 4,200, and one per crossing about 14,000
+    assert _count_value_calls(monkeypatch, ["report"], tmp_path) <= 1300
+
+
+def test_cross_samples_no_full_lattice(tmp_path, monkeypatch, capsys):
+    # 7 crossings; one full 0.1-year lattice per projection would need 3,500
+    argv = ["cross", "--threshold", "electric_fig5"]
+    assert _count_value_calls(monkeypatch, argv, tmp_path) <= 300
 
 
 @pytest.mark.parametrize("argv, calls", [

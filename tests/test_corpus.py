@@ -40,6 +40,19 @@ def test_rows_sorted_by_year():
     assert s.samples == ((2000.0, 3.0), (2001.0, 5.0))
 
 
+def test_unordered_rows_keep_their_text():
+    text = "# kind: installed_power\n# unit: GW\n2001,5\n2000,3.0\n2002,7\n"
+    s = rc.load_capacity_series(text)
+    assert s.samples == ((2000.0, 3.0), (2001.0, 5.0), (2002.0, 7.0))
+    assert s.row_text == ("2000,3.0", "2001,5", "2002,7")
+
+
+def test_made_series_holds_floats():
+    s = rc.make_series("x", "installed_power", "GW", [(2001, 2), (2000, 1)])
+    assert s.samples == ((2000.0, 1.0), (2001.0, 2.0))
+    assert all(type(x) is float for sample in s.samples for x in sample)
+
+
 def test_fractional_years_parse():
     text = "# kind: installed_power\n# unit: GW\n2020.5,1\n2021,2\n"
     s = rc.load_capacity_series(text)

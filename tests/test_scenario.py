@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renewcast as rc
+from renewcast import scenario
 from renewcast.errors import (
     EmptyCombination,
     LevelNotMet,
@@ -18,6 +19,7 @@ from renewcast.errors import (
     ParallelGrowth,
     YearBeforeWindow,
 )
+from renewcast.growthfit import ExponentialFit, PolynomialFit
 
 
 def _exp_profile(name, value0, ratio_per_year, t0=2000.0, cf=1.0, n=3):
@@ -145,11 +147,14 @@ def _quartic_hydro_profile():
 ])
 def test_failed_crossing_fails_again_on_the_same_projection(make_profile, level,
                                                            horizon, error):
-    # a grid that failed its checks is never kept for the next threshold
+    # none of these is proven non-decreasing, so each fails on the full
+    # lattice scan as the reference does; the solver keeps no state on a
+    # projection, so a failed solve is not turned into an answer next time
     proj = rc.combine([make_profile()])
-    for _ in range(2):
+    assert not _proven(proj, horizon)
+    for solve in (rc.crossing_year, rc.crossing_year, _lattice_scan):
         with pytest.raises(error):
-            rc.crossing_year(proj, _threshold(level), horizon)
+            solve(proj, _threshold(level), horizon)
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,8 +163,8 @@ def test_failed_crossing_fails_again_on_the_same_projection(make_profile, level,
     min_size=1, max_size=8, unique=True))
 def test_shared_projection_solves_like_fresh_ones(pv_profile, wind_profile,
                                                   hydro_profile, requests):
-    # requests arrive in arbitrary level and horizon order; every grid the
-    # shared projection keeps must give the fresh projection's answer
+    # requests arrive in arbitrary level and horizon order; solving on a
+    # shared projection must give the fresh projection's answer every time
     parts = [pv_profile, wind_profile, hydro_profile]
     shared = rc.combine(parts)
     results = {}
@@ -171,6 +176,147 @@ def test_shared_projection_solves_like_fresh_ones(pv_profile, wind_profile,
         years = [math.inf if res.year is None else res.year
                  for (_, h), res in sorted(results.items()) if h == horizon]
         assert years == sorted(years)
+
+
+# -- the proven path against the full lattice scan ------------------------------
+
+def _lattice_scan(projection, threshold, horizon):
+    """Reference solver: sample every 0.1-year lattice point, bracket the
+    first at or above the level, then bisect to 1e-9 years."""
+    level, start = threshold.level_twh, projection.start_year
+    n = math.ceil((horizon - start) / 0.1)
+    years = [start + i * 0.1 for i in range(n)] + [horizon]
+    values = [projection.value(t) for t in years]
+    for v0, v1 in zip(values, values[1:]):
+        if v1 < v0 - 1e-9 * max(1.0, abs(v0)):
+            raise NonMonotoneProjection("decreasing")
+    if values[0] >= level:
+        return rc.CrossingResult(threshold.name, level, "already_satisfied", start, horizon)
+    if values[-1] < level:
+        return rc.CrossingResult(threshold.name, level, "not_reached", None, horizon)
+    hit = next(i for i, v in enumerate(values) if v >= level)
+    lo, hi = years[hit - 1], years[hit]
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if projection.value(mid) < level else (lo, mid)
+    year = 0.5 * (lo + hi)
+    if abs(projection.value(year) - level) > 1e-6 * level:
+        raise LevelNotMet("jump")
+    return rc.CrossingResult(threshold.name, level, "crossed", year, horizon)
+
+
+def _proven(projection, horizon):
+    return all(scenario._non_decreasing(p.model, projection.start_year, horizon)
+               for p in projection.components)
+
+
+_SERIES = rc.make_series("x", "installed_power", "GW", [(2000.0, 1.0), (2001.0, 2.0)])
+
+
+def _profile(model, cf=0.5):
+    return rc.TechnologyProfile("x", cf, _SERIES, model)
+
+
+def _exponential(ln_intercept, ln_slope, start):
+    return ExponentialFit(start - 3.0, ln_intercept, ln_slope, 1.0, 0.0, (start, start + 9.0))
+
+
+@st.composite
+def _growing_projections(draw):
+    """Growing exponentials and, maybe, a quadratic whose derivative is >= 0
+    at both ends of [start, horizon]; the quadratic may be concave."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts.append(_exponential(draw(st.floats(-2.0, 6.0)), draw(st.floats(0.0, 0.6)),
+                                  draw(st.sampled_from((1996.0, 2000.0, 2011.0)))))
+    start = max(m.window[0] for m in parts)
+    horizon = start + draw(st.floats(0.05, 150.0))
+    if draw(st.booleans()):
+        t0 = draw(st.sampled_from((1980.0, 1990.0)))
+        c2 = draw(st.floats(-1.0, 1.0))
+        # the derivative c1 + 2 c2 (t - t0) is smallest at one end
+        c1 = max(0.0, -2 * c2 * (start - t0), -2 * c2 * (horizon - t0))
+        c1 += draw(st.floats(0.0, 5.0))
+        c0 = 1.0 - c1 * (start - t0) - c2 * (start - t0) ** 2 + draw(st.floats(0.0, 500.0))
+        parts.append(PolynomialFit(t0, (c0, c1, c2), 2, 0.0, (t0, start)))
+    return rc.combine([_profile(m) for m in parts]), horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_growing_projections(), pick=st.sampled_from(("scale", "year", "lattice")),
+       scale=st.floats(-1.0, 5.0), at=st.floats(0.0, 1.0))
+def test_proven_path_equals_lattice_scan(case, pick, scale, at):
+    proj, horizon = case
+    assert _proven(proj, horizon)
+    start = proj.start_year
+    n = math.ceil((horizon - start) / 0.1)
+    # a level from below the start value to beyond the horizon value, the
+    # value at any year of the span, or exactly the value at a lattice point
+    if pick == "scale":
+        level = proj.value(start) * 10.0 ** scale
+    elif pick == "year":
+        level = proj.value(start + at * (horizon - start))
+    else:
+        i = round(at * n)
+        level = proj.value(horizon if i == n else start + i * 0.1)
+    threshold = _threshold(level)
+    assert rc.crossing_year(proj, threshold, horizon) == _lattice_scan(proj, threshold, horizon)
+
+
+def _cubic_hydro_profile():
+    series = rc.load_bundled("hydro")
+    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), series,
+                                rc.fit_polynomial(series, 3))
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except ModelError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from((_cubic_hydro_profile, _quartic_hydro_profile, _step_profile,
+                             lambda: _exp_profile("a", 4.0, 0.5),
+                             lambda: _exp_profile("a", 40.0, 0.97),
+                             # rises until 2000.04, then falls
+                             lambda: _profile(PolynomialFit(2000.0, (100.0, 0.016, -0.2), 2,
+                                                            0.0, (2000.0, 2010.0))))),
+       with_pv=st.booleans(), level=st.floats(1.0, 1e5), span=st.floats(0.05, 120.0))
+def test_unproven_projections_take_the_lattice_scan(pv_profile, make, with_pv, level,
+                                                    span):
+    # one component that cannot be proven non-decreasing (a cubic or quartic
+    # hydro, a step, a shrinking exponential, a quadratic falling before the
+    # horizon) puts the whole projection on the full lattice, where it fails,
+    # or succeeds, as the reference does
+    proj = rc.combine([pv_profile, make()] if with_pv else [make()])
+    horizon = proj.start_year + span
+    assert not _proven(proj, horizon)
+    threshold = _threshold(level)
+    expected = _outcome(lambda: _lattice_scan(proj, threshold, horizon))
+    assert _outcome(lambda: rc.crossing_year(proj, threshold, horizon)) == expected
+
+
+def test_default_projections_take_the_proven_path(default_report, monkeypatch):
+    # every default projection is proven, so a crossing samples about 40
+    # points instead of a 0.1-year lattice of several hundred
+    horizon = default_report.config.horizon
+    calls = []
+    value = scenario.CombinedProjection.value
+
+    def counting(self, year):
+        calls.append(year)
+        return value(self, year)
+
+    monkeypatch.setattr(scenario.CombinedProjection, "value", counting)
+    assert len(default_report.projections) == 7
+    for proj in default_report.projections.values():
+        assert _proven(proj, horizon)
+        calls.clear()
+        res = rc.crossing_year(proj, _threshold(33000.0), horizon)
+        assert res.status == "crossed"
+        assert len(calls) <= 50 < (horizon - proj.start_year) / 0.1
 
 
 def test_threshold_monotonicity(pv_profile, wind_profile):

@@ -43,7 +43,6 @@ from .learncurve import (
     CostSeries,
     LearningCurveFit,
     TimeDecayFit,
-    beyond_observed,
     cost_at,
     cost_series,
     curve_crossing,

@@ -116,7 +116,8 @@ def _run(args) -> int:
     if args.command == "mix":
         (entries,) = rep.mixes.values()
         for entry in entries:
-            print(f"{entry.technology},{entry.generation_twh!r},{entry.share_pct!r}")
+            print(f"{entry.technology},{entry.generation_twh_per_year!r},"
+                  f"{entry.share_pct!r}")
         return 0
 
     if args.command == "learn":
@@ -125,9 +126,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "budget":
-        for name, entry in rep.budget["areas"].items():
-            print(f"area_{name}_km2 = {entry['required_area_km2']!r}")
-            print(f"desert_fraction_{name} = {entry['desert_fraction']!r}")
+        for name, area in rep.budget["areas"].items():
+            print(f"area_{name}_km2 = {area.required_area_km2!r}")
+            print(f"desert_fraction_{name} = {area.desert_fraction!r}")
         ode = rep.budget["offshore_depth_extrapolation"]
         print("offshore_depth_extrapolated_twh = "
               f"{ode['extrapolated_potential_twh_per_year']!r}")

@@ -136,25 +136,18 @@ def _assemble(technology, kind, unit, samples, provenance, header_lines, row_tex
     )
 
 
-def load_capacity_series(source, expect_unit=None, expect_kind=None) -> CapacitySeries:
-    """Parse a series from text, a line iterable or an open file.
+def load_capacity_series(source: str, expect_unit=None, expect_kind=None) -> CapacitySeries:
+    """Parse a series from its file text.
 
     expect_unit / expect_kind assert the declared schema; a conflicting
     declaration raises UnitMismatch.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = [str(l).rstrip("\n") for l in source]
-
     header: list[str] = []
     rows: list[tuple[float, float]] = []
     row_text: list[str] = []
     meta = {"technology": "", "kind": "", "unit": ""}
     in_header = True
-    for n, line in enumerate(lines, start=1):
+    for n, line in enumerate(source.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):

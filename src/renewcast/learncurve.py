@@ -170,12 +170,6 @@ def cost_at(fit: LearningCurveFit, x: float) -> float:
     return fit.cost_at(x)
 
 
-def beyond_observed(fit: LearningCurveFit, x: float) -> bool:
-    """True when x lies outside the observed range the fit was made on."""
-    lo, hi = fit.x_range
-    return not (lo <= x <= hi)
-
-
 def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, float]:
     """Intersection of two bi-log lines: (x, cost) where the curves meet."""
     if a.log10_slope == b.log10_slope:

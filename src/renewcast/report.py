@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Mapping
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -52,11 +53,6 @@ def check_year(name: str, year: float):
     if not (math.isfinite(year) and year <= MAX_HORIZON):
         raise ConfigInvalid(
             f"{name} must be a finite year <= {MAX_HORIZON:g}, got {year!r}")
-
-
-def default_thresholds():
-    return tuple(scenario.DemandThreshold(name, constant(const_name))
-                 for name, const_name in _THRESHOLD_CONSTANTS.items())
 
 
 @dataclass(frozen=True)
@@ -162,8 +158,6 @@ def parse_config(path) -> ScenarioConfig:
                 values[key] = tuple(v.strip() for v in raw.split(",") if v.strip())
             else:
                 raise ConfigInvalid(f"{path}:{n}: unknown key {key!r}")
-        except ConfigInvalid:
-            raise
         except ValueError as exc:
             raise ConfigInvalid(f"{path}:{n}: bad value for {key}: {exc}") from None
     return ScenarioConfig(**values).validate()
@@ -174,7 +168,7 @@ def parse_config(path) -> ScenarioConfig:
 @dataclass(frozen=True)
 class CrossingEntry:
     threshold: str
-    level_twh: float
+    level_twh_per_year: float
     combination: str
     wind_treatment: str | None
     status: str
@@ -195,15 +189,14 @@ class ClaimRow:
 class ScenarioReport:
     """One scenario over its loaded series. Every other section is computed
     from these two fields when it is first read, then kept, and is held as
-    the typed objects that computed it; to_dict is the one place they
-    become JSON keys."""
+    the typed objects that computed it. Each published row (CrossingEntry,
+    scenario.MixEntry, resourcebudget.AreaBudget, DiscrepancyRow, ClaimRow)
+    names its fields as report.json and the CSV tables name its columns;
+    to_dict writes a copy of each row's fields, and the CSV writers take
+    their headers from the row type."""
 
     config: ScenarioConfig
     series: dict
-    # (threshold, combination, wind treatment) -> CrossingEntry, solved on
-    # first request
-    _solved: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def to_dict(self) -> dict:
         # out_dir is not echoed: artifacts must not depend on where they are
@@ -228,28 +221,13 @@ class ScenarioReport:
             "schema_version": SCHEMA_VERSION,
             "config": cfg,
             "fits": {name: self.fit_dict(name) for name in self.fits},
-            "crossings": [
-                {
-                    "threshold": c.threshold,
-                    "level_twh_per_year": c.level_twh,
-                    "combination": c.combination,
-                    "wind_treatment": c.wind_treatment,
-                    "status": c.status,
-                    "year": c.year,
-                    "horizon_warning": c.horizon_warning,
-                }
-                for c in self.crossings
-            ],
-            "mixes": {
-                year: [{"technology": e.technology,
-                        "generation_twh_per_year": e.generation_twh,
-                        "share_pct": e.share_pct} for e in entries]
-                for year, entries in self.mixes.items()
-            },
+            "crossings": _row_dicts(self.crossings),
+            "mixes": {year: _row_dicts(entries) for year, entries in self.mixes.items()},
             "learning": self.learning_dict(),
-            "budget": self.budget,
-            "discrepancies": [asdict(d) for d in self.discrepancies],
-            "claims": [asdict(c) for c in self.claims],
+            "budget": {**self.budget, "areas": {
+                name: dict(vars(area)) for name, area in self.budget["areas"].items()}},
+            "discrepancies": _row_dicts(self.discrepancies),
+            "claims": _row_dicts(self.claims),
             "warnings": self.warnings,
         }
 
@@ -364,11 +342,32 @@ class ScenarioReport:
         return _LazyMap({key: partial(projection, *key) for key in keys})
 
     @cached_property
+    def crossing_entries(self) -> Mapping:
+        """(threshold, combination, wind treatment) -> CrossingEntry for each
+        configured threshold and each projection, in crossing order, each
+        solved when first read."""
+        projections, horizon = self.projections, self.config.horizon
+
+        def entry(threshold, combination, wind_treatment):
+            proj = projections[(combination, wind_treatment)]
+            level = constant(_THRESHOLD_CONSTANTS[threshold])
+            res = scenario.crossing_year(proj, scenario.DemandThreshold(threshold, level),
+                                         horizon)
+            # a crossing is flagged when any component fit had to reach more
+            # than HORIZON_WARNING_YEARS past its own window
+            warn = res.year is not None and any(
+                growthfit.past_horizon(p.model, res.year) for p in proj.components)
+            return CrossingEntry(threshold, level, combination, wind_treatment,
+                                 res.status, res.year, warn)
+
+        return _LazyMap({(name, *key): partial(entry, name, *key)
+                         for name in THRESHOLD_NAMES if name in self.config.thresholds
+                         for key in projections})
+
+    @cached_property
     def crossings(self) -> list:
         """CrossingEntry per configured threshold, combination and treatment."""
-        return [self.crossing_for(name, combo, treatment)
-                for name in THRESHOLD_NAMES if name in self.config.thresholds
-                for combo, treatment in self.projections]
+        return list(self.crossing_entries.values())
 
     @cached_property
     def mixes(self) -> dict:
@@ -406,14 +405,10 @@ class ScenarioReport:
             "reduced_primary_2030": corpus.reduced_primary(
                 constant("primary_demand_2030")),
         }
-        budget_areas = {}
-        for name, demand in demands.items():
-            ab = resourcebudget.area_budget(demand, density, self.capacity_factors["pv"])
-            budget_areas[name] = {
-                "demand_twh_per_year": demand,
-                "required_area_km2": ab.required_area_km2,
-                "desert_fraction": ab.fraction,
-            }
+        budget_areas = {
+            name: resourcebudget.area_budget(demand, density, self.capacity_factors["pv"])
+            for name, demand in demands.items()
+        }
         potentials = {
             name: resourcebudget.ResourcePotential(name, constant(const), qualifier,
                                                    get_constant(const).citation)
@@ -471,30 +466,11 @@ class ScenarioReport:
         """The CrossingEntry of one configured threshold, solved on first
         request; MissingFit for a threshold or pair the report does not have."""
         key = (threshold, combination, wind_treatment)
-        if key in self._solved:
-            return self._solved[key]
-        proj = self.projections.get((combination, wind_treatment))
-        if threshold not in self.config.thresholds or proj is None:
+        if key not in self.crossing_entries:
             raise MissingFit(
                 f"no crossing entry for {threshold}/{combination}/{wind_treatment}"
             )
-        level = constant(_THRESHOLD_CONSTANTS[threshold])
-        res = scenario.crossing_year(proj, scenario.DemandThreshold(threshold, level),
-                                     self.config.horizon)
-        # a crossing is flagged when any component fit had to reach more
-        # than HORIZON_WARNING_YEARS past its own window
-        warn = res.year is not None and any(
-            growthfit.past_horizon(p.model, res.year) for p in proj.components)
-        entry = self._solved[key] = CrossingEntry(
-            threshold=threshold,
-            level_twh=level,
-            combination=combination,
-            wind_treatment=wind_treatment,
-            status=res.status,
-            year=res.year,
-            horizon_warning=warn,
-        )
-        return entry
+        return self.crossing_entries[key]
 
     @cached_property
     def discrepancies(self) -> list:
@@ -504,7 +480,8 @@ class ScenarioReport:
         for year_key in ("2025", "2030"):
             if year_key not in self.mixes:
                 continue
-            generation = {e.technology: e.generation_twh for e in self.mixes[year_key]}
+            generation = {e.technology: e.generation_twh_per_year
+                          for e in self.mixes[year_key]}
             for tech in ("pv", "wind", "hydro"):
                 rows.append(resourcebudget.discrepancy_row(
                     f"mix_{year_key}_{tech}_twh", f"stated_mix_{year_key}_{tech}",
@@ -598,11 +575,19 @@ class _LazyMap(Mapping):
             self._values[key] = self._makers[key]()
         return self._values[key]
 
+    def __contains__(self, key):
+        return key in self._makers
+
     def __iter__(self):
         return iter(self._makers)
 
     def __len__(self):
         return len(self._makers)
+
+
+def _row_dicts(rows) -> list:
+    """A copy of each row's fields: editing the result leaves the rows as they are."""
+    return [dict(vars(row)) for row in rows]
 
 
 def _exp_fit_dict(fit: growthfit.ExponentialFit) -> dict:
@@ -611,7 +596,7 @@ def _exp_fit_dict(fit: growthfit.ExponentialFit) -> dict:
         "reference_year": fit.reference_year,
         "ln_intercept": fit.ln_intercept,
         "ln_slope": fit.ln_slope,
-        "doubling_time_years": (math.log(2.0) / fit.ln_slope
+        "doubling_time_years": (growthfit.doubling_time(fit)
                                 if fit.ln_slope > 0 else None),
         "r_squared_logspace": fit.r_squared_logspace,
         "rmse_logspace": fit.rmse_logspace,
@@ -692,23 +677,30 @@ def _csv(header, rows) -> str:
                      for row in (header, *rows)) + "\n"
 
 
+def _field_names(row_type) -> tuple:
+    return tuple(f.name for f in fields(row_type))
+
+
+def _rows_csv(row_type, rows) -> str:
+    """One column per field of row_type, headed by the field's name."""
+    return _csv(_field_names(row_type), (vars(row).values() for row in rows))
+
+
 def crossings_csv(report: ScenarioReport) -> str:
-    return _csv(("threshold", "level_twh_per_year", "combination", "wind_treatment",
-                 "status", "year", "horizon_warning"),
-                map(astuple, report.crossings))
+    return _rows_csv(CrossingEntry, report.crossings)
 
 
 def mixes_csv(report: ScenarioReport) -> str:
-    return _csv(("year", "technology", "generation_twh_per_year", "share_pct"),
-                [(year, *astuple(e)) for year, entries in report.mixes.items()
+    return _csv(("year", *_field_names(scenario.MixEntry)),
+                [(year, *vars(e).values()) for year, entries in report.mixes.items()
                  for e in entries])
 
 
 def budget_csv(report: ScenarioReport) -> str:
     rows = []
-    for name, entry in report.budget["areas"].items():
-        rows.append((f"area_{name}", entry["required_area_km2"], "km2"))
-        rows.append((f"desert_fraction_{name}", entry["desert_fraction"], "fraction"))
+    for name, area in report.budget["areas"].items():
+        rows.append((f"area_{name}", area.required_area_km2, "km2"))
+        rows.append((f"desert_fraction_{name}", area.desert_fraction, "fraction"))
     for name, entry in report.budget["potential_fractions"].items():
         rows.append((f"fraction_{name}", entry["fraction"], "fraction"))
         rows.append((f"times_over_{name}", entry["times_over"], "ratio"))
@@ -719,13 +711,11 @@ def budget_csv(report: ScenarioReport) -> str:
 
 
 def discrepancies_csv(report: ScenarioReport) -> str:
-    return _csv(("name", "stated", "computed", "relative_deviation", "citation"),
-                map(astuple, report.discrepancies))
+    return _rows_csv(resourcebudget.DiscrepancyRow, report.discrepancies)
 
 
 def claims_csv(report: ScenarioReport) -> str:
-    return _csv(("name", "stated_year", "computed_year", "delta_years", "citation"),
-                map(astuple, report.claims))
+    return _rows_csv(ClaimRow, report.claims)
 
 
 def emit_discrepancies(rows) -> str:
@@ -733,7 +723,7 @@ def emit_discrepancies(rows) -> str:
     given (the report sorts them by |relative deviation| descending). Values
     keep full precision so every number shown also exists in the
     machine-readable output."""
-    header = ("name", "stated", "computed", "relative_deviation")
+    header = _field_names(resourcebudget.DiscrepancyRow)[:4]   # all but the citation
     widths = [44, 24, 24, 24]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for d in rows:
@@ -748,27 +738,37 @@ def report_json(report: ScenarioReport) -> str:
 
 
 def write_artifacts(out_dir, artifacts) -> list:
-    """Write (file name, text) pairs into out_dir as the iterable yields
-    them; returns the written paths. If anything fails, the files this call
-    wrote are removed before the error propagates.
+    """Write (file name, text) pairs into out_dir; returns the written paths.
+
+    Each text goes to a hidden sibling of its file as the iterable yields
+    it, and the siblings replace their files only once every text is
+    written. If anything fails first, the siblings are removed and out_dir
+    keeps exactly the files it held before the call.
 
     Raises OutputUnwritable when the directory or a file cannot be written.
     """
     out = Path(out_dir)
-    written = []
+    staged = []     # (sibling, file) pairs
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in artifacts:
             path = out / name
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
+            if path.is_dir():
+                # os.replace cannot put a file there, and would fail only
+                # after the earlier files had been replaced
+                raise IsADirectoryError(f"{path} is a directory")
+            sibling = out / f".{name}.tmp"
+            staged.append((sibling, path))
+            sibling.write_text(text, encoding="utf-8")
+        for sibling, path in staged:
+            os.replace(sibling, path)
     except BaseException as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for sibling, _ in staged:
+            sibling.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise OutputUnwritable(f"cannot write to {out_dir}: {exc}") from None
         raise
-    return written
+    return [path for _, path in staged]
 
 
 def write_outputs(report: ScenarioReport, out_dir) -> list:
@@ -883,11 +883,11 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         cap.add_points(w_xs, [v * k_w for v in w_gw], "#2b6cb0", "wind")
         return render([gw, cap], "installed power and generation capability")
 
-    thresholds = {t.name: t for t in default_thresholds()}
+    levels = {name: constant(const) for name, const in _THRESHOLD_CONSTANTS.items()}
     hline_specs = [
-        (thresholds["electric_fig5"], "electricity demand"),
-        (thresholds["reduced_primary_2030"], "reduced primary demand"),
-        (thresholds["primary_fig5"], "primary demand"),
+        (levels["electric_fig5"], "electricity demand"),
+        (levels["reduced_primary_2030"], "reduced primary demand"),
+        (levels["primary_fig5"], "primary demand"),
     ]
 
     if figure_id == "fig5":
@@ -905,8 +905,8 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
             lx, ly = _capability_line(prof.model, prof.capacity_factor,
                                       max(prof.model.window[0], 1996), 2040)
             chart.add_line(lx, ly, color, dashed=True)
-        for t, label in hline_specs:
-            chart.add_hline(t.level_twh, f"{label} ({t.level_twh:g} TWh/yr)")
+        for level, label in hline_specs:
+            chart.add_hline(level, f"{label} ({level:g} TWh/yr)")
         return render([chart], "generation capability and extrapolations")
 
     if figure_id == "fig6":
@@ -923,12 +923,12 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
                                    (three, "#2f855a", "wind+pv+hydro")):
             xs = [start + 0.5 * i for i in range(int((2040 - start) / 0.5) + 1)]
             chart.add_line(xs, [proj.value(t) for t in xs], color, label)
-        for t, label in hline_specs:
-            chart.add_hline(t.level_twh, f"{label} ({t.level_twh:g} TWh/yr)")
+        for level, label in hline_specs:
+            chart.add_hline(level, f"{label} ({level:g} TWh/yr)")
         for combo in ("wind_pv", "wind_pv_hydro"):
             entry = report.crossing_for("electric_fig5", combo, headline)
             if entry.year is not None:
-                chart.add_marker(entry.year, entry.level_twh,
+                chart.add_marker(entry.year, entry.level_twh_per_year,
                                  f"{combo} {entry.year:.1f}")
         return render([chart], "combined generation capability")
 
@@ -976,8 +976,8 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         for lc, color in ((report.learning["pv_learning_curve"], "#e6a817"),
                           (report.learning["wind_learning_curve"], "#2b6cb0")):
             chart.add_line(xs, [lc.cost_at(x) for x in xs], color, dashed=True)
-        chart.add_vline(thresholds["electric_fig5"].level_twh, "electricity demand")
-        chart.add_vline(thresholds["primary_fig5"].level_twh, "primary demand")
+        chart.add_vline(levels["electric_fig5"], "electricity demand")
+        chart.add_vline(levels["primary_fig5"], "primary demand")
         chart.add_marker(cross_x, cross_cost, f"crossing at {cross_x:.0f} TWh/yr")
         return render([chart], "learning curves")
 

@@ -40,8 +40,9 @@ class ResourcePotential:
 
 @dataclass(frozen=True)
 class AreaBudget:
+    demand_twh_per_year: float
     required_area_km2: float
-    fraction: float              # of the global desert area
+    desert_fraction: float       # of the global desert area
 
 
 def pv_area_required(demand_twh: float, density_mw_km2: float,
@@ -65,7 +66,7 @@ def pv_area_required(demand_twh: float, density_mw_km2: float,
 def area_budget(demand_twh: float, density_mw_km2: float,
                 capacity_factor: float) -> AreaBudget:
     area = pv_area_required(demand_twh, density_mw_km2, capacity_factor)
-    return AreaBudget(required_area_km2=area, fraction=desert_fraction(area))
+    return AreaBudget(demand_twh, area, desert_fraction(area))
 
 
 def desert_fraction(area_km2: float) -> float:

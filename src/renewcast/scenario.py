@@ -170,7 +170,7 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
 @dataclass(frozen=True)
 class MixEntry:
     technology: str
-    generation_twh: float
+    generation_twh_per_year: float
     share_pct: float
 
 

@@ -1,6 +1,7 @@
 """Each CLI subcommand computes only the report sections it prints, and every
 input ends in one of the documented exit codes."""
 
+import errno
 import gc
 import json
 import os
@@ -133,15 +134,50 @@ def test_hydro_degree_is_bounded(tmp_path, capsys, degree, code):
         assert f"hydro_degree must be in 1..{MAX_HYDRO_DEGREE}" in capsys.readouterr().err
 
 
+def _files(out):
+    """name -> bytes of each file in out (None for a directory)."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+
+
 def test_failed_figures_leave_no_partial_output(tmp_path, capsys):
     conf = tmp_path / "quartic.conf"
     conf.write_text("hydro_degree = 4\n", encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
     (out / "earlier.txt").write_text("kept\n", encoding="utf-8")
-    # fig1-fig5 draw fine; fig6 meets the negative hydro projection
+    assert main(["--out", str(out), "figures"]) == 0
+    before = _files(out)
+    assert len(before) == len(FIGURE_IDS) + 1
+    # fig1-fig5 draw fine (fig5 differently from the earlier set); fig6 meets
+    # the negative hydro projection
     assert main(["--config", str(conf), "--out", str(out), "figures"]) == 4
-    assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("failure, command", [("fifth write", "figures"),
+                                              ("directory", "report")])
+def test_unwritable_artifact_leaves_earlier_output(tmp_path, monkeypatch, capsys,
+                                                   failure, command):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), command]) == 0
+    if failure == "directory":
+        # a directory takes the place of the last artifact written
+        (out / "appfig6.svg").unlink()
+        (out / "appfig6.svg").mkdir()
+    else:
+        write_text, calls = Path.write_text, []
+
+        def failing(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 5:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+    before = _files(out)
+    assert main(["--horizon", "2060", "--out", str(out), command]) == 2
+    assert "cannot write to" in capsys.readouterr().err
+    assert _files(out) == before
 
 
 def test_negative_hydro_generation_fails_only_what_reads_it(tmp_path, capsys):

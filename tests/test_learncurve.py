@@ -80,8 +80,6 @@ def test_cost_at_observed_endpoint(pv_learning):
     x_last = pv_learning.x_range[1]
     value = rc.cost_at(pv_learning, x_last)
     assert float(value) == pytest.approx(pv_learning.cost_at(x_last), rel=1e-15)
-    assert rc.beyond_observed(pv_learning, x_last) is False
-    assert rc.beyond_observed(pv_learning, x_last * 2) is True
 
 
 def test_doubling_x_multiplies_cost_by_two_to_slope(pv_learning):
@@ -213,7 +211,7 @@ def test_bundled_crossing_beyond_observed(pv_learning, wind_learning):
 def test_bundled_pv_cost_at_stated_2030_generation(pv_learning):
     value = rc.cost_at(pv_learning, rc.constant("stated_mix_2030_pv"))
     assert float(value) < 10.0
-    assert rc.beyond_observed(pv_learning, rc.constant("stated_mix_2030_pv")) is True
+    assert rc.constant("stated_mix_2030_pv") > pv_learning.x_range[1]
 
 
 def test_bundled_time_decays():

@@ -2,7 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +11,9 @@ from renewcast import corpus
 from renewcast import report as report_mod
 from renewcast.cli import main
 from renewcast.errors import ConfigInvalid, MissingFit
-from renewcast.resourcebudget import DiscrepancyRow
+from renewcast.report import ClaimRow, CrossingEntry
+from renewcast.resourcebudget import AreaBudget, DiscrepancyRow
+from renewcast.scenario import MixEntry
 
 
 # -- report shape ----------------------------------------------------------------
@@ -27,7 +29,7 @@ def test_crossing_entries_for_all_four_thresholds(default_report):
 
 
 def test_both_demand_variants_labelled(default_report):
-    levels = {c.threshold: c.level_twh for c in default_report.crossings}
+    levels = {c.threshold: c.level_twh_per_year for c in default_report.crossings}
     assert levels["electric_fig5"] == 33000.0
     assert levels["electric_2030"] == 35000.0
 
@@ -50,6 +52,40 @@ def test_report_json_schema(default_report):
     assert doc["config"]["wind_treatment"] == "trend"
     assert doc["fits"]["wind_piecewise"]["regime_change"] is True
     assert set(doc["mixes"]) == {"2025", "2030"}
+
+    # every published row is named by its type's fields, in JSON and CSV alike
+    def names(row_type):
+        return [f.name for f in fields(row_type)]
+
+    published = [
+        (CrossingEntry, doc["crossings"]),
+        (MixEntry, [e for entries in doc["mixes"].values() for e in entries]),
+        (DiscrepancyRow, doc["discrepancies"]),
+        (ClaimRow, doc["claims"]),
+        (AreaBudget, list(doc["budget"]["areas"].values())),
+    ]
+    for row_type, rows in published:
+        assert rows
+        for row in rows:
+            assert list(row) == names(row_type)
+    for table, header in ((report_mod.crossings_csv, names(CrossingEntry)),
+                          (report_mod.mixes_csv, ["year", *names(MixEntry)]),
+                          (report_mod.discrepancies_csv, names(DiscrepancyRow)),
+                          (report_mod.claims_csv, names(ClaimRow))):
+        assert table(default_report).split("\n", 1)[0].split(",") == header
+
+    # editing to_dict's rows leaves the report's rows as they are
+    crossing, mix = default_report.crossings[0], default_report.mixes["2030"][0]
+    year, share = crossing.year, mix.share_pct
+    edited = default_report.to_dict()
+    edited["crossings"][0]["year"] = -1.0
+    edited["crossings"][0].pop("status")
+    edited["mixes"]["2030"][0]["share_pct"] = -1.0
+    edited["budget"]["areas"]["electric_2030"].clear()
+    assert default_report.crossings[0] is crossing
+    assert (crossing.year, crossing.status) == (year, doc["crossings"][0]["status"])
+    assert mix.share_pct == share
+    assert json.loads(report_mod.report_json(default_report)) == doc
 
 
 def test_report_claims_table(default_report):

@@ -387,7 +387,7 @@ def test_mix_shares_sum_to_100(pv_profile, wind_profile, hydro_profile):
 
 def test_bundled_mix_ordering_2030(pv_profile, wind_profile, hydro_profile):
     proj = rc.combine([pv_profile, wind_profile, hydro_profile])
-    by_name = {e.technology: e.generation_twh
+    by_name = {e.technology: e.generation_twh_per_year
                for e in rc.mix_at_year(proj, 2030.0)}
     assert by_name["pv"] > by_name["wind"] > by_name["hydro"]
 

@@ -11,9 +11,9 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import report as report_mod
+from . import reportmodel
+from .config import FIGURE_IDS, THRESHOLD_NAMES, ScenarioConfig, check_year, parse_config
 from .errors import ConfigError, DataError, ModelError
-from .report import FIGURE_IDS, THRESHOLD_NAMES, ScenarioConfig, parse_config
 
 _TECHS = ("pv", "wind", "offshore_wind", "hydro")
 
@@ -63,7 +63,7 @@ def _load_config(args) -> ScenarioConfig:
     if args.horizon is not None:
         config = replace(config, horizon=args.horizon)
     if getattr(args, "year", None) is not None:
-        report_mod.check_year("--year", args.year)
+        check_year("--year", args.year)
     # cross and mix compute only their own threshold or year
     if args.command == "cross":
         config = replace(config, thresholds=(args.threshold,))
@@ -80,7 +80,7 @@ def _print_fit(name, fit_dict):
 
 def _run(args) -> int:
     config = _load_config(args)
-    rep = report_mod.run_scenario(config)
+    rep = reportmodel.run_scenario(config)
 
     if args.command == "fit":
         keys = {"pv": ("pv",), "wind": ("wind_trend", "wind_piecewise", "wind_rebound"),
@@ -92,7 +92,6 @@ def _run(args) -> int:
     if args.command == "project":
         from .genconvert import generation_capability
         from .growthfit import extrapolate, past_horizon
-
         key = {"pv": "pv", "wind": f"wind_{config.wind_treatment}",
                "offshore_wind": "offshore_wind", "hydro": "hydro"}[args.technology]
         profile = rep.profiles[key]
@@ -126,6 +125,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "budget":
+        from .artifacts import emit_discrepancies
         for name, area in rep.budget["areas"].items():
             print(f"area_{name}_km2 = {area.required_area_km2!r}")
             print(f"desert_fraction_{name} = {area.desert_fraction!r}")
@@ -133,11 +133,12 @@ def _run(args) -> int:
         print("offshore_depth_extrapolated_twh = "
               f"{ode['extrapolated_potential_twh_per_year']!r}")
         print()
-        print(report_mod.emit_discrepancies(rep.discrepancies), end="")
+        print(emit_discrepancies(rep.discrepancies), end="")
         return 0
 
     if args.command == "report":
-        written = report_mod.write_outputs(rep, config.out_dir)
+        from .artifacts import write_outputs
+        written = write_outputs(rep, config.out_dir)
         for path in written:
             print(f"wrote {path}")
         print(f"crossings: {len(rep.crossings)}  discrepancies: "
@@ -145,9 +146,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "figures":
+        from .artifacts import write_artifacts
+        from .figures import emit_figure
         ids = FIGURE_IDS if args.figure_id is None else (args.figure_id,)
-        svgs = ((f"{i}.svg", report_mod.emit_figure(rep, i)) for i in ids)
-        for path in report_mod.write_artifacts(config.out_dir, svgs):
+        svgs = ((f"{i}.svg", emit_figure(rep, i)) for i in ids)
+        for path in write_artifacts(config.out_dir, svgs):
             print(f"wrote {path}")
         return 0
 

@@ -121,6 +121,50 @@ def load_offshore_depth_fixture():
     return points, target
 
 
+def reference_budget(cf_pv: float) -> dict:
+    """Areas, potential fractions and the offshore depth extrapolation of
+    the reference scenario's demands, for PV at capacity factor cf_pv."""
+    density = constant("pv_density")
+    demands = {
+        "electric_2030": constant("electric_demand_2030"),
+        "electric_fig5": constant("electric_threshold_fig5"),
+        "primary_2030": constant("primary_demand_2030"),
+        "primary_fig5": constant("primary_threshold_fig5"),
+        "reduced_primary_2030": reduced_primary(constant("primary_demand_2030")),
+    }
+    budget_areas = {name: area_budget(demand, density, cf_pv)
+                    for name, demand in demands.items()}
+    potentials = {
+        name: ResourcePotential(name, constant(const), qualifier,
+                                get_constant(const).citation)
+        for name, const, qualifier in (
+            ("onshore", "onshore_wind_potential", "onshore"),
+            ("offshore_50m", "offshore_50m", "water depth < 50 m"),
+            ("offshore_1000m", "offshore_1000m", "water depth < 1000 m"),
+            ("wind_total_as_stated", "wind_total_potential_as_stated", "as stated"),
+        )
+    }
+    budget_fractions = {}
+    for pot_name, pot in potentials.items():
+        for dem_name in ("electric_2030", "primary_2030", "reduced_primary_2030"):
+            frac, times = potential_fraction(demands[dem_name], pot)
+            budget_fractions[f"{dem_name}_vs_{pot_name}"] = {"fraction": frac,
+                                                             "times_over": times}
+    fixture_points, fixture_target = load_offshore_depth_fixture()
+    offshore_extrapolated = offshore_depth_extrapolation(fixture_points, fixture_target)
+    return {
+        "pv_density_mw_per_km2": density,
+        "desert_area_km2": constant("desert_area"),
+        "areas": budget_areas,
+        "potential_fractions": budget_fractions,
+        "offshore_depth_extrapolation": {
+            "points_area_mkm2_potential_twh": [list(p) for p in fixture_points],
+            "target_area_mkm2": fixture_target,
+            "extrapolated_potential_twh_per_year": offshore_extrapolated,
+        },
+    }
+
+
 # --------------------------------------------------------------------------
 # Discrepancy checker
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewcast
-from renewcast import growthfit, report, scenario
+from renewcast import corpus, growthfit, report, scenario
 from renewcast.cli import main
 from renewcast.report import FIGURE_IDS, MAX_HYDRO_DEGREE, THRESHOLD_NAMES, WIND_TREATMENTS
 
@@ -190,6 +190,44 @@ def test_negative_hydro_generation_fails_only_what_reads_it(tmp_path, capsys):
     assert "[hydro]" in capsys.readouterr().out
 
 
+
+def _copy_bundled_data(data):
+    data.mkdir()
+    for name, fname in corpus.BUNDLED_DATASETS.items():
+        if name != "offshore_depth":
+            (data / fname).write_bytes(corpus.bundled_path(name).read_bytes())
+
+
+@pytest.mark.parametrize("unreadable", ["not utf-8", "a directory"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, unreadable):
+    conf = tmp_path / "run.conf"
+    if unreadable == "a directory":
+        conf.mkdir()
+    else:
+        conf.write_bytes(b"horizon = 2050\n# caf\xe9 latin-1 comment\n")
+    assert main(["--config", str(conf), "--out", str(tmp_path / "out"), "fit", "pv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {conf}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unreadable", ["not utf-8", "a directory"])
+def test_unreadable_dataset_is_data_error(tmp_path, capsys, unreadable):
+    data = tmp_path / "data"
+    _copy_bundled_data(data)
+    pv = data / corpus.BUNDLED_DATASETS["pv"]
+    if unreadable == "a directory":
+        pv.unlink()
+        pv.mkdir()
+    else:
+        pv.write_bytes(pv.read_bytes().replace(b"# ", b"# \xff", 1))
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"data_dir = {data}\n", encoding="utf-8")
+    assert main(["--config", str(conf), "--out", str(tmp_path / "out"), "fit", "pv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(pv) in err
+    assert "Traceback" not in err
+
 def _run_python(*args):
     """A fresh interpreter that imports renewcast from this source tree."""
     src = Path(renewcast.__file__).resolve().parent.parent
@@ -205,6 +243,87 @@ def test_cli_import_leaves_out_xml_and_urllib():
              "print(sorted(m for m in ('urllib.request', 'xml.sax') if m in sys.modules))")
     assert _run_python("-c", probe).stdout.strip() == "[]"
 
+
+
+def _loaded_after(*argv):
+    """The renewcast modules and the named standard-library modules a fresh
+    interpreter holds after ``import renewcast`` and, given argv, one CLI call."""
+    probe = ("import sys, renewcast\n"
+             "if sys.argv[1:]:\n"
+             "    from renewcast.cli import main\n"
+             "    assert main(sys.argv[1:]) == 0\n"
+             "print(' '.join(sorted(m for m in sys.modules\n"
+             "                      if m.startswith('renewcast') or m in ('json', 'html'))))")
+    return set(_run_python("-c", probe, *argv).stdout.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after() == {"renewcast"}
+
+
+_LATER_LAYERS = {f"renewcast.{m}" for m in (
+    "svgchart", "figures", "artifacts", "scenario", "learncurve", "resourcebudget")}
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["fit", "pv"], set()),
+    (["project", "pv", "--year", "2030"], {"renewcast.genconvert"}),
+])
+def test_fit_and_project_load_only_their_layers(tmp_path, argv, allowed):
+    loaded = _loaded_after("--out", str(tmp_path), *argv)
+    assert {"renewcast.cli", "renewcast.config", "renewcast.reportmodel"} <= loaded
+    forbidden = _LATER_LAYERS | {"renewcast.genconvert", "json", "html"}
+    assert not loaded & (forbidden - allowed)
+
+
+def test_learn_loads_no_chart_and_no_scenario(tmp_path):
+    loaded = _loaded_after("--out", str(tmp_path), "learn")
+    assert "renewcast.learncurve" in loaded
+    assert not loaded & {"renewcast.svgchart", "renewcast.scenario"}
+
+
+# every name renewcast exported when its __init__ imported all modules eagerly
+_PUBLIC_NAMES = """
+    AreaBudget CapacitySeries CombinedProjection Constant CostSeries CrossingResult
+    DemandThreshold ExponentialFit GenerationSeries LearningCurveFit
+    PiecewiseExponentialFit PolynomialFit ResourcePotential ScenarioConfig ScenarioReport
+    TechnologyProfile TimeDecayFit appendix_discrepancies combine constant constant_names
+    cost_at cost_series crossing_year curve_crossing desert_fraction detect_changepoint
+    doubling_time dump_series emit_discrepancies emit_figure extrapolate fit_exponential
+    fit_learning_curve fit_polynomial fit_time_decay generation_capability get_constant
+    join_cost_to_generation learning_rate load_bundled load_capacity_series make_series
+    mix_at_year offshore_depth_extrapolation parse_config past_horizon potential_fraction
+    power_required pv_area_required pv_wind_generation_crossover reduced_primary
+    run_scenario series_to_generation write_outputs __version__
+""".split()
+
+
+def test_package_exports_unchanged():
+    assert sorted(renewcast.__all__) == sorted(_PUBLIC_NAMES)
+    listed = dir(renewcast)
+    for name in _PUBLIC_NAMES:
+        assert name in listed
+        value = getattr(renewcast, name)
+        if name != "__version__":
+            assert value is getattr(sys.modules[value.__module__], name)
+    for name in ("ScenarioConfig", "run_scenario", "write_outputs", "emit_figure",
+                 "emit_discrepancies", "parse_config", "ScenarioReport"):
+        assert getattr(renewcast, name) is getattr(report, name)
+    for module in ("corpus", "errors", "genconvert", "growthfit", "learncurve", "report",
+                   "resourcebudget", "scenario", "svgchart"):
+        assert getattr(renewcast, module) is sys.modules[f"renewcast.{module}"]
+    with pytest.raises(AttributeError):
+        renewcast.no_such_name
+    # renewcast.report keeps every public name it defined or imported as a
+    # module when it held the whole pipeline
+    for name in """COMBINATIONS ClaimRow CrossingEntry FIGURE_IDS MAX_HORIZON
+                   MAX_HYDRO_DEGREE SCHEMA_VERSION ScenarioConfig ScenarioReport
+                   THRESHOLD_NAMES WIND_TREATMENTS budget_csv check_year claims_csv
+                   crossings_csv discrepancies_csv emit_discrepancies emit_figure
+                   load_series mixes_csv parse_config report_json run_scenario
+                   write_artifacts write_outputs corpus growthfit learncurve
+                   resourcebudget scenario""".split():
+        assert hasattr(report, name), name
 
 def test_no_subcommand_imports_numpy(tmp_path):
     # every subcommand, all figures included, in one process; the last

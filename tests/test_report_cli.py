@@ -9,6 +9,7 @@ import pytest
 import renewcast as rc
 from renewcast import corpus
 from renewcast import report as report_mod
+from renewcast import reportmodel
 from renewcast.cli import main
 from renewcast.errors import ConfigInvalid, MissingFit
 from renewcast.report import ClaimRow, CrossingEntry
@@ -86,6 +87,35 @@ def test_report_json_schema(default_report):
     assert (crossing.year, crossing.status) == (year, doc["crossings"][0]["status"])
     assert mix.share_pct == share
     assert json.loads(report_mod.report_json(default_report)) == doc
+
+
+def test_editing_to_dict_leaves_the_report_as_it_was(tmp_path):
+    # a report of its own, so that a failure cannot leak into the shared one
+    rep = rc.run_scenario(rc.ScenarioConfig())
+    rc.write_outputs(rep, tmp_path / "before")
+    edited = []
+
+    def edit(node):
+        """Change every dict and list under node, and every value in them."""
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            if isinstance(node[key], (dict, list)):
+                edit(node[key])
+            else:
+                node[key] = -1.0
+        if isinstance(node, dict):
+            node["edited"] = True
+        else:
+            node.append("edited")
+        edited.append(node)
+
+    edit(rep.to_dict())
+    assert len(edited) > 100
+    rc.write_outputs(rep, tmp_path / "after")
+    before = sorted((tmp_path / "before").iterdir())
+    assert [p.name for p in before] == sorted(p.name for p in (tmp_path / "after").iterdir())
+    for path in before:
+        assert (tmp_path / "after" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_report_claims_table(default_report):
@@ -389,7 +419,7 @@ def test_cli_rejects_nonfinite_and_unbounded_numbers(tmp_path, monkeypatch, caps
         raise AssertionError("the scenario ran although the input is invalid")
 
     # rejected while the config is checked, before any fit or crossing grid
-    monkeypatch.setattr(report_mod, "run_scenario", no_run)
+    monkeypatch.setattr(reportmodel, "run_scenario", no_run)
     if config_text is not None:
         conf = tmp_path / "run.conf"
         conf.write_text(config_text + "\n", encoding="utf-8")
@@ -404,7 +434,7 @@ def test_cli_rejects_bad_windows(tmp_path, monkeypatch, capsys, key, window):
     def no_run(config):
         raise AssertionError("the scenario ran although the window is invalid")
 
-    monkeypatch.setattr(report_mod, "run_scenario", no_run)
+    monkeypatch.setattr(reportmodel, "run_scenario", no_run)
     conf = tmp_path / "run.conf"
     conf.write_text(f"{key} = {window}\n", encoding="utf-8")
     assert main(["--config", str(conf), "--out", str(tmp_path / "out"), "report"]) == 2

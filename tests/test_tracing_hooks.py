@@ -5,7 +5,10 @@ benchmark run."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import renewcast
@@ -44,3 +47,50 @@ def test_tracing_hooks_resolve(tmp_path):
     assert counters.counts["scenario.crossings"] == 28
     for sized in ("corpus.rows", "growthfit.points", "svgchart.points"):
         assert counters.counts[sized] > 0
+
+
+# The traced cli_mix run imports only these before it installs the tracer,
+# then runs a warm-up op; every module the tracer patches must be loaded by
+# then, and nothing may be imported while the patches are in place.
+_BENCHMARK_IMPORTS = '''
+import importlib.util, sys
+import renewcast
+from renewcast import cli, report
+out = sys.argv[1]
+assert cli.main(["--out", out, "fit", "pv"]) == 0
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[2])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+
+def program_modules():
+    return {name: mod for name, mod in sys.modules.items()
+            if name == "renewcast" or name.startswith("renewcast.")}
+
+
+loaded = set(program_modules())
+spans = tracing.SpanRecorder()
+with spans.install():
+    assert cli.main(["--out", out, "report"]) == 0
+assert {tracing.LAYER_OF[span[0]] for span in spans.spans} == set(tracing.SPAN_LAYERS)
+counters = tracing.Counters()
+with counters.install():
+    assert cli.main(["--out", out, "report"]) == 0
+assert counters.counts["scenario.crossings"] == 28
+assert set(program_modules()) == loaded
+left = [f"{name}.{key}" for name, mod in program_modules().items()
+        for key, value in vars(mod).items() if hasattr(value, "__wrapped__")]
+assert not left, left
+print("ok")
+'''
+
+
+def test_tracer_installs_under_the_benchmark_imports(tmp_path):
+    src = Path(renewcast.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _BENCHMARK_IMPORTS, str(tmp_path), str(TRACING)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"

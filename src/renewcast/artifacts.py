@@ -4,7 +4,6 @@ table, and the writer that puts a set of them in place together."""
 from __future__ import annotations
 
 import os
-from dataclasses import fields
 from pathlib import Path
 
 from .config import FIGURE_IDS
@@ -30,13 +29,9 @@ def _csv(header, rows) -> str:
                      for row in (header, *rows)) + "\n"
 
 
-def _field_names(row_type) -> tuple:
-    return tuple(f.name for f in fields(row_type))
-
-
 def _rows_csv(row_type, rows) -> str:
     """One column per field of row_type, headed by the field's name."""
-    return _csv(_field_names(row_type), (vars(row).values() for row in rows))
+    return _csv(row_type._fields, rows)
 
 
 def crossings_csv(report: ScenarioReport) -> str:
@@ -45,9 +40,8 @@ def crossings_csv(report: ScenarioReport) -> str:
 
 def mixes_csv(report: ScenarioReport) -> str:
     from .scenario import MixEntry
-    return _csv(("year", *_field_names(MixEntry)),
-                [(year, *vars(e).values()) for year, entries in report.mixes.items()
-                 for e in entries])
+    return _csv(("year", *MixEntry._fields),
+                [(year, *e) for year, entries in report.mixes.items() for e in entries])
 
 
 def budget_csv(report: ScenarioReport) -> str:
@@ -79,7 +73,7 @@ def emit_discrepancies(rows) -> str:
     keep full precision so every number shown also exists in the
     machine-readable output."""
     from .resourcebudget import DiscrepancyRow
-    header = _field_names(DiscrepancyRow)[:4]   # all but the citation
+    header = DiscrepancyRow._fields[:4]     # all but the citation
     widths = [44, 24, 24, 24]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for d in rows:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
 from typing import NamedTuple
@@ -51,8 +50,7 @@ _KIND_UNITS = {
 _LOG_FIT_KINDS = ("installed_power", "unit_cost")
 
 
-@dataclass(frozen=True)
-class CapacitySeries:
+class CapacitySeries(NamedTuple):
     """Yearly samples of one technology's cumulative power, generation or cost.
 
     Immutable after construction; samples are (year, value) pairs sorted by
@@ -64,8 +62,8 @@ class CapacitySeries:
     unit: str
     samples: tuple[tuple[float, float], ...]
     provenance: str = ""
-    header_lines: tuple[str, ...] = field(default=(), repr=False)
-    row_text: tuple[str, ...] = field(default=(), repr=False)
+    header_lines: tuple[str, ...] = ()
+    row_text: tuple[str, ...] = ()
 
     @property
     def years(self) -> tuple[float, ...]:

@@ -7,27 +7,26 @@ is deliberately out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 from .corpus import HOURS_PER_YEAR, CapacitySeries
-from .errors import CapacityFactorOutOfRange, NegativeDemand, NegativePower
+from .errors import CapacityFactorOutOfRange, FitOutOfRange, NegativeDemand, NegativePower
 
 
-@dataclass(frozen=True)
 class TechnologyProfile:
     """A technology's capacity series, capacity factor and fitted growth model."""
 
-    name: str
-    capacity_factor: float
-    series: CapacitySeries
-    model: object = None
+    def __init__(self, name: str, capacity_factor: float, series: CapacitySeries,
+                 model=None):
+        _check_cf(capacity_factor)
+        self.name = name
+        self.capacity_factor = capacity_factor
+        self.series = series
+        self.model = model
 
-    def __post_init__(self):
-        _check_cf(self.capacity_factor)
 
-
-@dataclass(frozen=True)
-class GenerationSeries:
+class GenerationSeries(NamedTuple):
     technology: str
     samples: tuple[tuple[float, float], ...]  # (year, TWh/yr)
 
@@ -52,7 +51,10 @@ def generation_capability(power_gw: float, capacity_factor: float) -> float:
     _check_cf(capacity_factor)
     if power_gw < 0:
         raise NegativePower(f"installed power must be >= 0, got {power_gw!r}")
-    return power_gw * capacity_factor * HOURS_PER_YEAR / 1000.0
+    generation = power_gw * capacity_factor * HOURS_PER_YEAR / 1000.0
+    if not math.isfinite(generation):
+        raise FitOutOfRange(f"the generation of {power_gw!r} GW is not finite")
+    return generation
 
 
 def power_required(generation_twh: float, capacity_factor: float) -> float:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
 from math import fsum
 from operator import mul, sub, truediv
+from typing import NamedTuple
 
 from .corpus import CapacitySeries
 from .errors import (
@@ -31,8 +31,7 @@ from .errors import (
 HORIZON_WARNING_YEARS = 15.0
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+class ExponentialFit(NamedTuple):
     """value(t) = exp(ln_intercept + ln_slope * (t - reference_year))."""
 
     reference_year: float
@@ -43,15 +42,17 @@ class ExponentialFit:
     window: tuple[float, float]
 
     def value_at(self, year: float) -> float:
-        return math.exp(self.ln_intercept + self.ln_slope * (year - self.reference_year))
+        try:
+            return math.exp(self.ln_intercept + self.ln_slope * (year - self.reference_year))
+        except OverflowError:
+            raise FitOutOfRange(f"the fit at {year:g} exceeds the float range") from None
 
     def year_at(self, value: float) -> float:
         """Inverse of value_at: the year the fit reaches value."""
         return (math.log(value) - self.ln_intercept) / self.ln_slope + self.reference_year
 
 
-@dataclass(frozen=True)
-class PolynomialFit:
+class PolynomialFit(NamedTuple):
     """value(t) = sum_i coefficients[i] * (t - reference_year)**i."""
 
     reference_year: float
@@ -68,8 +69,7 @@ class PolynomialFit:
         return acc
 
 
-@dataclass(frozen=True)
-class PiecewiseExponentialFit:
+class PiecewiseExponentialFit(NamedTuple):
     """Two log-space segments split at changepoint_year (first right-segment year)."""
 
     changepoint_year: float

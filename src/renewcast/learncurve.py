@@ -11,7 +11,7 @@ same technology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import CapacitySeries
 from .errors import (
@@ -31,21 +31,20 @@ X_YEAR = "year"
 X_GENERATION = "cumulative_generation"
 
 
-@dataclass(frozen=True)
 class CostSeries:
-    technology: str
-    x_kind: str                  # year | cumulative_generation
-    samples: tuple[tuple[float, float], ...]
-    cost_unit: str
+    """(x, cost) samples; x_kind is X_YEAR or X_GENERATION."""
 
-    def __post_init__(self):
-        if self.x_kind not in (X_YEAR, X_GENERATION):
-            raise UnitMismatch(f"unknown x_kind {self.x_kind!r}")
-        for x, c in self.samples:
+    def __init__(self, technology: str, x_kind: str,
+                 samples: tuple[tuple[float, float], ...], cost_unit: str):
+        if x_kind not in (X_YEAR, X_GENERATION):
+            raise UnitMismatch(f"unknown x_kind {x_kind!r}")
+        for x, c in samples:
             if c <= 0:
-                raise NonPositiveValue(
-                    f"{self.technology}: cost {c!r} at x={x:g} must be > 0"
-                )
+                raise NonPositiveValue(f"{technology}: cost {c!r} at x={x:g} must be > 0")
+        self.technology = technology
+        self.x_kind = x_kind
+        self.samples = samples
+        self.cost_unit = cost_unit
 
     @property
     def x_range(self) -> tuple[float, float]:
@@ -95,8 +94,7 @@ def join_cost_to_generation(cost: CostSeries, capacity: CapacitySeries,
     )
 
 
-@dataclass(frozen=True)
-class LearningCurveFit:
+class LearningCurveFit(NamedTuple):
     """log10 cost(x) = log10_intercept + log10_slope * log10 x."""
 
     technology: str
@@ -111,8 +109,7 @@ class LearningCurveFit:
         return 10.0 ** (self.log10_intercept + self.log10_slope * math.log10(x))
 
 
-@dataclass(frozen=True)
-class TimeDecayFit:
+class TimeDecayFit(NamedTuple):
     """cost(t) = cost0 * decay ** (t - reference_year)."""
 
     technology: str
@@ -179,10 +176,11 @@ def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, flo
     log_x = (b.log10_intercept - a.log10_intercept) / (a.log10_slope - b.log10_slope)
     try:
         x = 10.0 ** log_x
-    except OverflowError:
-        raise CrossingOutOfRange(
-            f"the lines meet at x = 10**{log_x:g}, beyond the float range") from None
-    return x, a.cost_at(x)
+        cost = a.cost_at(x)     # ValueError from log10 when x underflowed to 0
+    except (OverflowError, ValueError):
+        raise CrossingOutOfRange(f"the lines meet at x = 10**{log_x:g}, where x or "
+                                 "the cost leaves the float range") from None
+    return x, cost
 
 
 def fit_time_decay(series: CostSeries) -> TimeDecayFit:

@@ -9,9 +9,9 @@ imports the layers it computes with in its own body."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import corpus, growthfit
 from .config import (_THRESHOLD_CONSTANTS, COMBINATIONS, THRESHOLD_NAMES, WIND_TREATMENTS,
@@ -22,8 +22,7 @@ from .errors import ConfigInvalid, DatasetMissing, MalformedRow, MissingFit
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CrossingEntry:
+class CrossingEntry(NamedTuple):
     threshold: str
     level_twh_per_year: float
     combination: str
@@ -33,8 +32,7 @@ class CrossingEntry:
     horizon_warning: bool
 
 
-@dataclass(frozen=True)
-class ClaimRow:
+class ClaimRow(NamedTuple):
     name: str
     stated_year: float
     computed_year: float | None
@@ -42,29 +40,28 @@ class ClaimRow:
     citation: str
 
 
-@dataclass
 class ScenarioReport:
     """One scenario over its loaded series. Every other section is computed
-    from these two fields when it is first read, then kept, and is held as
-    the typed objects that computed it. Each published row (CrossingEntry,
+    from these two attributes when it is first read, then kept, and is held
+    as the typed objects that computed it. Each published row (CrossingEntry,
     scenario.MixEntry, resourcebudget.AreaBudget, DiscrepancyRow, ClaimRow)
-    names its fields as report.json and the CSV tables name its columns;
-    to_dict shares no container with the report, and the CSV writers take
-    their headers from the row type."""
+    is a NamedTuple whose fields name the report.json keys and the CSV
+    columns; to_dict shares no container with the report."""
 
-    config: ScenarioConfig
-    series: dict
+    def __init__(self, config: ScenarioConfig, series: dict):
+        self.config = config
+        self.series = series
 
     def to_dict(self) -> dict:
         # the config as given, with the capacity factors as resolved; out_dir
         # is not echoed: artifacts must not depend on where they are written
         cfg = {}
-        for f in fields(ScenarioConfig):
-            value = getattr(self.config, f.name)
-            if f.name == "cf_pv":
+        for name in ScenarioConfig.__annotations__:     # its fields, in order
+            value = getattr(self.config, name)
+            if name == "cf_pv":
                 cfg["capacity_factors"] = dict(self.capacity_factors)
-            elif f.name not in ("out_dir", "cf_wind", "cf_hydro"):
-                cfg[f.name] = list(value) if isinstance(value, tuple) else value
+            elif name not in ("out_dir", "cf_wind", "cf_hydro"):
+                cfg[name] = list(value) if isinstance(value, tuple) else value
         return {
             "schema_version": SCHEMA_VERSION,
             "config": cfg,
@@ -401,7 +398,7 @@ class _LazyMap(Mapping):
 
 def _row_dicts(rows) -> list:
     """A copy of each row's fields: editing the result leaves the rows as they are."""
-    return [dict(vars(row)) for row in rows]
+    return [row._asdict() for row in rows]
 
 
 def _exp_fit_dict(fit: growthfit.ExponentialFit) -> dict:
@@ -448,7 +445,7 @@ def _budget_dict(budget: dict) -> dict:
     """JSON form of a report's budget that shares no container with it."""
     ode = budget["offshore_depth_extrapolation"]
     return {**budget,
-            "areas": {name: dict(vars(area)) for name, area in budget["areas"].items()},
+            "areas": {name: area._asdict() for name, area in budget["areas"].items()},
             "potential_fractions": {name: dict(entry) for name, entry
                                     in budget["potential_fractions"].items()},
             "offshore_depth_extrapolation": {**ode, "points_area_mkm2_potential_twh": [

@@ -9,7 +9,7 @@ force agreement, because surfacing those gaps precisely is the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import HOURS_PER_YEAR, bundled_path, constant, get_constant, reduced_primary
 from .errors import (
@@ -24,22 +24,18 @@ from .errors import (
 from .growthfit import ols
 
 
-@dataclass(frozen=True)
 class ResourcePotential:
-    name: str
-    annual_potential_twh: float
-    qualifier: str = ""
-    citation: str = ""
-
-    def __post_init__(self):
-        if self.annual_potential_twh <= 0:
-            raise NonPositiveValue(
-                f"potential must be > 0, got {self.annual_potential_twh!r}"
-            )
+    def __init__(self, name: str, annual_potential_twh: float, qualifier: str = "",
+                 citation: str = ""):
+        if annual_potential_twh <= 0:
+            raise NonPositiveValue(f"potential must be > 0, got {annual_potential_twh!r}")
+        self.name = name
+        self.annual_potential_twh = annual_potential_twh
+        self.qualifier = qualifier
+        self.citation = citation
 
 
-@dataclass(frozen=True)
-class AreaBudget:
+class AreaBudget(NamedTuple):
     demand_twh_per_year: float
     required_area_km2: float
     desert_fraction: float       # of the global desert area
@@ -168,8 +164,7 @@ def reference_budget(cf_pv: float) -> dict:
 # --------------------------------------------------------------------------
 # Discrepancy checker
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
+class DiscrepancyRow(NamedTuple):
     """One stated figure against its recomputation.
 
     relative_deviation = (stated - computed) / computed, signed.

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     EmptyCombination,
+    FitOutOfRange,
     LevelNotMet,
     NegativeDemand,
     NegativePower,
@@ -40,20 +41,17 @@ CROSSED = "crossed"
 NOT_REACHED = "not_reached"
 
 
-@dataclass(frozen=True)
 class DemandThreshold:
     """A named demand level."""
 
-    name: str
-    level_twh: float
+    def __init__(self, name: str, level_twh: float):
+        if level_twh <= 0:
+            raise NegativeDemand(f"threshold level must be > 0, got {level_twh!r}")
+        self.name = name
+        self.level_twh = level_twh
 
-    def __post_init__(self):
-        if self.level_twh <= 0:
-            raise NegativeDemand(f"threshold level must be > 0, got {self.level_twh!r}")
 
-
-@dataclass(frozen=True)
-class CrossingResult:
+class CrossingResult(NamedTuple):
     threshold: str
     level_twh: float
     status: str                  # already_satisfied | crossed | not_reached
@@ -61,23 +59,18 @@ class CrossingResult:
     horizon: float
 
 
-@dataclass(frozen=True)
 class CombinedProjection:
     """Sum of per-technology generation extrapolations."""
 
-    components: tuple[TechnologyProfile, ...]
-    start_year: float = field(init=False)
-    # (name, model.value_at, capacity factor) per component
-    _terms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[TechnologyProfile, ...]):
+        if not components:
             raise EmptyCombination("a projection needs at least one component")
-        # the capacity factors were validated when each profile was made
-        object.__setattr__(self, "start_year",
-                           max(p.model.window[0] for p in self.components))
-        object.__setattr__(self, "_terms", tuple(
-            (p.name, p.model.value_at, p.capacity_factor) for p in self.components))
+        self.components = components
+        self.start_year = max(p.model.window[0] for p in components)
+        # (name, model.value_at, capacity factor) per component; the capacity
+        # factors were validated when each profile was made
+        self._terms = tuple((p.name, p.model.value_at, p.capacity_factor)
+                            for p in components)
 
     def _generation(self, year: float) -> list[float]:
         """TWh/yr of each component, in component order."""
@@ -167,8 +160,7 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
     return CrossingResult(threshold.name, level, CROSSED, year, horizon)
 
 
-@dataclass(frozen=True)
-class MixEntry:
+class MixEntry(NamedTuple):
     technology: str
     generation_twh_per_year: float
     share_pct: float
@@ -178,6 +170,9 @@ def mix_at_year(projection: CombinedProjection, year: float) -> list[MixEntry]:
     """Per-technology generation and percentage shares at one year."""
     parts = projection.component_values(year)
     total = sum(v for _, v in parts)
+    if not 0.0 < total < math.inf:
+        raise FitOutOfRange(f"total generation at {year:g} is {total!r} TWh/yr; "
+                            "the shares are not finite")
     return [
         MixEntry(name, value, 100.0 * value / total)
         for name, value in parts

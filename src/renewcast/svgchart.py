@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import html
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def escape(text: str) -> str:
@@ -53,8 +53,7 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-@dataclass
-class Axis:
+class Axis(NamedTuple):
     label: str = ""
     kind: str = "linear"          # linear | log
     lo: float = 0.0
@@ -81,15 +80,16 @@ class Axis:
             else _nice_ticks(self.lo, self.hi)
 
 
-@dataclass
 class Chart:
-    title: str
-    x: Axis
-    y: Axis
-    width: int = 560
-    height: int = 420
-    margin: tuple = (46, 16, 40, 78)   # top, right, bottom, left
-    elements: list = field(default_factory=list)
+    def __init__(self, title: str, x: Axis, y: Axis, width: int = 560, height: int = 420,
+                 margin: tuple = (46, 16, 40, 78), elements: list | None = None):
+        self.title = title
+        self.x = x
+        self.y = y
+        self.width = width
+        self.height = height
+        self.margin = margin    # top, right, bottom, left
+        self.elements = [] if elements is None else elements
 
     def add_points(self, xs, ys, color, label="", radius=3.0):
         self.elements.append(("points", list(zip(xs, ys)), color, label, radius))

@@ -5,6 +5,7 @@ import errno
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -228,6 +229,53 @@ def test_unreadable_dataset_is_data_error(tmp_path, capsys, unreadable):
     assert err.startswith("data error: ") and str(pv) in err
     assert "Traceback" not in err
 
+
+@pytest.fixture(scope="module")
+def extreme_data(tmp_path_factory):
+    """dataset label -> a config file for the bundled data with the PV values
+    times 1e300, or the wind values times 1e-300."""
+    configs = {}
+    for label, name, factor in (("pv_x1e300", "pv", 1e300), ("wind_x1e-300", "wind", 1e-300)):
+        data = tmp_path_factory.mktemp(label) / "data"
+        _copy_bundled_data(data)
+        path = data / corpus.BUNDLED_DATASETS[name]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(
+            line if line.startswith("#") or not line.strip()
+            else f"{line.split(',')[0]},{float(line.split(',')[1]) * factor!r}"
+            for line in lines) + "\n", encoding="utf-8")
+        configs[label] = data.parent / "run.conf"
+        configs[label].write_text(f"data_dir = {data}\n", encoding="utf-8")
+    return configs
+
+
+_LINES_MEET = "the lines meet at x = 10**"
+
+
+@pytest.mark.parametrize("dataset, argv, code, error", [
+    # the learning curves meet at an x that underflows to 0.0
+    *[(dataset, argv, 4, _LINES_MEET) for dataset in ("pv_x1e300", "wind_x1e-300")
+      for argv in (["learn"], ["report"], ["figures"], ["figures", "--id", "fig8"])],
+    # the PV generation overflows to inf, or the PV power itself
+    ("pv_x1e300", ["project", "pv", "--year", "2050"], 4, "is not finite"),
+    ("pv_x1e300", ["mix", "--year", "2050"], 4, "the shares are not finite"),
+    ("pv_x1e300", ["project", "pv", "--year", "2100"], 4, "exceeds the float range"),
+    ("pv_x1e300", ["mix", "--year", "2100"], 4, "exceeds the float range"),
+    *[(dataset, argv, 0, "") for dataset in ("pv_x1e300", "wind_x1e-300")
+      for argv in (["fit", "pv"], ["fit", "wind"], ["project", "wind", "--year", "2050"],
+                   ["cross", "--threshold", "primary_fig5"], ["mix", "--year", "2030"],
+                   ["budget"], ["figures", "--id", "fig5"])],
+])
+def test_extreme_dataset_exits_with_a_contract_code(extreme_data, tmp_path, capsys,
+                                                    dataset, argv, code, error):
+    out = tmp_path / "out"
+    assert main(["--config", str(extreme_data[dataset]), "--out", str(out), *argv]) == code
+    stdout, err = capsys.readouterr()
+    assert error in err and "Traceback" not in err
+    for text in (stdout, *(p.read_text(encoding="utf-8") for p in out.glob("*"))):
+        assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", text)
+
+
 def _run_python(*args):
     """A fresh interpreter that imports renewcast from this source tree."""
     src = Path(renewcast.__file__).resolve().parent.parent
@@ -280,6 +328,20 @@ def test_learn_loads_no_chart_and_no_scenario(tmp_path):
     loaded = _loaded_after("--out", str(tmp_path), "learn")
     assert "renewcast.learncurve" in loaded
     assert not loaded & {"renewcast.svgchart", "renewcast.scenario"}
+
+
+def test_only_the_config_is_a_dataclass():
+    # records are NamedTuples or plain classes; ScenarioConfig is the one
+    # dataclass left
+    probe = ("import dataclasses, importlib, pkgutil, sys, renewcast\n"
+             "for info in pkgutil.iter_modules(renewcast.__path__):\n"
+             "    importlib.import_module(f'renewcast.{info.name}')\n"
+             "print(' '.join(sorted({f'{v.__module__}.{v.__qualname__}'\n"
+             "                       for name, mod in list(sys.modules.items())\n"
+             "                       if name.startswith('renewcast')\n"
+             "                       for v in vars(mod).values()\n"
+             "                       if isinstance(v, type) and dataclasses.is_dataclass(v)})))")
+    assert _run_python("-c", probe).stdout.split() == ["renewcast.config.ScenarioConfig"]
 
 
 # every name renewcast exported when its __init__ imported all modules eagerly

@@ -23,6 +23,7 @@ import math
 from bisect import bisect_left
 from importlib import resources
 from operator import itemgetter
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
@@ -216,11 +217,23 @@ def bundled_path(name: str):
         ) from None
     return resources.files(__package__).joinpath("data", fname)
 
-def load_bundled(name: str) -> CapacitySeries:
+
+def read_dataset(name: str, data_dir=None) -> str:
+    """Text of a dataset file, bundled or of the same name in data_dir;
+    DatasetMissing when it cannot be read, MalformedRow when not UTF-8."""
     path = bundled_path(name)
-    if not path.is_file():
-        raise DatasetMissing(f"bundled dataset file {path} not found")
-    return load_capacity_series(path.read_text(encoding="utf-8"))
+    if data_dir is not None:
+        path = Path(data_dir) / path.name
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatasetMissing(f"cannot read dataset file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"dataset file {path} is not UTF-8 text: {exc}") from None
+
+
+def load_bundled(name: str) -> CapacitySeries:
+    return load_capacity_series(read_dataset(name))
 
 
 # --------------------------------------------------------------------------

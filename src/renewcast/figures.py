@@ -1,5 +1,5 @@
 """Standalone SVG figures of a report, drawn with svgchart. Loaded only by
-the subcommands that draw one."""
+the subcommands that draw one; each figure reads only the fits it draws."""
 
 from __future__ import annotations
 
@@ -11,9 +11,18 @@ from .errors import MissingFit
 from .reportmodel import ScenarioReport
 from .svgchart import Axis, Chart, render
 
+# the technologies fig4, fig7 and fig8 draw side by side, with their colours
+_PV_WIND = (("pv", "#e6a817"), ("wind", "#2b6cb0"))
 
-def _series_xy(series):
-    return list(series.years), list(series.values)
+# fig1-3: id -> (capacity series, title, (profile, colour, label) per fit drawn)
+_CAPACITY_FIGURES = {
+    "fig1": ("pv", "installed PV power", (("pv", "#e6a817", "fit"),)),
+    "fig2": ("wind", "installed wind power",
+             (("wind_rebound", "#c53030", "pre-changepoint fit"),
+              ("wind_piecewise", "#2b6cb0", "post-changepoint fit"))),
+    "fig3": ("offshore_wind", "installed offshore wind power",
+             (("offshore_wind", "#2b6cb0", "fit"),)),
+}
 
 
 def _line_points(model, lo, hi, step=0.5):
@@ -26,180 +35,144 @@ def _line_points(model, lo, hi, step=0.5):
     return xs, ys
 
 
-def _capability_line(model, cf, lo, hi, step=0.5):
-    xs, raw = _line_points(model, lo, hi, step)
-    return xs, [v * cf * HOURS_PER_YEAR / 1000.0 for v in raw]
+def _half_years(lo, hi):
+    """lo, lo + 0.5, ... up to hi."""
+    return [lo + 0.5 * i for i in range(int((hi - lo) / 0.5) + 1)]
 
 
-def _pow10_lo(v):
-    return 10.0 ** math.floor(math.log10(v))
+def _decades(lo, hi):
+    """Powers of ten around lo and hi for a log axis, at least a decade apart."""
+    lo_k = math.floor(math.log10(lo))
+    return 10.0 ** lo_k, 10.0 ** max(math.ceil(math.log10(hi)), lo_k + 1)
 
 
-def _pow10_hi(v):
-    return 10.0 ** math.ceil(math.log10(v))
+def _lin_log_pair(title, x_axis, y_label, lin_hi, log_lo, log_hi):
+    """The linear chart (from 0) and the log chart of one quantity."""
+    return (Chart(f"{title} (linear)", x_axis, Axis(y_label, "linear", 0.0, lin_hi)),
+            Chart(f"{title} (log)", x_axis, Axis(y_label, "log", log_lo, log_hi)))
 
 
-def _capacity_panels(series, fits_and_styles, title):
-    xs, ys = _series_xy(series)
-    x_axis = Axis("year", "linear", math.floor(xs[0]), math.ceil(xs[-1]) + 1)
-    lin = Chart(f"{title} (linear)",
-                Axis("year", "linear", x_axis.lo, x_axis.hi),
-                Axis("installed power [GW]", "linear", 0.0, max(ys) * 1.15))
-    log = Chart(f"{title} (log)",
-                Axis("year", "linear", x_axis.lo, x_axis.hi),
-                Axis("installed power [GW]", "log", _pow10_lo(min(ys)),
-                     _pow10_hi(max(ys))))
-    for chart in (lin, log):
-        chart.add_points(xs, ys, "#222222", "data")
-        for model, color, label in fits_and_styles:
-            lx, ly = _line_points(model, model.window[0], x_axis.hi - 1)
-            chart.add_line(lx, ly, color, label, dashed=True)
-    return render([lin, log], title)
+def _add_demand_lines(chart):
+    for threshold, label in (("electric_fig5", "electricity demand"),
+                             ("reduced_primary_2030", "reduced primary demand"),
+                             ("primary_fig5", "primary demand")):
+        level = constant(_THRESHOLD_CONSTANTS[threshold])
+        chart.add_hline(level, f"{label} ({level:g} TWh/yr)")
+
+
+def _add_pv_wind(chart, points, lines=()):
+    """Labelled points, then unlabelled dashed lines: (xs, ys) per _PV_WIND entry."""
+    for (tech, color), (xs, ys) in zip(_PV_WIND, points):
+        chart.add_points(xs, ys, color, tech)
+    for (_, color), (xs, ys) in zip(_PV_WIND, lines):
+        chart.add_line(xs, ys, color, dashed=True)
 
 
 def emit_figure(report: ScenarioReport, figure_id: str) -> str:
     """Standalone SVG for one figure id; see FIGURE_IDS for the valid set."""
     if figure_id not in FIGURE_IDS:
-        raise MissingFit(
-            f"unknown figure id {figure_id!r}; valid ids: "
-            f"{', '.join(FIGURE_IDS)}"
-        )
+        raise MissingFit(f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
     series = report.series
-    profiles = report.profiles
-    pv_fit = profiles["pv"].model
-    cf = report.capacity_factors
 
-    if figure_id == "fig1":
-        return _capacity_panels(series["pv"], [(pv_fit, "#e6a817", "fit")],
-                                "installed PV power")
-    if figure_id == "fig2":
-        left = profiles["wind_rebound"].model
-        right = profiles["wind_piecewise"].model
-        return _capacity_panels(
-            series["wind"],
-            [(left, "#c53030", "pre-changepoint fit"),
-             (right, "#2b6cb0", "post-changepoint fit")],
-            "installed wind power")
-    if figure_id == "fig3":
-        return _capacity_panels(series["offshore_wind"],
-                                [(profiles["offshore_wind"].model, "#2b6cb0", "fit")],
-                                "installed offshore wind power")
+    if figure_id in _CAPACITY_FIGURES:
+        name, title, drawn = _CAPACITY_FIGURES[figure_id]
+        fits = [(report.profiles[p].model, color, label) for p, color, label in drawn]
+        xs, ys = series[name].years, series[name].values
+        x_hi = math.ceil(xs[-1]) + 1
+        charts = _lin_log_pair(title, Axis("year", "linear", math.floor(xs[0]), x_hi),
+                               "installed power [GW]", max(ys) * 1.15,
+                               *_decades(min(ys), max(ys)))
+        for chart in charts:
+            chart.add_points(xs, ys, "#222222", "data")
+            for model, color, label in fits:
+                lx, ly = _line_points(model, model.window[0], x_hi - 1)
+                chart.add_line(lx, ly, color, label, dashed=True)
+        return render(charts, title)
 
     if figure_id == "fig4":
-        pv_xs, pv_gw = _series_xy(series["pv"])
-        w_xs, w_gw = _series_xy(series["wind"])
-        gw = Chart("installed power",
-                   Axis("year", "linear", 1996, 2022),
-                   Axis("installed power [GW]", "log", 1.0,
-                        _pow10_hi(max(max(pv_gw), max(w_gw)))))
-        gw.add_points(pv_xs, pv_gw, "#e6a817", "pv")
-        gw.add_points(w_xs, w_gw, "#2b6cb0", "wind")
-        k_pv = cf["pv"] * HOURS_PER_YEAR / 1000.0
-        k_w = cf["wind"] * HOURS_PER_YEAR / 1000.0
-        cap = Chart("generation capability",
-                    Axis("year", "linear", 1996, 2022),
-                    Axis("generation capability [TWh/yr]", "log", 1.0,
-                         _pow10_hi(max(max(v * k_pv for v in pv_gw),
-                                       max(v * k_w for v in w_gw)))))
-        cap.add_points(pv_xs, [v * k_pv for v in pv_gw], "#e6a817", "pv")
-        cap.add_points(w_xs, [v * k_w for v in w_gw], "#2b6cb0", "wind")
-        return render([gw, cap], "installed power and generation capability")
-
-    levels = {name: constant(const) for name, const in _THRESHOLD_CONSTANTS.items()}
-    hline_specs = [
-        (levels["electric_fig5"], "electricity demand"),
-        (levels["reduced_primary_2030"], "reduced primary demand"),
-        (levels["primary_fig5"], "primary demand"),
-    ]
+        gw = [(series[tech].years, series[tech].values) for tech, _ in _PV_WIND]
+        twh_per_gw = [report.capacity_factors[t] * HOURS_PER_YEAR / 1000.0 for t, _ in _PV_WIND]
+        twh = [(xs, [v * k for v in ys]) for (xs, ys), k in zip(gw, twh_per_gw)]
+        charts = []
+        for title, unit, points in (("installed power", "GW", gw),
+                                    ("generation capability", "TWh/yr", twh)):
+            charts.append(Chart(title, Axis("year", "linear", 1996, 2022),
+                                Axis(f"{title} [{unit}]", "log",
+                                     *_decades(1.0, max(max(ys) for _, ys in points)))))
+            _add_pv_wind(charts[-1], points)
+        return render(charts, "installed power and generation capability")
 
     if figure_id == "fig5":
         chart = Chart("generation capability and extrapolations",
                       Axis("year", "linear", 1996, 2040),
                       Axis("generation capability [TWh/yr]", "log", 1.0, 1e6),
                       width=720, height=480)
-        for name, key, color in (("pv", "pv", "#e6a817"),
-                                 ("wind", "wind", "#2b6cb0"),
-                                 ("hydro", "hydro", "#2f855a")):
-            prof = profiles["wind_trend"] if key == "wind" else profiles[key]
-            xs, gw = _series_xy(series[key])
-            k = prof.capacity_factor * HOURS_PER_YEAR / 1000.0
-            chart.add_points(xs, [v * k for v in gw], color, name)
-            lx, ly = _capability_line(prof.model, prof.capacity_factor,
-                                      max(prof.model.window[0], 1996), 2040)
-            chart.add_line(lx, ly, color, dashed=True)
-        for level, label in hline_specs:
-            chart.add_hline(level, f"{label} ({level:g} TWh/yr)")
-        return render([chart], "generation capability and extrapolations")
+        for tech, color in (*_PV_WIND, ("hydro", "#2f855a")):
+            prof = report.profiles["wind_trend" if tech == "wind" else tech]
+            cf = prof.capacity_factor
+            xs, gw = series[tech].years, series[tech].values
+            k = cf * HOURS_PER_YEAR / 1000.0
+            chart.add_points(xs, [v * k for v in gw], color, tech)
+            lx, ly = _line_points(prof.model, max(prof.model.window[0], 1996), 2040)
+            chart.add_line(lx, [v * cf * HOURS_PER_YEAR / 1000.0 for v in ly], color,
+                           dashed=True)
+        _add_demand_lines(chart)
+        return render([chart], chart.title)
 
     if figure_id == "fig6":
         headline = report.config.wind_treatment
-        wind_prof = profiles[f"wind_{headline}"]
+        start = max(report.profiles[f"wind_{headline}"].model.window[0], 2000.0)
         chart = Chart("combined generation capability",
                       Axis("year", "linear", 2000, 2040),
                       Axis("generation capability [TWh/yr]", "log", 10.0, 1e6),
                       width=720, height=480)
-        start = max(wind_prof.model.window[0], 2000.0)
-        two = report.projections[("wind_pv", headline)]
-        three = report.projections[("wind_pv_hydro", headline)]
-        for proj, color, label in ((two, "#6b46c1", "wind+pv"),
-                                   (three, "#2f855a", "wind+pv+hydro")):
-            xs = [start + 0.5 * i for i in range(int((2040 - start) / 0.5) + 1)]
+        combos = ("wind_pv", "wind_pv_hydro")
+        projections = [report.projections[(combo, headline)] for combo in combos]
+        xs = _half_years(start, 2040)
+        for proj, color, label in zip(projections, ("#6b46c1", "#2f855a"),
+                                      ("wind+pv", "wind+pv+hydro")):
             chart.add_line(xs, [proj.value(t) for t in xs], color, label)
-        for level, label in hline_specs:
-            chart.add_hline(level, f"{label} ({level:g} TWh/yr)")
-        for combo in ("wind_pv", "wind_pv_hydro"):
+        _add_demand_lines(chart)
+        for combo in combos:
             entry = report.crossing_for("electric_fig5", combo, headline)
             if entry.year is not None:
                 chart.add_marker(entry.year, entry.level_twh_per_year,
                                  f"{combo} {entry.year:.1f}")
-        return render([chart], "combined generation capability")
+        return render([chart], chart.title)
 
     if figure_id == "fig7":
-        pv_xs, pv_c = _series_xy(series["pv_lcoe"])
-        w_xs, w_c = _series_xy(series["wind_lcoe"])
-        xs = [pv_xs[0] + 0.5 * i
-              for i in range(int((w_xs[-1] + 2 - pv_xs[0]) / 0.5) + 1)]
-
-        lin = Chart("LCOE (linear)", Axis("year", "linear", 2008, 2021),
-                    Axis("LCOE [USD/MWh]", "linear", 0.0, max(pv_c) * 1.1))
-        log = Chart("LCOE (log)", Axis("year", "linear", 2008, 2021),
-                    Axis("LCOE [USD/MWh]", "log", 10.0, 1000.0))
-        for chart in (lin, log):
-            chart.add_points(pv_xs, pv_c, "#e6a817", "pv")
-            chart.add_points(w_xs, w_c, "#2b6cb0", "wind")
-            for decay, color in ((report.learning["pv_time_decay"], "#e6a817"),
-                                 (report.learning["wind_time_decay"], "#2b6cb0")):
-                chart.add_line(xs, [decay.cost_at_year(t) for t in xs], color,
-                               dashed=True)
-        return render([lin, log], "levelized cost of electricity over time")
+        pv, wind = series["pv_lcoe"], series["wind_lcoe"]
+        xs = _half_years(pv.years[0], wind.years[-1] + 2)
+        lines = [(xs, [decay.cost_at_year(t) for t in xs]) for decay in
+                 (report.learning["pv_time_decay"], report.learning["wind_time_decay"])]
+        charts = _lin_log_pair("LCOE", Axis("year", "linear", 2008, 2021), "LCOE [USD/MWh]",
+                               max(pv.values) * 1.1, 10.0, 1000.0)
+        for chart in charts:
+            _add_pv_wind(chart, [(s.years, s.values) for s in (pv, wind)], lines)
+        return render(charts, "levelized cost of electricity over time")
 
     if figure_id == "fig8":
         cross_x, cross_cost = report.curve_crossing
-        k_pv = cf["pv"] * HOURS_PER_YEAR / 1000.0
-        k_w = cf["wind"] * HOURS_PER_YEAR / 1000.0
-        pv_pts = [(series["pv"].value_at(y) * k_pv, c)
-                  for y, c in series["pv_lcoe"].samples]
-        w_pts = [(series["wind"].value_at(y) * k_w, c)
-                 for y, c in series["wind_lcoe"].samples]
-        x_hi = _pow10_hi(cross_x * 2)
-        chart = Chart("learning curves vs cumulative generation capability",
-                      Axis("cumulative generation capability [TWh/yr]", "log",
-                           10.0, x_hi),
-                      Axis("LCOE [USD/MWh]", "log", 1.0, 1000.0),
-                      width=720, height=480)
-        chart.add_points([p[0] for p in pv_pts], [p[1] for p in pv_pts],
-                         "#e6a817", "pv")
-        chart.add_points([p[0] for p in w_pts], [p[1] for p in w_pts],
-                         "#2b6cb0", "wind")
+        points = []
+        for tech, _ in _PV_WIND:
+            k = report.capacity_factors[tech] * HOURS_PER_YEAR / 1000.0
+            samples = series[f"{tech}_lcoe"].samples
+            points.append(([series[tech].value_at(y) * k for y, _ in samples],
+                           [c for _, c in samples]))
+        _, x_hi = _decades(10.0, cross_x * 2)
         xs, x = [], 10.0
         while x <= x_hi * 1.0001:
             xs.append(x)
             x *= 1.2589254117941673  # 10**0.1
-        for lc, color in ((report.learning["pv_learning_curve"], "#e6a817"),
-                          (report.learning["wind_learning_curve"], "#2b6cb0")):
-            chart.add_line(xs, [lc.cost_at(x) for x in xs], color, dashed=True)
-        chart.add_vline(levels["electric_fig5"], "electricity demand")
-        chart.add_vline(levels["primary_fig5"], "primary demand")
+        lines = [(xs, [report.learning[f"{tech}_learning_curve"].cost_at(x) for x in xs])
+                 for tech, _ in _PV_WIND]
+        chart = Chart("learning curves vs cumulative generation capability",
+                      Axis("cumulative generation capability [TWh/yr]", "log", 10.0, x_hi),
+                      Axis("LCOE [USD/MWh]", "log", 1.0, 1000.0),
+                      width=720, height=480)
+        _add_pv_wind(chart, points, lines)
+        chart.add_vline(constant(_THRESHOLD_CONSTANTS["electric_fig5"]), "electricity demand")
+        chart.add_vline(constant(_THRESHOLD_CONSTANTS["primary_fig5"]), "primary demand")
         chart.add_marker(cross_x, cross_cost, f"crossing at {cross_x:.0f} TWh/yr")
         return render([chart], "learning curves")
 
@@ -210,25 +183,24 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         target = ode["target_area_mkm2"]
         value = ode["extrapolated_potential_twh_per_year"]
         chart = Chart("offshore potential vs available sea area",
-                      Axis("available sea area [million km2]", "linear", 0.0,
-                           target * 1.15),
+                      Axis("available sea area [million km2]", "linear", 0.0, target * 1.15),
                       Axis("potential [TWh/yr]", "linear", 0.0, value * 1.2))
         chart.add_points([p[0] for p in pts], [p[1] for p in pts],
                          "#2b6cb0", "published potentials")
         xs = [0.0, target * 1.1]
-        chart.add_line(xs, [resourcebudget.offshore_depth_extrapolation(pts, x)
-                            for x in xs], "#2b6cb0", dashed=True)
+        chart.add_line(xs, [resourcebudget.offshore_depth_extrapolation(pts, x) for x in xs],
+                       "#2b6cb0", dashed=True)
         chart.add_marker(target, value, f"extrapolated {value:.0f} TWh/yr")
         return render([chart], "offshore depth extrapolation")
 
     # appfig6
-    b_xs, b_c = _series_xy(series["battery"])
+    b_xs, b_c = series["battery"].years, series["battery"].values
     decay = report.learning["battery_time_decay"]
     chart = Chart("lithium-ion pack cost",
                   Axis("year", "linear", 2009, 2032),
                   Axis("pack cost [USD/kWh]", "log", 1.0, 10000.0))
     chart.add_points(b_xs, b_c, "#2f855a", "survey data")
-    xs = [b_xs[0] + 0.5 * i for i in range(int((2031 - b_xs[0]) / 0.5) + 1)]
+    xs = _half_years(b_xs[0], 2031)
     chart.add_line(xs, [decay.cost_at_year(t) for t in xs], "#2f855a", dashed=True)
     value_2030 = report.battery_cost_2030
     chart.add_marker(2030.0, value_2030, f"2030: {value_2030:.1f} USD/kWh")

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .corpus import CapacitySeries
 from .errors import (
     CrossingOutOfRange,
+    FitOutOfRange,
     MissingYear,
     NonPositiveValue,
     NonPositiveX,
@@ -106,7 +107,11 @@ class LearningCurveFit(NamedTuple):
     cost_unit: str
 
     def cost_at(self, x: float) -> float:
-        return 10.0 ** (self.log10_intercept + self.log10_slope * math.log10(x))
+        try:
+            return 10.0 ** (self.log10_intercept + self.log10_slope * math.log10(x))
+        except OverflowError:
+            raise FitOutOfRange(f"the {self.technology} learning curve overflows at x = "
+                                f"{x:g}") from None
 
 
 class TimeDecayFit(NamedTuple):
@@ -121,7 +126,13 @@ class TimeDecayFit(NamedTuple):
     cost_unit: str
 
     def cost_at_year(self, year: float) -> float:
-        return self.cost0 * self.decay ** (year - self.reference_year)
+        try:
+            cost = self.cost0 * self.decay ** (year - self.reference_year)
+        except OverflowError:
+            cost = math.inf
+        if 0.0 < cost < math.inf:
+            return cost
+        raise FitOutOfRange(f"{self.technology} cost decay at {year:g} leaves the float range")
 
 
 def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
@@ -177,9 +188,11 @@ def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, flo
     try:
         x = 10.0 ** log_x
         cost = a.cost_at(x)     # ValueError from log10 when x underflowed to 0
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, FitOutOfRange):
+        cost = 0.0
+    if cost == 0.0:             # 0.0 also when the cost itself underflowed
         raise CrossingOutOfRange(f"the lines meet at x = 10**{log_x:g}, where x or "
-                                 "the cost leaves the float range") from None
+                                 "the cost leaves the float range")
     return x, cost
 
 
@@ -192,11 +205,16 @@ def fit_time_decay(series: CostSeries) -> TimeDecayFit:
     t = [float(s[0]) for s in series.samples]
     lnc = [math.log(s[1]) for s in series.samples]
     slope, tm, ym, sse, sst = ols(t, lnc)
+    try:
+        cost0, decay = math.exp(ym + slope * (t[0] - tm)), math.exp(slope)
+        decay ** 10             # the report prints the decline over a decade
+    except OverflowError:
+        raise FitOutOfRange(f"{series.technology}: the decay fit overflows") from None
     return TimeDecayFit(
         technology=series.technology,
         reference_year=t[0],
-        cost0=math.exp(ym + slope * (t[0] - tm)),
-        decay=math.exp(slope),
+        cost0=cost0,
+        decay=decay,
         r_squared=r_squared(sse, sst),
         window=(t[0], t[-1]),
         cost_unit=series.cost_unit,

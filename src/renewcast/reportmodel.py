@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property, partial
-from pathlib import Path
 from typing import NamedTuple
 
 from . import corpus, growthfit
 from .config import (_THRESHOLD_CONSTANTS, COMBINATIONS, THRESHOLD_NAMES, WIND_TREATMENTS,
                      ScenarioConfig)
 from .corpus import constant, get_constant
-from .errors import ConfigInvalid, DatasetMissing, MalformedRow, MissingFit
+from .errors import ConfigInvalid, MissingFit, UnitMismatch
 
 SCHEMA_VERSION = 1
 
@@ -128,10 +127,8 @@ class ScenarioReport:
     @cached_property
     def capacity_factors(self) -> dict:
         config = self.config
-        cf_pv = config.cf_pv if config.cf_pv is not None else constant("cf_pv")
-        cf_wind = config.cf_wind if config.cf_wind is not None else constant("cf_wind")
-        cf_hydro = config.cf_hydro if config.cf_hydro is not None else constant("cf_hydro")
-        return {"pv": cf_pv, "wind": cf_wind, "hydro": cf_hydro}
+        return {tech: constant(f"cf_{tech}") if cf is None else cf for tech, cf in
+                (("pv", config.cf_pv), ("wind", config.cf_wind), ("hydro", config.cf_hydro))}
 
     @cached_property
     def fits(self) -> Mapping:
@@ -229,19 +226,15 @@ class ScenarioReport:
         """name -> learncurve LearningCurveFit/TimeDecayFit."""
         from . import learncurve
         series, cf = self.series, self.capacity_factors
-        pv_cost = learncurve.cost_series(series["pv_lcoe"])
-        wind_cost = learncurve.cost_series(series["wind_lcoe"])
-        return {
-            "pv_learning_curve": learncurve.fit_learning_curve(
-                learncurve.join_cost_to_generation(pv_cost, series["pv"], cf["pv"])),
-            "wind_learning_curve": learncurve.fit_learning_curve(
-                learncurve.join_cost_to_generation(wind_cost, series["wind"],
-                                                   cf["wind"])),
-            "pv_time_decay": learncurve.fit_time_decay(pv_cost),
-            "wind_time_decay": learncurve.fit_time_decay(wind_cost),
-            "battery_time_decay": learncurve.fit_time_decay(
-                learncurve.cost_series(series["battery"])),
-        }
+        costs = {tech: learncurve.cost_series(series[f"{tech}_lcoe"])
+                 for tech in ("pv", "wind")}
+        learning = {f"{tech}_learning_curve": learncurve.fit_learning_curve(
+                        learncurve.join_cost_to_generation(cost, series[tech], cf[tech]))
+                    for tech, cost in costs.items()}
+        costs["battery"] = learncurve.cost_series(series["battery"])
+        for tech, cost in costs.items():
+            learning[f"{tech}_time_decay"] = learncurve.fit_time_decay(cost)
+        return learning
 
     @cached_property
     def budget(self) -> dict:
@@ -325,7 +318,9 @@ class ScenarioReport:
 
         crossover_year = scenario.pv_wind_generation_crossover(
             self.profiles["pv"], self.profiles[f"wind_{headline}"])
-        offshore_1tw_year = self.fits["offshore_wind"].year_at(1000.0)
+        offshore = self.fits["offshore_wind"]
+        # a fit that does not grow never reaches 1 TW, like an unreached crossing
+        offshore_1tw_year = offshore.year_at(1000.0) if offshore.ln_slope > 0 else None
         return [
             claim("wind_pv_meet_electric_fig5", "stated_year_wind_pv_electric",
                   year("electric_fig5", "wind_pv", headline)),
@@ -452,22 +447,21 @@ def _budget_dict(budget: dict) -> dict:
                 list(p) for p in ode["points_area_mkm2_potential_twh"]]}}
 
 
+# series dataset -> the (quantity kind, unit) its file must declare
+_GW, _USD_PER_MWH = ("installed_power", "GW"), ("unit_cost", "USD_per_MWh")
+_SERIES_SCHEMAS = {"pv": _GW, "wind": _GW, "offshore_wind": _GW, "hydro": _GW,
+                   "pv_lcoe": _USD_PER_MWH, "wind_lcoe": _USD_PER_MWH,
+                   "battery": ("unit_cost", "USD_per_kWh")}
+
+
 def load_series(config: ScenarioConfig) -> dict:
-    names = ("pv", "wind", "offshore_wind", "hydro", "pv_lcoe", "wind_lcoe",
-             "battery")
     out = {}
-    for name in names:
-        if config.data_dir is None:
-            out[name] = corpus.load_bundled(name)
-        else:
-            path = Path(config.data_dir) / corpus.BUNDLED_DATASETS[name]
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise DatasetMissing(f"cannot read dataset file {path}: {exc}") from None
-            except UnicodeDecodeError as exc:
-                raise MalformedRow(f"dataset file {path} is not UTF-8 text: {exc}") from None
-            out[name] = corpus.load_capacity_series(text)
+    for name, (kind, unit) in _SERIES_SCHEMAS.items():
+        series = corpus.load_capacity_series(corpus.read_dataset(name, config.data_dir))
+        if (series.quantity_kind, series.unit) != (kind, unit):
+            raise UnitMismatch(f"dataset file {corpus.BUNDLED_DATASETS[name]} declares "
+                               f"{series.quantity_kind}/{series.unit}, not {kind}/{unit}")
+        out[name] = series
     return out
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .corpus import HOURS_PER_YEAR, bundled_path, constant, get_constant, reduced_primary
+from .corpus import HOURS_PER_YEAR, constant, get_constant, read_dataset, reduced_primary
 from .errors import (
     CapacityFactorOutOfRange,
-    DatasetMissing,
+    FitOutOfRange,
     MalformedRow,
     NegativeDemand,
     NonPositiveDensity,
@@ -96,12 +96,8 @@ def offshore_depth_extrapolation(points, target_area) -> float:
 def load_offshore_depth_fixture():
     """Bundled (depth, area, potential) table -> ((area, potential) points,
     target area for the deepest row)."""
-    path = bundled_path("offshore_depth")
-    if not path.is_file():
-        raise DatasetMissing(f"bundled dataset file {path} not found")
-    points = []
-    target = None
-    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    points, target = [], None
+    for n, line in enumerate(read_dataset("offshore_depth").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split(",")
@@ -180,6 +176,8 @@ class DiscrepancyRow(NamedTuple):
 def discrepancy_row(name: str, constant_name: str, computed: float) -> DiscrepancyRow:
     """The registered constant_name as stated, against computed."""
     c = get_constant(constant_name)
+    if computed == 0:
+        raise FitOutOfRange(f"{name} is computed as 0: its relative deviation is undefined")
     return DiscrepancyRow(
         name=name,
         stated=c.value,

@@ -21,10 +21,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, max_ticks: int = 6):
+def _nice_ticks(lo: float, hi: float):
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(1, max_ticks - 1)
+    raw = (hi - lo) / 5         # at most six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -81,15 +81,10 @@ class Axis(NamedTuple):
 
 
 class Chart:
-    def __init__(self, title: str, x: Axis, y: Axis, width: int = 560, height: int = 420,
-                 margin: tuple = (46, 16, 40, 78), elements: list | None = None):
-        self.title = title
-        self.x = x
-        self.y = y
-        self.width = width
-        self.height = height
-        self.margin = margin    # top, right, bottom, left
-        self.elements = [] if elements is None else elements
+    def __init__(self, title: str, x: Axis, y: Axis, width: int = 560, height: int = 420):
+        self.title, self.x, self.y = title, x, y
+        self.width, self.height = width, height
+        self.elements = []      # (kind, data pairs or value, ...) in drawing order
 
     def add_points(self, xs, ys, color, label="", radius=3.0):
         self.elements.append(("points", list(zip(xs, ys)), color, label, radius))
@@ -97,14 +92,14 @@ class Chart:
     def add_line(self, xs, ys, color, label="", dashed=False, width=1.6):
         self.elements.append(("line", list(zip(xs, ys)), color, label, dashed, width))
 
-    def add_hline(self, value, label, color="#777777"):
-        self.elements.append(("hline", value, label, color))
+    def add_hline(self, value, label):
+        self.elements.append(("hline", value, label))
 
-    def add_vline(self, value, label, color="#777777"):
-        self.elements.append(("vline", value, label, color))
+    def add_vline(self, value, label):
+        self.elements.append(("vline", value, label))
 
-    def add_marker(self, vx, vy, label, color="#c53030"):
-        self.elements.append(("marker", vx, vy, label, color))
+    def add_marker(self, vx, vy, label):
+        self.elements.append(("marker", vx, vy, label))
 
     def _clip(self, pairs, x0, x1, y0, y1):
         """Pixel (x, y) pairs of the data pairs inside both axis ranges."""
@@ -114,7 +109,7 @@ class Chart:
                    self.y.scale([p[1] for p in kept], y0, y1))
 
     def render_group(self, dx=0.0) -> str:
-        top, right, bottom, left = self.margin
+        top, right, bottom, left = 46, 16, 40, 78       # margins
         x0, x1, y0, y1 = left, self.width - right, self.height - bottom, top  # y0 is the bottom
         parts = [f'<g transform="translate({_fmt(dx)},0)" font-family="sans-serif">']
         parts.append(
@@ -163,29 +158,25 @@ class Chart:
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="{color}" stroke-width="{_fmt(width)}"{dash}/>')
-            elif kind == "hline":
-                _, value, label, color = el
-                (py,) = self.y.scale((value,), y0, y1)
-                parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
-                             f'y2="{_fmt(py)}" stroke="{color}" stroke-width="1.2" '
-                             f'stroke-dasharray="3 3"/>')
-                parts.append(f'<text x="{_fmt(x0 + 5)}" y="{_fmt(py - 4)}" '
-                             f'font-size="10" fill="{color}">{escape(label)}</text>')
-            elif kind == "vline":
-                _, value, label, color = el
-                (px,) = self.x.scale((value,), x0, x1)
-                parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
-                             f'y2="{_fmt(y1)}" stroke="{color}" stroke-width="1.2" '
-                             f'stroke-dasharray="3 3"/>')
-                parts.append(f'<text x="{_fmt(px + 4)}" y="{_fmt(y1 + 12)}" '
-                             f'font-size="10" fill="{color}">{escape(label)}</text>')
+            elif kind in ("hline", "vline"):
+                _, value, label = el
+                if kind == "hline":
+                    (py,) = self.y.scale((value,), y0, y1)
+                    ends, at = (x0, py, x1, py), (x0 + 5, py - 4)
+                else:
+                    (px,) = self.x.scale((value,), x0, x1)
+                    ends, at = (px, y0, px, y1), (px + 4, y1 + 12)
+                parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#777777" '
+                             'stroke-width="1.2" stroke-dasharray="3 3"/>' % ends)
+                parts.append('<text x="%.2f" y="%.2f" font-size="10" fill="#777777">' % at
+                             + f'{escape(label)}</text>')
             elif kind == "marker":
-                _, vx, vy, label, color = el
+                _, vx, vy, label = el
                 (px,), (py,) = self.x.scale((vx,), x0, x1), self.y.scale((vy,), y0, y1)
                 parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
-                             f'fill="none" stroke="{color}" stroke-width="2"/>')
+                             f'fill="none" stroke="#c53030" stroke-width="2"/>')
                 parts.append(f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 6)}" '
-                             f'font-size="10" fill="{color}">{escape(label)}</text>')
+                             f'font-size="10" fill="#c53030">{escape(label)}</text>')
         # legend for labelled series
         for el in self.elements:
             if el[0] in ("points", "line") and el[3]:

@@ -1,9 +1,12 @@
 """Each CLI subcommand computes only the report sections it prints, and every
 input ends in one of the documented exit codes."""
 
+import contextlib
 import errno
 import gc
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -109,6 +112,35 @@ def test_changepoint_scanned_only_where_printed(tmp_path, monkeypatch, capsys, a
     monkeypatch.setattr(growthfit, "detect_changepoint", counting)
     assert main(["--out", str(tmp_path), *argv]) == 0
     assert len(scans) == calls
+
+
+_PV_WIND_HYDRO = [("fit_exponential", "pv"), ("fit_exponential", "wind"),
+                  ("fit_polynomial", "hydro")]
+
+
+@pytest.mark.parametrize("figure_id, fits", [
+    *[(figure_id, []) for figure_id in ("fig4", "fig7", "fig8", "appfig1", "appfig6")],
+    ("fig1", [("fit_exponential", "pv")]),
+    ("fig3", [("fit_exponential", "offshore_wind")]),
+    # the rebound fit and the changepoint scan
+    ("fig2", [("detect_changepoint", "wind"), ("fit_exponential", "wind")]),
+    ("fig5", _PV_WIND_HYDRO),
+    ("fig6", _PV_WIND_HYDRO),
+])
+def test_each_figure_fits_only_what_it_draws(tmp_path, monkeypatch, capsys, figure_id,
+                                             fits):
+    made = []
+
+    def counting(name, fit):
+        def wrapper(series, *args, **kwargs):
+            made.append((name, series.technology))
+            return fit(series, *args, **kwargs)
+        return wrapper
+
+    for name in ("fit_exponential", "fit_polynomial", "detect_changepoint"):
+        monkeypatch.setattr(growthfit, name, counting(name, getattr(growthfit, name)))
+    assert main(["--out", str(tmp_path), "figures", "--id", figure_id]) == 0
+    assert sorted(made) == fits
 
 
 def test_report_is_freed_without_the_cycle_collector(tmp_path):
@@ -272,8 +304,193 @@ def test_extreme_dataset_exits_with_a_contract_code(extreme_data, tmp_path, caps
     assert main(["--config", str(extreme_data[dataset]), "--out", str(out), *argv]) == code
     stdout, err = capsys.readouterr()
     assert error in err and "Traceback" not in err
+    _assert_all_finite(stdout, out)
+
+
+def _assert_all_finite(stdout, out):
+    """No nan or inf in stdout or in any file written to out."""
     for text in (stdout, *(p.read_text(encoding="utf-8") for p in out.glob("*"))):
         assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", text)
+
+
+_SERIES = ("pv", "wind", "offshore_wind", "hydro", "pv_lcoe", "wind_lcoe", "battery")
+
+
+def _bundled_text(name):
+    return corpus.bundled_path(name).read_text(encoding="utf-8")
+
+
+def _bundled_rows(name):
+    return tuple(tuple(map(float, line.split(","))) for line in _bundled_text(name).splitlines()
+                 if line.strip() and not line.startswith("#"))
+
+
+def _write_data_dir(root, rows):
+    """A data_dir under root and a config file that reads it: each series
+    file keeps its bundled header, with rows[name] as its (year, value) rows."""
+    data = root / "data"
+    data.mkdir()
+    for name in _SERIES:
+        header = [l for l in _bundled_text(name).splitlines() if l.startswith("#")]
+        (data / corpus.BUNDLED_DATASETS[name]).write_text(
+            "\n".join([*header, *(f"{y!r},{v!r}" for y, v in rows[name])]) + "\n",
+            encoding="utf-8")
+    conf = root / "run.conf"
+    conf.write_text(f"data_dir = {data}\n", encoding="utf-8")
+    return conf
+
+
+def _bundled_with(**edits):
+    """The bundled rows of every series; edits[name](year, value) gives a new value."""
+    return {name: tuple((y, edits[name](y, v) if name in edits else v)
+                        for y, v in _bundled_rows(name)) for name in _SERIES}
+
+
+# PV capacity x 1e146 and the 2009-2010 PV costs x 1e5: the PV learning curve
+# overflows the float range inside the drawn and printed x range
+_COST_OVERFLOW = _bundled_with(pv=lambda y, v: v * 1e146,
+                               pv_lcoe=lambda y, v: v * 1e5 if y in (2009, 2010) else v)
+# every offshore value 2.09: the offshore fit does not grow
+_CONSTANT_OFFSHORE = _bundled_with(offshore_wind=lambda y, v: 2.09)
+
+
+@pytest.mark.parametrize("name, directives, needs", [
+    # the PV LCOE file copied over the PV capacity file
+    ("pv", ("# kind: unit_cost", "# unit: USD_per_MWh"), "installed_power/GW"),
+    ("hydro", ("# kind: annual_generation", "# unit: TWh_per_year"), "installed_power/GW"),
+    ("battery", ("# kind: unit_cost", "# unit: USD_per_MWh"), "unit_cost/USD_per_kWh"),
+])
+def test_declared_kind_and_unit_must_match_the_dataset(tmp_path, capsys, name, directives,
+                                                       needs):
+    conf = _write_data_dir(tmp_path, _bundled_with())
+    path = conf.parent / "data" / corpus.BUNDLED_DATASETS[name]
+    text = _bundled_text("pv_lcoe") if name == "pv" else path.read_text(encoding="utf-8")
+    text = "\n".join(l for l in text.splitlines() if not l.startswith(("# kind:", "# unit:")))
+    path.write_text("\n".join((*directives, text)) + "\n", encoding="utf-8")
+    assert main(["--config", str(conf), "--out", str(tmp_path / "out"), "fit", "pv"]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    kind, unit = (d.split(": ")[1] for d in directives)
+    assert err == f"data error: dataset file {path.name} declares {kind}/{unit}, not {needs}\n"
+
+
+@pytest.mark.parametrize("argv", [["learn"], ["report"], ["figures", "--id", "fig8"]])
+def test_learning_curve_cost_overflow_is_a_model_error(tmp_path, capsys, argv):
+    conf = _write_data_dir(tmp_path, _COST_OVERFLOW)
+    assert main(["--config", str(conf), "--out", str(tmp_path / "out"), *argv]) == 4
+    err = capsys.readouterr().err
+    assert "the pv learning curve overflows at x = " in err
+    assert "Traceback" not in err
+
+
+def test_offshore_fit_that_does_not_grow_leaves_the_1tw_claim_empty(tmp_path, capsys):
+    conf = _write_data_dir(tmp_path, _CONSTANT_OFFSHORE)
+    out = tmp_path / "out"
+    assert main(["--config", str(conf), "--out", str(out), "report"]) == 0
+    claims = json.loads((out / "report.json").read_text(encoding="utf-8"))["claims"]
+    (claim,) = [c for c in claims if c["name"] == "offshore_reaches_1tw"]
+    assert claim["computed_year"] is None and claim["delta_years"] is None
+    assert claim["stated_year"] == 2032.0
+
+
+_BUNDLED_PV, _BUNDLED_WIND = dict(_bundled_rows("pv")), dict(_bundled_rows("wind"))
+_BATTERY_2030_UNDERFLOWS = {"battery": lambda y, v: 1e-200 * 10.0 ** (-10 * (y - 2010))}
+_BATTERY_2030 = "battery cost decay at 2030 leaves the float range"
+
+
+@pytest.mark.parametrize("edits, argv, code, error", [
+    # a constant series at a power of ten, and PV and wind below 1 GW: each
+    # log axis spans at least a decade
+    ({"pv": lambda y, v: 100.0}, ["figures", "--id", "fig1"], 0, ""),
+    ({"pv": lambda y, v: v / 1e3, "wind": lambda y, v: v / 1e3},
+     ["figures", "--id", "fig4"], 0, ""),
+    # battery costs x 1e40 a year: the decay over a decade overflows
+    ({"battery": lambda y, v: 10.0 ** (40 * (y - 2012))}, ["learn"], 4,
+     "battery: the decay fit overflows"),
+    # the 2030 battery cost overflows, or underflows to 0
+    ({"battery": lambda y, v: 1e200 * 10.0 ** (10 * (y - 2010))}, ["learn"], 4,
+     _BATTERY_2030),
+    (_BATTERY_2030_UNDERFLOWS, ["budget"], 4, _BATTERY_2030),
+    (_BATTERY_2030_UNDERFLOWS, ["figures", "--id", "appfig6"], 4,
+     "battery cost decay at 2022.5 leaves the float range"),
+    # the PV generation of 2025 underflows to 0: no relative deviation
+    ({"pv": lambda y, v: 10.0 ** (-10 * (y - 1990))}, ["budget"], 4,
+     "mix_2025_pv_twh is computed as 0: its relative deviation is undefined"),
+    # cost = 10**150 / x**2 for PV and 10**-100 / x for wind: the lines meet
+    # at x = 10**250, where the cost underflows to 0
+    ({"pv_lcoe": lambda y, v: 10.0 ** (150 - 2 * math.log10(_BUNDLED_PV[y])),
+      "wind_lcoe": lambda y, v: 10.0 ** (-100 - math.log10(_BUNDLED_WIND[y]))},
+     ["figures", "--id", "fig8"], 4, "the lines meet at x = 10**250.21"),
+], ids=["pv_constant_100", "pv_wind_below_1gw", "battery_decade_overflows",
+        "battery_2030_overflows", "battery_2030_underflows_budget",
+        "battery_2030_underflows_appfig6", "pv_2025_underflows", "curves_meet_at_cost_0"])
+def test_fuzzed_data_dir_findings(tmp_path, capsys, edits, argv, code, error):
+    conf = _write_data_dir(tmp_path, _bundled_with(**edits))
+    out = tmp_path / "out"
+    assert main(["--config", str(conf), "--out", str(out), *argv]) == code
+    stdout, err = capsys.readouterr()
+    assert error in err and "Traceback" not in err
+    _assert_all_finite(stdout, out)
+
+
+_MAGNITUDES = st.integers(-300, 300).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _series_rows(draw, name):
+    """(year, value) rows of one series file. The years are the bundled ones
+    (so that cost years still find their capacity samples) or 0-40 evenly
+    spaced, possibly fractional, years. The values are the bundled ones
+    rescaled, or a constant, growing, decreasing or scattered run, at
+    magnitudes from about 1e-300 to 1e300."""
+    bundled = _bundled_rows(name)
+    if draw(st.integers(0, 3)) > 0:         # three draws in four
+        years = [y for y, _ in bundled]
+        shape = draw(st.sampled_from(("rescaled",) * 4 + ("constant", "growing",
+                                                          "decreasing", "scattered")))
+    else:
+        start = draw(st.integers(1980, 2015) | st.floats(1980.0, 2015.0))
+        step = draw(st.sampled_from((1.0, 0.5, 0.25)) | st.floats(0.01, 1.0))
+        years = [start + i * step for i in range(draw(st.integers(0, 40)))]
+        shape = draw(st.sampled_from(("constant", "growing", "decreasing", "scattered")))
+    top = draw(_MAGNITUDES)
+    if shape == "rescaled":
+        factor = top / max(v for _, v in bundled)
+        values = [v * factor for _, v in bundled]
+    elif shape == "scattered":
+        values = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(years),
+                               max_size=len(years)))
+    else:
+        g = draw({"constant": st.just(1.0), "growing": st.floats(1.0, 2.0),
+                  "decreasing": st.floats(0.5, 1.0)}[shape])
+        values = [min(max(top * g ** i, 1e-300), 1e300) for i in range(len(years))]
+    return tuple(zip(years, values))
+
+
+_DATA_DIRS = st.fixed_dictionaries({name: _series_rows(name) for name in _SERIES})
+_PICKS = st.tuples(st.sampled_from(_TECHS), st.sampled_from(THRESHOLD_NAMES),
+                   st.floats(2021.0, 2100.0), st.sampled_from(FIGURE_IDS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=_DATA_DIRS, picks=_PICKS)
+@example(rows=_COST_OVERFLOW, picks=("pv", "electric_fig5", 2050.0, "fig8"))
+@example(rows=_CONSTANT_OFFSHORE, picks=("offshore_wind", "primary_fig5", 2040.0, "fig3"))
+def test_fuzzed_data_dir_exits_with_a_contract_code(rows, picks):
+    tech, threshold, year, figure = picks
+    argvs = (["fit", tech], ["project", tech, "--year", repr(year)],
+             ["cross", "--threshold", threshold], ["mix", "--year", repr(year)],
+             ["learn"], ["budget"], ["report"], ["figures", "--id", figure])
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = _write_data_dir(Path(tmp), rows)
+        for i, argv in enumerate(argvs):
+            out = Path(tmp) / f"out{i}"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["--config", str(conf), "--out", str(out), *argv])
+            assert code in (0, 2, 3, 4), argv
+            assert "Traceback" not in stderr.getvalue()
+            _assert_all_finite(stdout.getvalue(), out)
 
 
 def _run_python(*args):

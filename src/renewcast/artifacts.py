@@ -29,13 +29,8 @@ def _csv(header, rows) -> str:
                      for row in (header, *rows)) + "\n"
 
 
-def _rows_csv(row_type, rows) -> str:
-    """One column per field of row_type, headed by the field's name."""
-    return _csv(row_type._fields, rows)
-
-
 def crossings_csv(report: ScenarioReport) -> str:
-    return _rows_csv(CrossingEntry, report.crossings)
+    return _csv(CrossingEntry._fields, report.crossings)
 
 
 def mixes_csv(report: ScenarioReport) -> str:
@@ -60,11 +55,11 @@ def budget_csv(report: ScenarioReport) -> str:
 
 def discrepancies_csv(report: ScenarioReport) -> str:
     from .resourcebudget import DiscrepancyRow
-    return _rows_csv(DiscrepancyRow, report.discrepancies)
+    return _csv(DiscrepancyRow._fields, report.discrepancies)
 
 
 def claims_csv(report: ScenarioReport) -> str:
-    return _rows_csv(ClaimRow, report.claims)
+    return _csv(ClaimRow._fields, report.claims)
 
 
 def emit_discrepancies(rows) -> str:

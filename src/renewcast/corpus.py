@@ -39,8 +39,6 @@ from .errors import (
 
 HOURS_PER_YEAR = 8760.0
 
-QUANTITY_KINDS = ("installed_power", "annual_generation", "unit_cost")
-
 # Units accepted for each quantity kind. installed_power and unit_cost series
 # feed log-space fits, so their values must be strictly positive at load.
 _KIND_UNITS = {
@@ -105,7 +103,7 @@ def make_series(technology, quantity_kind, unit, samples, provenance="") -> Capa
 
 def _assemble(technology, kind, unit, samples, provenance, header_lines, row_text):
     """Check and year-order (float year, float value) samples into a series."""
-    if kind not in QUANTITY_KINDS:
+    if kind not in _KIND_UNITS:
         raise UnitMismatch(f"unknown quantity kind {kind!r}")
     if unit not in _KIND_UNITS[kind]:
         raise UnitMismatch(f"unit {unit!r} not valid for kind {kind!r}")
@@ -135,12 +133,8 @@ def _assemble(technology, kind, unit, samples, provenance, header_lines, row_tex
     )
 
 
-def load_capacity_series(source: str, expect_unit=None, expect_kind=None) -> CapacitySeries:
-    """Parse a series from its file text.
-
-    expect_unit / expect_kind assert the declared schema; a conflicting
-    declaration raises UnitMismatch.
-    """
+def load_capacity_series(source: str) -> CapacitySeries:
+    """Parse a series from its file text."""
     header: list[str] = []
     rows: list[tuple[float, float]] = []
     row_text: list[str] = []
@@ -173,17 +167,11 @@ def load_capacity_series(source: str, expect_unit=None, expect_kind=None) -> Cap
         rows.append((year, value))
         row_text.append(line)
 
-    kind = meta["kind"] or (expect_kind or "")
-    unit = meta["unit"] or (expect_unit or "")
-    if expect_kind and kind != expect_kind:
-        raise UnitMismatch(f"declared kind {kind!r}, expected {expect_kind!r}")
-    if expect_unit and unit != expect_unit:
-        raise UnitMismatch(f"declared unit {unit!r}, expected {expect_unit!r}")
     provenance = " ".join(
         l[1:].strip() for l in header
         if not any(l[1:].strip().startswith(f"{k}:") for k in meta)
     )
-    return _assemble(meta["technology"] or "unnamed", kind, unit, rows,
+    return _assemble(meta["technology"] or "unnamed", meta["kind"], meta["unit"], rows,
                      provenance, header, row_text)
 
 
@@ -206,6 +194,12 @@ BUNDLED_DATASETS = {
     "battery": "battery_pack_cost_usd_kwh.csv",
     "offshore_depth": "offshore_depth_potential.csv",
 }
+
+# series dataset -> the (quantity kind, unit) its file must declare
+_GW, _USD_PER_MWH = ("installed_power", "GW"), ("unit_cost", "USD_per_MWh")
+SERIES_SCHEMAS = {"pv": _GW, "wind": _GW, "offshore_wind": _GW, "hydro": _GW,
+                  "pv_lcoe": _USD_PER_MWH, "wind_lcoe": _USD_PER_MWH,
+                  "battery": ("unit_cost", "USD_per_kWh")}
 
 
 def bundled_path(name: str):
@@ -232,8 +226,20 @@ def read_dataset(name: str, data_dir=None) -> str:
         raise MalformedRow(f"dataset file {path} is not UTF-8 text: {exc}") from None
 
 
+def load_series(name: str, data_dir=None) -> CapacitySeries:
+    """The named series, parsed from its bundled file or its namesake in
+    data_dir; UnitMismatch when the file declares another kind or unit than
+    SERIES_SCHEMAS gives the dataset."""
+    series = load_capacity_series(read_dataset(name, data_dir))
+    kind, unit = SERIES_SCHEMAS[name]
+    if (series.quantity_kind, series.unit) != (kind, unit):
+        raise UnitMismatch(f"dataset file {BUNDLED_DATASETS[name]} declares "
+                           f"{series.quantity_kind}/{series.unit}, not {kind}/{unit}")
+    return series
+
+
 def load_bundled(name: str) -> CapacitySeries:
-    return load_capacity_series(read_dataset(name))
+    return load_series(name)
 
 
 # --------------------------------------------------------------------------

@@ -25,19 +25,14 @@ _CAPACITY_FIGURES = {
 }
 
 
-def _line_points(model, lo, hi, step=0.5):
-    xs, ys = [], []
-    t = lo
-    while t <= hi + 1e-9:
-        xs.append(t)
-        ys.append(model.value_at(t))
-        t += step
-    return xs, ys
-
-
 def _half_years(lo, hi):
     """lo, lo + 0.5, ... up to hi."""
     return [lo + 0.5 * i for i in range(int((hi - lo) / 0.5) + 1)]
+
+
+def _line_points(model, lo, hi):
+    xs = _half_years(lo, hi)
+    return xs, [model.value_at(t) for t in xs]
 
 
 def _decades(lo, hi):

@@ -253,8 +253,10 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
     within a rounding bound of the best is refitted with ols, in ascending
     order, and the first with the least total wins: the answer, bit for
     bit, of refitting every split. Its two ols lines become left and right.
-    The caller judges significance from improvement_ratio against a
-    configured threshold.
+    On a noiseless series, where the single line and the first split both
+    fit within the noise floor, every split ties and the first wins
+    without a scan. The caller judges significance from improvement_ratio
+    against a configured threshold.
     """
     if min_segment < 2:
         raise TooFewPoints("min_segment must be >= 2 so each side is fittable")
@@ -276,18 +278,22 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
         left, right = split(k)
         return left[3] + right[3]
 
+    # SSEs at float-noise level are exactly-zero fits in disguise; clamping
+    # keeps sse_piecewise <= sse_single and improvement_ratio meaningful for
+    # noiselessly exponential inputs, where every split ties at 0.
+    noise_floor = n * (1e-12 * max(1.0, max(map(abs, lnv)))) ** 2
+    if sse_single <= noise_floor and split_sse(min_segment) <= noise_floor:
+        candidates = (min_segment,)
+    else:
+        candidates = _near_minimal_splits(years, lnv, min_segment, split_sse)
     best_k = None
     best_sse = math.inf
-    for k in _near_minimal_splits(years, lnv, min_segment, split_sse):
+    for k in candidates:
         total = split_sse(k)
         if total < best_sse:
             best_sse = total
             best_k = k
 
-    # SSEs at float-noise level are exactly-zero fits in disguise; clamping
-    # keeps sse_piecewise <= sse_single and improvement_ratio meaningful for
-    # noiselessly exponential inputs.
-    noise_floor = n * (1e-12 * max(1.0, max(map(abs, lnv)))) ** 2
     if sse_single <= noise_floor:
         sse_single = 0.0
     if best_sse <= noise_floor:

@@ -16,7 +16,7 @@ from . import corpus, growthfit
 from .config import (_THRESHOLD_CONSTANTS, COMBINATIONS, THRESHOLD_NAMES, WIND_TREATMENTS,
                      ScenarioConfig)
 from .corpus import constant, get_constant
-from .errors import ConfigInvalid, MissingFit, UnitMismatch
+from .errors import ConfigInvalid, MissingFit
 
 SCHEMA_VERSION = 1
 
@@ -447,22 +447,8 @@ def _budget_dict(budget: dict) -> dict:
                 list(p) for p in ode["points_area_mkm2_potential_twh"]]}}
 
 
-# series dataset -> the (quantity kind, unit) its file must declare
-_GW, _USD_PER_MWH = ("installed_power", "GW"), ("unit_cost", "USD_per_MWh")
-_SERIES_SCHEMAS = {"pv": _GW, "wind": _GW, "offshore_wind": _GW, "hydro": _GW,
-                   "pv_lcoe": _USD_PER_MWH, "wind_lcoe": _USD_PER_MWH,
-                   "battery": ("unit_cost", "USD_per_kWh")}
-
-
 def load_series(config: ScenarioConfig) -> dict:
-    out = {}
-    for name, (kind, unit) in _SERIES_SCHEMAS.items():
-        series = corpus.load_capacity_series(corpus.read_dataset(name, config.data_dir))
-        if (series.quantity_kind, series.unit) != (kind, unit):
-            raise UnitMismatch(f"dataset file {corpus.BUNDLED_DATASETS[name]} declares "
-                               f"{series.quantity_kind}/{series.unit}, not {kind}/{unit}")
-        out[name] = series
-    return out
+    return {name: corpus.load_series(name, config.data_dir) for name in corpus.SERIES_SCHEMAS}
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:

@@ -7,14 +7,13 @@ to fixed precision; text is XML-escaped.
 
 from __future__ import annotations
 
-import html
 import math
 from typing import NamedTuple
 
 
 def escape(text: str) -> str:
     """Escape &, < and > for SVG text content."""
-    return html.escape(text, quote=False)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:

@@ -547,6 +547,12 @@ def test_learn_loads_no_chart_and_no_scenario(tmp_path):
     assert not loaded & {"renewcast.svgchart", "renewcast.scenario"}
 
 
+def test_figures_load_no_html(tmp_path):
+    loaded = _loaded_after("--out", str(tmp_path), "figures", "--id", "fig1")
+    assert "renewcast.svgchart" in loaded
+    assert "html" not in loaded
+
+
 def test_only_the_config_is_a_dataclass():
     # records are NamedTuples or plain classes; ScenarioConfig is the one
     # dataclass left

@@ -83,13 +83,6 @@ def test_empty_series_rejected():
         rc.load_capacity_series("# kind: installed_power\n# unit: GW\n")
 
 
-def test_unit_mismatch_against_expectation():
-    with pytest.raises(UnitMismatch):
-        rc.load_capacity_series(MINIMAL, expect_unit="TWh_per_year")
-    with pytest.raises(UnitMismatch):
-        rc.load_capacity_series(MINIMAL, expect_kind="unit_cost")
-
-
 def test_unit_invalid_for_kind():
     text = "# kind: installed_power\n# unit: USD_per_MWh\n2000,1\n"
     with pytest.raises(UnitMismatch):
@@ -126,6 +119,23 @@ def test_bundled_pv_is_cumulative_and_recent(pv_series):
     assert pv_series.last_year >= 2019
     assert pv_series.unit == "GW"
     assert pv_series.quantity_kind == "installed_power"
+
+
+@pytest.mark.parametrize("name", sorted(corpus.SERIES_SCHEMAS))
+def test_bundled_series_load_with_their_schema(name):
+    series = corpus.load_series(name)
+    assert (series.quantity_kind, series.unit) == corpus.SERIES_SCHEMAS[name]
+    assert series.samples
+
+
+def test_series_declaring_another_unit_is_rejected(tmp_path):
+    fname = corpus.BUNDLED_DATASETS["wind_lcoe"]
+    text = corpus.bundled_path("wind_lcoe").read_text(encoding="utf-8")
+    (tmp_path / fname).write_text(text.replace("# unit: USD_per_MWh", "# unit: USD_per_kWh"),
+                                  encoding="utf-8")
+    with pytest.raises(UnitMismatch) as excinfo:
+        corpus.load_series("wind_lcoe", tmp_path)
+    assert fname in str(excinfo.value)
 
 
 def test_unknown_dataset_name():

@@ -200,16 +200,20 @@ def test_sse_piecewise_never_exceeds_sse_single():
 
 def _exhaustive_changepoint(samples, min_segment):
     """Refit both ols lines at every split: (split year, sse_piecewise,
-    sse_single, improvement_ratio), with detect_changepoint's noise floor."""
+    sse_single, improvement_ratio), with detect_changepoint's noise floor
+    and its tie rule: when the single line and the first split are both
+    within the floor, the first split wins."""
     t = [y for y, _ in samples]
     lnv = [math.log(v) for _, v in samples]
+    sse_single = growthfit.ols(t, lnv)[3]
+    noise_floor = len(t) * (1e-12 * max(1.0, max(map(abs, lnv)))) ** 2
     best_k, best_sse = None, math.inf
     for k in range(min_segment, len(t) - min_segment + 1):
         total = growthfit.ols(t[:k], lnv[:k])[3] + growthfit.ols(t[k:], lnv[k:])[3]
         if total < best_sse:
             best_k, best_sse = k, total
-    sse_single = growthfit.ols(t, lnv)[3]
-    noise_floor = len(t) * (1e-12 * max(1.0, max(map(abs, lnv)))) ** 2
+        if k == min_segment and sse_single <= noise_floor and total <= noise_floor:
+            break
     sse_single = 0.0 if sse_single <= noise_floor else sse_single
     best_sse = 0.0 if best_sse <= noise_floor else best_sse
     improvement = 0.0 if sse_single == 0.0 else 1.0 - best_sse / sse_single
@@ -245,6 +249,19 @@ def test_changepoint_equals_exhaustive_scan(case):
     piecewise = rc.detect_changepoint(_series(samples), min_segment=min_segment)
     assert (piecewise.changepoint_year, piecewise.sse_piecewise, piecewise.sse_single,
             piecewise.improvement_ratio) == _exhaustive_changepoint(samples, min_segment)
+
+
+def test_noiseless_changepoint_takes_the_first_split_unscanned(monkeypatch):
+    # a 3,000-point exactly exponential weekly series: every split ties
+    years = [2000.0 + i / 52 for i in range(3000)]
+    series = _series([(y, math.exp(0.3 * (y - 2000.0))) for y in years])
+    calls = []
+    ols = growthfit.ols
+    monkeypatch.setattr(growthfit, "ols", lambda x, y: calls.append(1) or ols(x, y))
+    piecewise = rc.detect_changepoint(series, min_segment=3)
+    assert len(calls) <= 5
+    assert piecewise.changepoint_year == years[3]
+    assert piecewise.sse_piecewise == piecewise.sse_single == 0.0
 
 
 # -- extrapolation and doubling time -----------------------------------------

@@ -26,8 +26,8 @@ _CAPACITY_FIGURES = {
 
 
 def _half_years(lo, hi):
-    """lo, lo + 0.5, ... up to hi."""
-    return [lo + 0.5 * i for i in range(int((hi - lo) / 0.5) + 1)]
+    """lo, lo + 0.5, ... up to hi; none when hi < lo."""
+    return [lo + 0.5 * i for i in range(math.floor((hi - lo) / 0.5) + 1)]
 
 
 def _line_points(model, lo, hi):

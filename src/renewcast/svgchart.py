@@ -52,6 +52,14 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
+def _columns(xs, ys):
+    """The x and y columns of a plotted series as lists of equal length."""
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} x values but {len(ys)} y values")
+    return xs, ys
+
+
 class Axis(NamedTuple):
     label: str = ""
     kind: str = "linear"          # linear | log
@@ -83,13 +91,13 @@ class Chart:
     def __init__(self, title: str, x: Axis, y: Axis, width: int = 560, height: int = 420):
         self.title, self.x, self.y = title, x, y
         self.width, self.height = width, height
-        self.elements = []      # (kind, data pairs or value, ...) in drawing order
+        self.elements = []      # (kind, x column or value, ...) in drawing order
 
     def add_points(self, xs, ys, color, label="", radius=3.0):
-        self.elements.append(("points", list(zip(xs, ys)), color, label, radius))
+        self.elements.append(("points", *_columns(xs, ys), color, label, radius))
 
     def add_line(self, xs, ys, color, label="", dashed=False, width=1.6):
-        self.elements.append(("line", list(zip(xs, ys)), color, label, dashed, width))
+        self.elements.append(("line", *_columns(xs, ys), color, label, dashed, width))
 
     def add_hline(self, value, label):
         self.elements.append(("hline", value, label))
@@ -100,12 +108,22 @@ class Chart:
     def add_marker(self, vx, vy, label):
         self.elements.append(("marker", vx, vy, label))
 
-    def _clip(self, pairs, x0, x1, y0, y1):
-        """Pixel (x, y) pairs of the data pairs inside both axis ranges."""
+    def _clip(self, xs, ys, x0, x1, y0, y1):
+        """Pixel coordinates x, y, x, y, ... of the points inside both axis ranges.
+
+        A series that lies wholly inside (min and max within the axes and a
+        finite sum, so no nan or inf) is scaled as it is; any other is
+        filtered point by point first.
+        """
         xlo, xhi, ylo, yhi = self.x.lo, self.x.hi, self.y.lo, self.y.hi
-        kept = [p for p in pairs if xlo <= p[0] <= xhi and ylo <= p[1] <= yhi]
-        return zip(self.x.scale([p[0] for p in kept], x0, x1),
-                   self.y.scale([p[1] for p in kept], y0, y1))
+        if not (xs and xlo <= min(xs) and max(xs) <= xhi and ylo <= min(ys)
+                and max(ys) <= yhi and math.isfinite(sum(xs) + sum(ys))):
+            kept = [p for p in zip(xs, ys) if xlo <= p[0] <= xhi and ylo <= p[1] <= yhi]
+            xs, ys = [p[0] for p in kept], [p[1] for p in kept]
+        flat = [0.0] * (2 * len(xs))
+        flat[::2] = self.x.scale(xs, x0, x1)
+        flat[1::2] = self.y.scale(ys, y0, y1)
+        return tuple(flat)
 
     def render_group(self, dx=0.0) -> str:
         top, right, bottom, left = 46, 16, 40, 78       # margins
@@ -146,14 +164,16 @@ class Chart:
         for el in self.elements:
             kind = el[0]
             if kind == "points":
-                _, pairs, color, label, radius = el
-                # the hottest loop: one %-format per point, _fmt's spec inlined
+                _, xs, ys, color, label, radius = el
+                # the hottest path: one %-format call per element, _fmt's spec inlined
                 circle = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(radius)}" fill="{color}"/>'
-                parts.extend(map(circle.__mod__, self._clip(pairs, x0, x1, y0, y1)))
+                flat = self._clip(xs, ys, x0, x1, y0, y1)
+                if flat:
+                    parts.append("\n".join([circle] * (len(flat) // 2)) % flat)
             elif kind == "line":
-                _, pairs, color, label, dashed, width = el
-                pts = " ".join(map("%.2f,%.2f".__mod__,
-                                   self._clip(pairs, x0, x1, y0, y1)))
+                _, xs, ys, color, label, dashed, width = el
+                flat = self._clip(xs, ys, x0, x1, y0, y1)
+                pts = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % flat
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="{color}" stroke-width="{_fmt(width)}"{dash}/>')
@@ -178,12 +198,11 @@ class Chart:
                              f'font-size="10" fill="#c53030">{escape(label)}</text>')
         # legend for labelled series
         for el in self.elements:
-            if el[0] in ("points", "line") and el[3]:
-                color = el[2]
+            if el[0] in ("points", "line") and el[4]:
                 parts.append(f'<rect x="{_fmt(x1 - 150)}" y="{_fmt(legend_y - 8)}" '
-                             f'width="10" height="10" fill="{color}"/>')
+                             f'width="10" height="10" fill="{el[3]}"/>')
                 parts.append(f'<text x="{_fmt(x1 - 136)}" y="{_fmt(legend_y + 1)}" '
-                             f'font-size="10">{escape(el[3])}</text>')
+                             f'font-size="10">{escape(el[4])}</text>')
                 legend_y += 14
         parts.append("</g>")
         return "\n".join(parts)

@@ -1,6 +1,9 @@
 """SVG chart output is pinned byte for byte."""
 
 import hashlib
+import math
+
+import pytest
 
 from renewcast.svgchart import Axis, Chart, render
 
@@ -35,3 +38,53 @@ def _pinned_svg() -> str:
 def test_render_bytes_pinned():
     svg = _pinned_svg()
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == PINNED_SHA256
+
+
+_NAN, _INF = math.nan, math.inf
+# (x, y) pairs of a linear [2000, 2020] x [0, 100] chart and of a log
+# [2000, 2020] x [1, 1e4] chart that must not be drawn: non-finite, or
+# left of, right of, above or below the axes, and y <= 0 on the log axis
+_DROPPED = [(_NAN, 50.0), (2010.0, _NAN), (_INF, 50.0), (-_INF, 50.0), (2010.0, _INF),
+            (2010.0, -_INF), (_NAN, _NAN), (1999.99, 50.0), (2020.01, 50.0)]
+_DROPPED_LINEAR = _DROPPED + [(2010.0, 100.01), (2010.0, -0.01)]
+_DROPPED_LOG = _DROPPED + [(2010.0, 1.0001e4), (2010.0, 0.999), (2010.0, 0.0),
+                           (2010.0, -5.0)]
+_KEPT_LINEAR = [(2000.0, 0.0), (2004.5, 12.5), (2011.25, 61.0), (2020.0, 100.0)]
+_KEPT_LOG = [(2000.0, 1.0), (2004.5, 12.5), (2011.25, 610.0), (2020.0, 1e4)]
+
+
+def _columns(pairs):
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _chart_of(kind, hi, pairs):
+    lo = 0.0 if kind == "linear" else 1.0
+    chart = Chart(kind, Axis("year", "linear", 2000, 2020), Axis("value", kind, lo, hi))
+    chart.add_points(*_columns(pairs), "#111111", label="points")
+    chart.add_line(*_columns(pairs[::-1]), "#222222", label="line", dashed=True)
+    chart.add_points([], [], "#333333", label="no points")
+    chart.add_line([], [], "#444444", label="no line")
+    return chart
+
+
+def test_dropped_points_stay_dropped():
+    for kind, hi, kept, dropped in (("linear", 100.0, _KEPT_LINEAR, _DROPPED_LINEAR),
+                                    ("log", 1e4, _KEPT_LOG, _DROPPED_LOG)):
+        clean = render([_chart_of(kind, hi, kept)])
+        assert clean.count("<circle") == len(kept)
+        # each dropped pair alone among in-range ones, where min and max of
+        # the columns can still lie inside the axes, then all of them at once
+        for pair in dropped:
+            assert render([_chart_of(kind, hi, kept[:2] + [pair] + kept[2:])]) == clean
+        mixed = dropped[:4] + kept[:2] + dropped[4:] + kept[2:] + dropped[::-1]
+        assert render([_chart_of(kind, hi, mixed)]) == clean
+        assert render([_chart_of(kind, hi, dropped)]) == render([_chart_of(kind, hi, [])])
+
+
+def test_columns_of_unequal_length_are_refused():
+    chart = Chart("c", Axis(), Axis())
+    with pytest.raises(ValueError, match="2 x values but 1 y values"):
+        chart.add_points([0.1, 0.2], [0.5], "#000000")
+    with pytest.raises(ValueError, match="1 x values but 2 y values"):
+        chart.add_line([0.1], [0.5, 0.6], "#000000")
+    assert chart.elements == []

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from importlib import resources
-from operator import itemgetter
+from itertools import repeat
+from operator import contains, lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,34 +53,32 @@ _LOG_FIT_KINDS = ("installed_power", "unit_cost")
 class CapacitySeries(NamedTuple):
     """Yearly samples of one technology's cumulative power, generation or cost.
 
-    Immutable after construction; samples are (year, value) pairs sorted by
-    strictly increasing year.
+    Immutable after construction; two columns, years strictly increasing
+    and values the samples at those years.
     """
 
     technology: str
     quantity_kind: str
     unit: str
-    samples: tuple[tuple[float, float], ...]
+    years: tuple[float, ...]
+    values: tuple[float, ...]
     provenance: str = ""
     header_lines: tuple[str, ...] = ()
     row_text: tuple[str, ...] = ()
 
     @property
-    def years(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(0), self.samples))
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(1), self.samples))
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        """(year, value) pairs, zipped from the two columns on each read."""
+        return tuple(zip(self.years, self.values))
 
     @property
     def last_year(self) -> float:
-        return self.samples[-1][0]
+        return self.years[-1]
 
     def value_at(self, year: float) -> float:
-        i = bisect_left(self.samples, year, key=itemgetter(0))
-        if i < len(self.samples) and self.samples[i][0] == year:
-            return self.samples[i][1]
+        i = bisect_left(self.years, year)
+        if i < len(self.years) and self.years[i] == year:
+            return self.values[i]
         raise KeyError(f"{self.technology}: no sample for year {year}")
 
 
@@ -97,36 +96,40 @@ def make_series(technology, quantity_kind, unit, samples, provenance="") -> Capa
     header = [f"# technology: {technology}", f"# kind: {quantity_kind}", f"# unit: {unit}"]
     if provenance:
         header = [f"# {provenance}"] + header
-    return _assemble(technology, quantity_kind, unit,
-                     [(float(y), float(v)) for y, v in samples], provenance, header, rows)
+    return _assemble(technology, quantity_kind, unit, [float(y) for y, _ in samples],
+                     [float(v) for _, v in samples], provenance, header, rows)
 
 
-def _assemble(technology, kind, unit, samples, provenance, header_lines, row_text):
-    """Check and year-order (float year, float value) samples into a series."""
+def _assemble(technology, kind, unit, years, values, provenance, header_lines, row_text):
+    """Check and year-order float columns into a series, a column per check;
+    the samples are walked one by one only to name the first bad one."""
     if kind not in _KIND_UNITS:
         raise UnitMismatch(f"unknown quantity kind {kind!r}")
     if unit not in _KIND_UNITS[kind]:
         raise UnitMismatch(f"unit {unit!r} not valid for kind {kind!r}")
-    if not samples:
+    if not years:
         raise EmptySeries(f"series {technology!r} has no data rows")
-    years = [s[0] for s in samples]
-    if years != sorted(years):          # rows usually come in year order
-        order = sorted(range(len(samples)), key=years.__getitem__)
-        samples = [samples[i] for i in order]
-        row_text = [row_text[i] for i in order] if row_text else []
-    for (y0, _), (y1, _) in zip(samples, samples[1:]):
-        if y1 == y0:
-            raise DuplicateYear(f"series {technology!r}: year {y0:g} repeated")
+    if not all(map(lt, years, years[1:])):     # rows usually come in year order
+        if years != sorted(years):
+            order = sorted(range(len(years)), key=years.__getitem__)
+            years = [years[i] for i in order]
+            values = [values[i] for i in order]
+            row_text = [row_text[i] for i in order] if row_text else []
+        for y0, y1 in zip(years, years[1:]):
+            if y1 == y0:
+                raise DuplicateYear(f"series {technology!r}: year {y0:g} repeated")
     strict = kind in _LOG_FIT_KINDS     # annual_generation may be 0
-    for y, v in samples:
-        if v < 0 or strict and v == 0:
-            raise NonPositiveValue(f"series {technology!r}: value {v!r} at {y:g} "
-                                   f"must be {'>' if strict else '>='} 0")
+    if not (min(values) > 0 if strict else min(values) >= 0):
+        for y, v in zip(years, values):
+            if v < 0 or strict and v == 0:
+                raise NonPositiveValue(f"series {technology!r}: value {v!r} at {y:g} "
+                                       f"must be {'>' if strict else '>='} 0")
     return CapacitySeries(
         technology=technology,
         quantity_kind=kind,
         unit=unit,
-        samples=tuple(samples),
+        years=tuple(years),
+        values=tuple(values),
         provenance=provenance,
         header_lines=tuple(header_lines),
         row_text=tuple(row_text),
@@ -134,50 +137,63 @@ def _assemble(technology, kind, unit, samples, provenance, header_lines, row_tex
 
 
 def load_capacity_series(source: str) -> CapacitySeries:
-    """Parse a series from its file text."""
-    header: list[str] = []
-    rows: list[tuple[float, float]] = []
-    row_text: list[str] = []
-    meta = {"technology": "", "kind": "", "unit": ""}
-    in_header = True
-    for n, line in enumerate(source.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if not in_header:
-                raise MalformedRow(f"line {n}: comment after data rows")
-            header.append(line)
-            body = line[1:].strip()
-            for key in meta:
-                prefix = f"{key}:"
-                if body.startswith(prefix):
-                    meta[key] = body[len(prefix):].strip()
-            continue
-        in_header = False
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise MalformedRow(f"line {n}: expected 'year,value', got {line!r}")
-        try:
-            year = float(parts[0])
-            value = float(parts[1])
-        except ValueError as exc:
-            raise MalformedRow(f"line {n}: {exc}") from None
-        if not (math.isfinite(year) and math.isfinite(value)):
-            raise MalformedRow(f"line {n}: non-finite entry in {line!r}")
-        rows.append((year, value))
-        row_text.append(line)
+    """Parse a series from its file text, the data rows in bulk, a column at
+    a time. If a check fails, a walk of the lines names the first bad row;
+    it finds none when only the columns' sums overflow, and those rows load."""
+    lines = source.splitlines()
+    start = 0                           # the header block ends at the first data row
+    while start < len(lines) and (lines[start].startswith("#") or not lines[start].strip()):
+        start += 1
+    header = [line for line in lines[:start] if line.startswith("#")]
+    rows = list(filter(str.strip, lines[start:]))
+    tokens = ",".join(rows).split(",") if rows else []
+    # every row holds a comma, and the rows hold as many commas as rows
+    well_formed = len(tokens) == 2 * len(rows) and all(map(contains, rows, repeat(",")))
+    try:
+        years = list(map(float, tokens[0::2]))
+        values = list(map(float, tokens[1::2]))
+        well_formed = well_formed and math.isfinite(sum(years) + sum(values))
+    except ValueError:
+        well_formed = False
+    if not well_formed:
+        _raise_first_bad_row(lines, start)
 
+    meta = {"technology": "", "kind": "", "unit": ""}
+    for line in header:
+        body = line[1:].strip()
+        for key in meta:
+            prefix = f"{key}:"
+            if body.startswith(prefix):
+                meta[key] = body[len(prefix):].strip()
     provenance = " ".join(
         l[1:].strip() for l in header
         if not any(l[1:].strip().startswith(f"{k}:") for k in meta)
     )
-    return _assemble(meta["technology"] or "unnamed", meta["kind"], meta["unit"], rows,
-                     provenance, header, row_text)
+    return _assemble(meta["technology"] or "unnamed", meta["kind"], meta["unit"], years,
+                     values, provenance, header, rows)
+
+
+def _raise_first_bad_row(lines, start):
+    """Raise MalformedRow for the first bad line from lines[start] on, if any."""
+    for n, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            raise MalformedRow(f"line {n}: comment after data rows")
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise MalformedRow(f"line {n}: expected 'year,value', got {line!r}")
+        try:
+            year, value = map(float, parts)
+        except ValueError as exc:
+            raise MalformedRow(f"line {n}: {exc}") from None
+        if not (math.isfinite(year) and math.isfinite(value)):
+            raise MalformedRow(f"line {n}: non-finite entry in {line!r}")
 
 
 def dump_series(series: CapacitySeries) -> str:
     """Serialise a series back to file text (header, then rows by year)."""
-    rows = series.row_text or tuple(_format_row(y, v) for y, v in series.samples)
+    rows = series.row_text or tuple(map(_format_row, series.years, series.values))
     return "\n".join((*series.header_lines, *rows)) + "\n"
 
 

@@ -4,6 +4,7 @@ the subcommands that draw one; each figure reads only the fits it draws."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from .config import _THRESHOLD_CONSTANTS, FIGURE_IDS
 from .corpus import HOURS_PER_YEAR, constant
@@ -105,7 +106,10 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         for tech, color in (*_PV_WIND, ("hydro", "#2f855a")):
             prof = report.profiles["wind_trend" if tech == "wind" else tech]
             cf = prof.capacity_factor
-            xs, gw = series[tech].years, series[tech].values
+            # only the samples on the x axis: hydro's start before it
+            years = series[tech].years
+            i, j = bisect_left(years, chart.x.lo), bisect_right(years, chart.x.hi)
+            xs, gw = years[i:j], series[tech].values[i:j]
             k = cf * HOURS_PER_YEAR / 1000.0
             chart.add_points(xs, [v * k for v in gw], color, tech)
             lx, ly = _line_points(prof.model, max(prof.model.window[0], 1996), 2040)
@@ -151,9 +155,8 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         points = []
         for tech, _ in _PV_WIND:
             k = report.capacity_factors[tech] * HOURS_PER_YEAR / 1000.0
-            samples = series[f"{tech}_lcoe"].samples
-            points.append(([series[tech].value_at(y) * k for y, _ in samples],
-                           [c for _, c in samples]))
+            cost = series[f"{tech}_lcoe"]
+            points.append(([series[tech].value_at(y) * k for y in cost.years], cost.values))
         _, x_hi = _decades(10.0, cross_x * 2)
         xs, x = [], 10.0
         while x <= x_hi * 1.0001:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import fsum
 from operator import mul, sub, truediv
@@ -86,12 +87,15 @@ class PiecewiseExponentialFit(NamedTuple):
 
 
 def _windowed(series: CapacitySeries, window):
-    if window is None:
-        return series.samples
-    lo, hi = window
-    lo = -math.inf if lo is None else lo
-    hi = math.inf if hi is None else hi
-    return tuple([s for s in series.samples if lo <= s[0] <= hi])
+    """(years, values) of the samples with lo <= year <= hi, where window is
+    None or (lo, hi) and a None end is open; cut by bisection of the years."""
+    lo, hi = window or (None, None)
+    if lo != lo or hi != hi:        # a nan end keeps no sample, as lo <= year <= hi does
+        return (), ()
+    years = series.years
+    i = 0 if lo is None else bisect_left(years, lo)
+    j = len(years) if hi is None else bisect_right(years, hi)
+    return years[i:j], series.values[i:j]
 
 
 def ols(x, y):
@@ -135,14 +139,13 @@ def fit_exponential(series: CapacitySeries, window=None) -> ExponentialFit:
 
     Deterministic: identical input yields a bit-identical fit.
     """
-    samples = _windowed(series, window)
-    if len(samples) < 2:
+    years, values = _windowed(series, window)
+    if len(years) < 2:
         raise TooFewPoints(
             f"{series.technology}: exponential fit needs >= 2 points, "
-            f"got {len(samples)}"
+            f"got {len(years)}"
         )
-    years, _, line = _log_line(series.technology, samples)
-    return _exponential(years, line)
+    return _exponential(years, _log_line(series.technology, years, values)[1])
 
 
 def _exponential(years, line) -> ExponentialFit:
@@ -158,37 +161,34 @@ def _exponential(years, line) -> ExponentialFit:
     )
 
 
-def _log_line(technology: str, samples):
-    """(years, ln values, ols line) of windowed samples, all > 0."""
-    years = [s[0] for s in samples]
-    values = [s[1] for s in samples]
+def _log_line(technology: str, years, values):
+    """(ln values, ols line) of windowed columns whose values are all > 0."""
     if min(values) <= 0:
-        y, v = next(s for s in samples if s[1] <= 0)
+        y, v = next(s for s in zip(years, values) if s[1] <= 0)
         raise NonPositiveValue(f"{technology}: value {v!r} at {y:g} not log-fittable")
     lnv = list(map(math.log, values))
-    return years, lnv, ols(years, lnv)
+    return lnv, ols(years, lnv)
 
 
 def fit_polynomial(series: CapacitySeries, degree: int, window=None) -> PolynomialFit:
     """Least-squares polynomial in (year - first window year) of the raw values."""
     if degree < 1:
         raise DegreeZero(f"polynomial degree must be >= 1, got {degree}")
-    samples = _windowed(series, window)
-    if len(samples) < degree + 1:
+    years, v = _windowed(series, window)
+    if len(years) < degree + 1:
         raise TooFewPoints(
             f"{series.technology}: degree-{degree} fit needs >= {degree + 1} "
-            f"points, got {len(samples)}"
+            f"points, got {len(years)}"
         )
-    t0 = samples[0][0]
-    x = [s[0] - t0 for s in samples]
-    v = [s[1] for s in samples]
+    t0 = years[0]
+    x = [y - t0 for y in years]
     try:
         coeffs = _polyfit(x, v, degree)
         fitted = [0.0] * len(x)
         for c in reversed(coeffs):          # value_at's Horner steps, column-wise
             fitted = [f * xi + c for f, xi in zip(fitted, x)]
         resid = list(map(sub, v, fitted))
-        rmse = math.sqrt(fsum(map(mul, resid, resid)) / len(samples))
+        rmse = math.sqrt(fsum(map(mul, resid, resid)) / len(x))
         finite = all(map(math.isfinite, (*coeffs, rmse)))
     except (OverflowError, ValueError):     # fsum past the float range, or inf - inf
         finite = False
@@ -200,7 +200,7 @@ def fit_polynomial(series: CapacitySeries, degree: int, window=None) -> Polynomi
         coefficients=coeffs,
         degree=degree,
         rmse=rmse,
-        window=(t0, samples[-1][0]),
+        window=(t0, years[-1]),
     )
 
 
@@ -260,14 +260,14 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
     """
     if min_segment < 2:
         raise TooFewPoints("min_segment must be >= 2 so each side is fittable")
-    samples = _windowed(series, window)
-    n = len(samples)
+    years, values = _windowed(series, window)
+    n = len(years)
     if n < 2 * min_segment:
         raise TooFewPoints(
             f"{series.technology}: changepoint scan needs >= {2 * min_segment} "
             f"points, got {n}"
         )
-    years, lnv, single = _log_line(series.technology, samples)
+    lnv, single = _log_line(series.technology, years, values)
     sse_single = single[3]
 
     @functools.cache
@@ -441,8 +441,7 @@ def residual_signs(series: CapacitySeries, fit: ExponentialFit) -> str:
     instead of modelling it.
     """
     out = []
-    for y, v in series.samples:
-        if fit.window[0] <= y <= fit.window[1]:
-            r = math.log(v) - (fit.ln_intercept + fit.ln_slope * (y - fit.reference_year))
-            out.append("0" if r == 0 else ("+" if r > 0 else "-"))
+    for y, v in zip(*_windowed(series, fit.window)):
+        r = math.log(v) - (fit.ln_intercept + fit.ln_slope * (y - fit.reference_year))
+        out.append("0" if r == 0 else ("+" if r > 0 else "-"))
     return "".join(out)

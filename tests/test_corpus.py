@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import renewcast as rc
 from renewcast import corpus
 from renewcast.errors import (
+    DataError,
     DuplicateYear,
     EmptySeries,
     MalformedRow,
@@ -95,6 +98,114 @@ def test_malformed_row():
     with pytest.raises(MalformedRow):
         rc.load_capacity_series(
             "# kind: installed_power\n# unit: GW\n2000,1\n# late comment\n2001,2\n")
+
+
+def _reference_load(source):
+    """The per-line loader and per-sample checks that load_capacity_series
+    replaced by column-wise ones; the bulk loader must agree with it."""
+    header, rows, row_text = [], [], []
+    meta = {"technology": "", "kind": "", "unit": ""}
+    in_header = True
+    for n, line in enumerate(source.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            if not in_header:
+                raise MalformedRow(f"line {n}: comment after data rows")
+            header.append(line)
+            body = line[1:].strip()
+            for key in meta:
+                prefix = f"{key}:"
+                if body.startswith(prefix):
+                    meta[key] = body[len(prefix):].strip()
+            continue
+        in_header = False
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise MalformedRow(f"line {n}: expected 'year,value', got {line!r}")
+        try:
+            year = float(parts[0])
+            value = float(parts[1])
+        except ValueError as exc:
+            raise MalformedRow(f"line {n}: {exc}") from None
+        if not (math.isfinite(year) and math.isfinite(value)):
+            raise MalformedRow(f"line {n}: non-finite entry in {line!r}")
+        rows.append((year, value))
+        row_text.append(line)
+    provenance = " ".join(
+        l[1:].strip() for l in header
+        if not any(l[1:].strip().startswith(f"{k}:") for k in meta))
+    technology, kind, unit = meta["technology"] or "unnamed", meta["kind"], meta["unit"]
+
+    if kind not in corpus._KIND_UNITS:
+        raise UnitMismatch(f"unknown quantity kind {kind!r}")
+    if unit not in corpus._KIND_UNITS[kind]:
+        raise UnitMismatch(f"unit {unit!r} not valid for kind {kind!r}")
+    if not rows:
+        raise EmptySeries(f"series {technology!r} has no data rows")
+    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    rows, row_text = [rows[i] for i in order], [row_text[i] for i in order]
+    for (y0, _), (y1, _) in zip(rows, rows[1:]):
+        if y1 == y0:
+            raise DuplicateYear(f"series {technology!r}: year {y0:g} repeated")
+    strict = kind in corpus._LOG_FIT_KINDS
+    for y, v in rows:
+        if v < 0 or strict and v == 0:
+            raise NonPositiveValue(f"series {technology!r}: value {v!r} at {y:g} "
+                                   f"must be {'>' if strict else '>='} 0")
+    return corpus.CapacitySeries(technology, kind, unit, tuple(y for y, _ in rows),
+                                 tuple(v for _, v in rows), provenance, tuple(header),
+                                 tuple(row_text))
+
+
+_BLANK = st.sampled_from(["", " ", "\t ", "  \t"])
+_SCHEMA = st.sampled_from([("installed_power", "GW"), ("annual_generation", "TWh_per_year"),
+                           ("unit_cost", "USD_per_MWh"), ("unit_cost", "furlongs")])
+_YEAR = st.one_of(st.integers(1950, 2050).map(str),
+                  st.sampled_from(["2000", "2000.5", "2e3", " 2001 "]))
+_VALUE = st.one_of(
+    st.sampled_from(["1", "0", "0.0", "-3", "1e308", "1.7e308", "-1e308", "5e-324", "1_000"]),
+    st.floats(min_value=-1.0, max_value=1e308).map(repr))
+_ROW = st.tuples(_YEAR, _VALUE).map(",".join)
+_BAD_LINE = st.one_of(
+    _YEAR,                                                  # one field
+    st.tuples(_YEAR, _VALUE, _VALUE).map(",".join),         # three fields
+    st.tuples(_YEAR, st.sampled_from(["nan", "inf", "-inf", "abc", "", "1;2"])).map(",".join),
+    st.tuples(st.sampled_from(["nan", "-inf", "x"]), _VALUE).map(",".join),
+    st.sampled_from(["# a comment after the data", " # indented comment", "2000;1"]))
+
+
+@st.composite
+def _series_texts(draw):
+    """Series files: a header with directives, provenance and blank lines, then
+    rows (unsorted, duplicate years, values <= 0 or near the float maximum)
+    with blank lines between them, and at times bad lines among the rows."""
+    kind, unit = draw(_SCHEMA)
+    header = ["# technology: toy", f"# kind: {kind}", f"# unit: {unit}"]
+    header += draw(st.lists(st.one_of(_BLANK, st.just("# a provenance note")), max_size=3))
+    rows = draw(st.lists(st.one_of(_ROW, _ROW, _ROW, _BLANK), max_size=12))
+    if draw(st.integers(0, 2)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(_BAD_LINE))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = draw(st.permutations(header)) + rows
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(text=_series_texts())
+@example(text="# kind: installed_power\n# unit: GW\n2000,1,2\n2001\n")
+@example(text="# kind: installed_power\n# unit: GW\n2000,1.7e308\n2001,1.7e308\n")
+@example(text="# kind: unit_cost\r\n# unit: USD_per_MWh\r\n\r\n2001,3\r\n \r\n2000,4\r\n")
+@example(text="# kind: annual_generation\n# unit: TWh_per_year\n2000,0\n2000,nan\n")
+def test_bulk_loader_equals_per_line_loader(text):
+    try:
+        want = _reference_load(text)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            rc.load_capacity_series(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert rc.load_capacity_series(text) == want
 
 
 def test_round_trip_is_byte_identical_modulo_order():

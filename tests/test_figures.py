@@ -4,11 +4,14 @@ The golden report draws bundled series of at most 40 rows; this pins the
 large-figure path instead. A deterministic data_dir resamples each bundled
 installed-power history at 52 points per year, log-linear between whole
 years and times a seeded log-normal factor, and keeps the cost series
-annual. fig1-fig5 of its report are pinned by sha256.
+annual. fig1-fig5 of its report, report.json, its five CSV tables and
+discrepancies.txt are pinned by sha256, so that fits and crossings on dense
+data are pinned too.
 """
 
 import hashlib
 import math
+import pathlib
 import random
 
 import renewcast as rc
@@ -26,6 +29,18 @@ PINNED_SHA256 = {
     "fig3": "2cb29be2e6ee6c90e1408b42ee022d90127cf2417bd612926d286367e416d181",
     "fig4": "31306d1180c00f0020a8ebc014a9ce2894455fd3f00f3108229eb14af18bcd89",
     "fig5": "d558200b48753e191d8148343fc180c8e945118bdf4e6d7b75a895fd84099aec",
+}
+
+# sha256 of the non-figure artifacts write_outputs makes of the same report,
+# run from its parent directory so that report.json records data_dir as "data"
+PINNED_ARTIFACT_SHA256 = {
+    "budget.csv": "60ef97fdd65b18585ceaab34db44a0ac201bf241612b37981debd53abe451780",
+    "claims.csv": "9741f4b726d293e9bc0a86c5cf283e8f5f83f128ecb1221225a911c3c641bc7d",
+    "crossings.csv": "4d468e13d982072982592539a473e13e8eefa1e50e99acfe9d61e30e05c6a27d",
+    "discrepancies.csv": "28c1c664674a84e9ee74daf015d665f54cc0c603fd2c2c83696ff50d926ed896",
+    "discrepancies.txt": "33b0faf30a0f6382fbbee28c852e854fd65f8d103c34bbf32f2ebfee88982527",
+    "mixes.csv": "2a514e94719d72a2390f59f7192902f20b968830bc92e0441dbfca8ed7cb91ce",
+    "report.json": "63c51f2c716b688de7f8169805229b292f1e9ab4c18e234b10e80b997a112137",
 }
 
 
@@ -63,6 +78,14 @@ def test_weekly_figures_pinned(tmp_path):
     got = {fid: hashlib.sha256(rc.emit_figure(report, fid).encode("utf-8")).hexdigest()
            for fid in PINNED_SHA256}
     assert got == PINNED_SHA256
+
+
+def test_weekly_artifacts_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc.write_outputs(_weekly_report(pathlib.Path(".")), tmp_path / "out")
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+           for name in PINNED_ARTIFACT_SHA256}
+    assert got == PINNED_ARTIFACT_SHA256
 
 
 def test_half_years_end_at_hi():

@@ -57,6 +57,29 @@ def test_window_restricts_fit():
     assert fit.ln_slope == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+_WEEKLY = _series([(2000.0 + k / 52, 1.0 + k) for k in range(520)])
+
+
+@pytest.mark.parametrize("window", [
+    None, (None, None), (None, 2004.5), (2004.5, None),
+    (_WEEKLY.years[0], _WEEKLY.years[-1]), (_WEEKLY.years[10], _WEEKLY.years[300]),
+    (_WEEKLY.years[7], _WEEKLY.years[7]), (2005.0, 2005.0),
+    (2001.3, 2006.77), (1990.25, 2003.01), (2008.999, 2100.5), (2003.5, 2003.51),
+    (1990.0, 1999.5), (2010.0, 2020.0), (2006.0, 2002.0),
+    (math.nan, None), (2003.0, math.nan)])
+def test_windowed_equals_the_year_filter(window):
+    lo, hi = window or (None, None)
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
+    kept = [s for s in _WEEKLY.samples if lo <= s[0] <= hi]
+    years, values = growthfit._windowed(_WEEKLY, window)
+    assert list(zip(years, values)) == kept
+    if len(kept) < 2:
+        with pytest.raises(TooFewPoints, match=r"^toy: exponential fit needs >= 2 points, "
+                                               rf"got {len(kept)}$"):
+            rc.fit_exponential(_WEEKLY, window)
+
+
 def test_fit_is_deterministic(pv_series):
     a = rc.fit_exponential(pv_series, (2000.0, None))
     b = rc.fit_exponential(pv_series, (2000.0, None))

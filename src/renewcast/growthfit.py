@@ -333,15 +333,20 @@ def _max_slope(xs, ys) -> float:
     return max(map(abs, map(truediv, dy, dx))) * (1.0 + 8 * _U)
 
 
-def _segment_sses(counts, sx, sz, sxx, sxz, szz) -> list:
-    """Szz - Sxz**2 / Sxx of each segment from its raw moment sums; nan
-    where the centred Sxx does not come out positive."""
+def _segment_sses(counts, sx, sz, sxx, sxz, szz, exx, exz):
+    """Szz - Sxz**2 / Sxx of each segment from its raw moment sums, nan where
+    the centred Sxx does not come out positive; and the largest
+    (|Sxz| + exz) / (Sxx - exx) over the others, inf if one has Sxx <= exx."""
     out = []
+    slope = 0.0
     for m, a, b, aa, ab, bb in zip(counts, sx, sz, sxx, sxz, szz):
         cxx = aa - a * a / m
         cxz = ab - a * b / m
+        if cxx > 0.0:
+            s = (abs(cxz) + exz) / (cxx - exx) if cxx > exx else math.inf
+            slope = s if s > slope else slope
         out.append((bb - b * b / m) - cxz * cxz / cxx if cxx > 0.0 else math.nan)
-    return out
+    return out, slope
 
 
 def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
@@ -358,21 +363,28 @@ def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
     gamma(k) = ku / (1 - ku), and g = 2 gamma(n + 1) bounds the error of a
     segment sum, taken as a difference of prefix sums, relative to the sum
     of its absolute terms. X1, Z1 are the sums and Xm, Zm the maxima of |x|
-    and |z|. L is the largest consecutive slope of (t, y) and of (x, z),
-    which bounds every segment's least-squares slope. W = (Z1 + 2L X1)
-    (Zm + 2L Xm).
+    and |z|. B bounds the least-squares slope of every scored segment, both
+    through the rounded (x, z) and through the exact (t, y), and
+    W = (Z1 + 2B X1)(Zm + 2B Xm).
 
-    - A segment's centred Sxx, Sxz and Szz are off by at most 4g X1 Xm,
-      4g (X1 Zm + Z1 Xm) and 4g Z1 Zm. As Sxz**2 / Sxx is the maximum over
-      b of 2b Sxz - b**2 Sxx, and |b| <= L at the exact optimum, a score
-      exceeds the exact SSE E' of the rounded (x, z) by at most 4g W, plus
-      3.1u sum(z**2) <= 0.4g W for rounding the formula, given Sxx > 0.
+    - A segment's centred Sxx, Sxz and Szz are off by at most
+      Exx = 4g X1 Xm, Exz = 4g (X1 Zm + Z1 Xm) and 4g Z1 Zm. As
+      Sxz**2 / Sxx is the maximum over b of 2b Sxz - b**2 Sxx, and |b| <= B
+      at the exact optimum, a score exceeds the exact SSE E' of the rounded
+      (x, z) by at most 4g W, plus 3.1u sum(z**2) <= 0.4g W for rounding
+      the formula, given Sxx > 0.
     - x and z are the exact differences up to u|x| and u|z|, so
-      sqrt(E') <= sqrt(E) + p with p = 1.01u (||z|| + L ||x||), E being
+      sqrt(E') <= sqrt(E) + p with p = 1.01u (||z|| + B ||x||), E being
       the exact SSE of the samples.
     - ols's fitted values lie within 5.1u max|y| + 3.1u |residual| of a
       line, so sqrt(E) <= a sqrt(F_seg) + 6u max|y| sqrt(n) with
       a = 1 + gamma(n) + 5u.
+    - The moments of the exact differences lie within 4.1u X1 Xm and
+      4.1u (X1 Zm + Z1 Xm), under a ninth of Exx and Exz as n >= 4, of
+      those of (x, z). As a slope is Sxz / Sxx, B is the largest
+      (|Sxz| + 2Exz) / (Sxx - 2Exx) over the scored segments, or where some
+      Sxx <= 2Exx, L: the largest consecutive slope of (t, y) and of (x, z),
+      of which every least-squares slope is a weighted mean.
 
     Over both segments, with c = 6u max|y| sqrt(n) + p,
     P(k) <= (1 + u)((a sqrt(F(k) / (1 - u)) + sqrt(2) c)**2 + 8.8g W).
@@ -383,22 +395,25 @@ def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
     n = len(t)
     lo, hi = min_segment, n - min_segment + 1
     ks = range(lo, hi)
+    g = 2 * _gamma(n + 1)
     x = [ti - t[0] for ti in t]
     z = [yi - y[0] for yi in y]
+    x1, xm = sum(map(abs, x)), max(map(abs, x))
+    z1, zm = sum(map(abs, z)), max(map(abs, z))
+    exx, exz = 8 * g * x1 * xm, 8 * g * (x1 * zm + z1 * xm)     # 2Exx, 2Exz
     sums = [list(accumulate(terms, initial=0.0))
             for terms in (x, z, map(mul, x, x), map(mul, x, z), map(mul, z, z))]
-    left = _segment_sses(ks, *(s[lo:hi] for s in sums))
-    right = _segment_sses([n - k for k in ks],
-                          *([s[-1] - p for p in s[lo:hi]] for s in sums))
+    left, left_slope = _segment_sses(ks, *(s[lo:hi] for s in sums), exx, exz)
+    right, right_slope = _segment_sses([n - k for k in ks], *(
+        [s[-1] - p for p in s[lo:hi]] for s in sums), exx, exz)
     scores = [a + b for a, b in zip(left, right)]
     scored = [(s, k) for s, k in zip(scores, ks) if math.isfinite(s)]
-    g = 2 * _gamma(n + 1)
     if not scored or n * g > 0.01:
         return list(ks)
 
-    slope = max(_max_slope(t, y), _max_slope(x, z))
-    x1, xm = sum(map(abs, x)), max(map(abs, x))
-    z1, zm = sum(map(abs, z)), max(map(abs, z))
+    slope = max(left_slope, right_slope) * (1.0 + 8 * _U)
+    if slope == math.inf:
+        slope = max(_max_slope(t, y), _max_slope(x, z))
     w = (z1 + 2 * slope * x1) * (zm + 2 * slope * xm)
     a = 1.0 + _gamma(n) + 8 * _U
     c = (6 * _U * max(map(abs, y)) * math.sqrt(n)

@@ -69,17 +69,18 @@ class Axis(NamedTuple):
     def scale(self, values, a: float, b: float) -> list:
         """Map data values onto pixel range [a, b] in one list pass.
 
-        The axis constants are computed once; each value takes
-        a + ((v - lo) / span) * (b - a), in log10 space for a log axis.
+        The axis constants are computed and made float once; each value
+        takes a + ((v - lo) / span) * (b - a), in log10 space for a log
+        axis. Python would make int constants float inside every operation
+        anyway, so the pixels are the same.
         """
-        width = b - a
+        a, width = float(a), float(b - a)
         if self.kind == "log":
             lo = math.log10(self.lo)
             span = math.log10(self.hi) - lo
             log10 = math.log10
             return [a + ((log10(v) - lo) / span) * width for v in values]
-        lo = self.lo
-        span = self.hi - lo
+        lo, span = float(self.lo), float(self.hi - self.lo)
         return [a + ((v - lo) / span) * width for v in values]
 
     def ticks(self):

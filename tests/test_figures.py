@@ -14,8 +14,10 @@ import math
 import pathlib
 import random
 
+import pytest
+
 import renewcast as rc
-from renewcast import corpus
+from renewcast import corpus, growthfit
 from renewcast.figures import _half_years
 
 WEEKS_PER_YEAR = 52
@@ -86,6 +88,20 @@ def test_weekly_artifacts_pinned(tmp_path, monkeypatch):
     got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
            for name in PINNED_ARTIFACT_SHA256}
     assert got == PINNED_ARTIFACT_SHA256
+
+
+def test_weekly_wind_changepoint_refits_two_splits(tmp_path, monkeypatch):
+    # the single line, then both ols lines of the two splits whose scores
+    # lie within the rounding bound of the least; no consecutive-slope pass
+    report = _weekly_report(tmp_path)
+    calls = []
+    ols = growthfit.ols
+    monkeypatch.setattr(growthfit, "ols", lambda x, y: calls.append(1) or ols(x, y))
+    monkeypatch.setattr(growthfit, "_max_slope", lambda *a: pytest.fail("_max_slope called"))
+    config = report.config
+    rc.detect_changepoint(report.series["wind"], config.changepoint_min_segment,
+                          config.wind_window)
+    assert len(calls) == 5
 
 
 def test_half_years_end_at_hi():

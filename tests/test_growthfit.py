@@ -1,6 +1,7 @@
 """Fitting, changepoint detection and extrapolation contracts."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -272,6 +273,33 @@ def test_changepoint_equals_exhaustive_scan(case):
     piecewise = rc.detect_changepoint(_series(samples), min_segment=min_segment)
     assert (piecewise.changepoint_year, piecewise.sse_piecewise, piecewise.sse_single,
             piecewise.improvement_ratio) == _exhaustive_changepoint(samples, min_segment)
+
+
+def _weekly_samples(n, shape):
+    """n weekly samples from 2000 with log-normal noise: ln v rises 0.4 a
+    year throughout ("trend"), or 0.1 a year from two thirds on ("break"),
+    or rises and falls as a noisy tent that is the same read backwards
+    ("mirror"), so that split k and split n - k tie up to rounding."""
+    rng = random.Random(f"weekly-{n}-{shape}")
+    years = [2000.0 + i / 52 for i in range(n)]
+    knee = years[2 * n // 3] if shape == "break" else years[n // 2]
+    lnv = [0.4 * (y - 2000.0) - (0.3 if shape == "break" else 0.8) * max(0.0, y - knee)
+           + rng.gauss(0.0, 0.03) for y in years]
+    if shape == "mirror":
+        lnv[n - n // 2:] = lnv[:n // 2][::-1]
+    return [(y, math.exp(v)) for y, v in zip(years, lnv)]
+
+
+@pytest.mark.parametrize("n", [521, 1041, 1197])
+@pytest.mark.parametrize("shape", ["trend", "break", "mirror"])
+def test_changepoint_equals_exhaustive_scan_on_weekly_series(n, shape):
+    # weekly noise makes the consecutive slopes several times steeper than
+    # any segment's least-squares slope, which the short series above
+    # cannot show
+    samples = _weekly_samples(n, shape)
+    piecewise = rc.detect_changepoint(_series(samples), min_segment=3)
+    assert (piecewise.changepoint_year, piecewise.sse_piecewise, piecewise.sse_single,
+            piecewise.improvement_ratio) == _exhaustive_changepoint(samples, 3)
 
 
 def test_noiseless_changepoint_takes_the_first_split_unscanned(monkeypatch):

@@ -1,15 +1,19 @@
 """End-to-end report assembly, artifact determinism, figures and the CLI."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renewcast as rc
 from renewcast import corpus
 from renewcast import report as report_mod
 from renewcast import reportmodel
+from renewcast.artifacts import json_text
 from renewcast.cli import main
 from renewcast.errors import ConfigInvalid, MissingFit
 from renewcast.report import ClaimRow, CrossingEntry
@@ -100,6 +104,41 @@ def test_to_dict_is_plain_json(config):
     # a record or any other tuple left in to_dict would come back as a list
     rep = rc.run_scenario(config)
     assert json.loads(report_mod.report_json(rep)) == rep.to_dict()
+
+
+_JSON_TEXT = st.one_of(st.text(), st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€😀\u2028')))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from((2 ** 64, -(10 ** 30))),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308)), _JSON_TEXT)
+_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(),
+                       st.floats(allow_nan=False, allow_infinity=False))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, kids, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_json_text_equals_indented_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("obj", [math.nan, [math.inf], {"a": -math.inf}, {math.nan: 1},
+                                 ({1.0: [0.5, (math.inf,)]},)])
+def test_json_text_refuses_what_dumps_refuses(obj):
+    with pytest.raises(ValueError):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        json_text(obj)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, [b"bytes"], {(1, 2): 3}])
+def test_json_text_refuses_unwritable_types(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        json_text(obj)
 
 
 def test_editing_to_dict_leaves_the_report_as_it_was(tmp_path):

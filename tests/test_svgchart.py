@@ -4,6 +4,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewcast.svgchart import Axis, Chart, render
 
@@ -88,3 +90,44 @@ def test_columns_of_unequal_length_are_refused():
     with pytest.raises(ValueError, match="1 x values but 2 y values"):
         chart.add_line([0.1], [0.5, 0.6], "#000000")
     assert chart.elements == []
+
+
+def _scale_reference(axis, values, a, b):
+    """Axis.scale's expression with the axis constants and pixel ends left
+    in the types they were given."""
+    width = b - a
+    if axis.kind == "log":
+        lo = math.log10(axis.lo)
+        span = math.log10(axis.hi) - lo
+        return [a + ((math.log10(v) - lo) / span) * width for v in values]
+    lo = axis.lo
+    span = axis.hi - lo
+    return [a + ((v - lo) / span) * width for v in values]
+
+
+@st.composite
+def _scale_cases(draw):
+    kind = draw(st.sampled_from(("linear", "log")))
+    if kind == "log":
+        ends = st.one_of(st.integers(1, 10 ** 6), st.floats(1e-6, 1e12))
+        values = st.floats(1e-9, 1e15)      # positive, inside the axis and out
+    else:
+        ends = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(-1e9, 1e9))
+        values = st.one_of(st.integers(-10 ** 9, 10 ** 9), st.floats(-1e12, 1e12))
+    lo, hi = draw(ends), draw(ends)
+    if not lo < hi:
+        lo, hi = min(lo, hi), max(lo, hi) + 1
+    inside = st.floats(float(lo), float(hi))
+    pixels = st.integers(0, 2000)
+    return (Axis("v", kind, lo, hi), draw(st.lists(st.one_of(values, inside), max_size=8)),
+            draw(pixels), draw(pixels))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_scale_cases())
+def test_scale_equals_the_mixed_type_expression(case):
+    # int bounds and int pixel ends were converted inside every operation;
+    # converting them once first must keep every pixel's bits
+    axis, values, a, b = case
+    got = axis.scale(values, a, b)
+    assert [v.hex() for v in got] == [v.hex() for v in _scale_reference(axis, values, a, b)]

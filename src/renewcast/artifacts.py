@@ -4,7 +4,7 @@ table, and the writer that puts a set of them in place together."""
 from __future__ import annotations
 
 import os
-from pathlib import Path
+from contextlib import suppress
 
 from .config import FIGURE_IDS
 from .errors import OutputUnwritable
@@ -125,7 +125,7 @@ def _json_key(key, quote) -> str:
 
 
 def write_artifacts(out_dir, artifacts) -> list:
-    """Write (file name, text) pairs into out_dir; returns the written paths.
+    """Write (file name, text) pairs into out_dir; returns the written paths as str.
 
     Each text goes to a hidden sibling of its file as the iterable yields
     it, and the siblings replace their files only once every text is
@@ -134,24 +134,25 @@ def write_artifacts(out_dir, artifacts) -> list:
 
     Raises OutputUnwritable when the directory or a file cannot be written.
     """
-    out = Path(out_dir)
     staged = []     # (sibling, file) pairs
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir or ".", exist_ok=True)     # "" names the working directory
         for name, text in artifacts:
-            path = out / name
-            if path.is_dir():
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):
                 # os.replace cannot put a file there, and would fail only
                 # after the earlier files had been replaced
                 raise IsADirectoryError(f"{path} is a directory")
-            sibling = out / f".{name}.tmp"
+            sibling = os.path.join(out_dir, f".{name}.tmp")
             staged.append((sibling, path))
-            sibling.write_text(text, encoding="utf-8")
+            with open(sibling, "w", encoding="utf-8") as f:
+                f.write(text)
         for sibling, path in staged:
             os.replace(sibling, path)
     except BaseException as exc:
         for sibling, _ in staged:
-            sibling.unlink(missing_ok=True)
+            with suppress(FileNotFoundError):
+                os.unlink(sibling)
         if isinstance(exc, OSError):
             raise OutputUnwritable(f"cannot write to {out_dir}: {exc}") from None
         raise

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ConfigInvalid
 
@@ -115,7 +114,8 @@ def _parse_window(text: str):
 def parse_config(path) -> ScenarioConfig:
     """Flat 'key = value' UTF-8 file with '#' comments; every key optional."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from None
     values = {}

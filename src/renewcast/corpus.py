@@ -20,11 +20,10 @@ happen only at load and report boundaries.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
-from importlib import resources
 from itertools import repeat
 from operator import contains, lt
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
@@ -200,6 +199,7 @@ def dump_series(series: CapacitySeries) -> str:
 # --------------------------------------------------------------------------
 # Bundled datasets
 
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")     # plain files, never zipped
 BUNDLED_DATASETS = {
     "pv": "pv_installed_gw.csv",
     "wind": "wind_installed_gw.csv",
@@ -218,14 +218,14 @@ SERIES_SCHEMAS = {"pv": _GW, "wind": _GW, "offshore_wind": _GW, "hydro": _GW,
                   "battery": ("unit_cost", "USD_per_kWh")}
 
 
-def bundled_path(name: str):
+def bundled_path(name: str) -> str:
     try:
         fname = BUNDLED_DATASETS[name]
     except KeyError:
         raise DatasetMissing(
             f"no bundled dataset {name!r}; known: {', '.join(sorted(BUNDLED_DATASETS))}"
         ) from None
-    return resources.files(__package__).joinpath("data", fname)
+    return os.path.join(_DATA_DIR, fname)
 
 
 def read_dataset(name: str, data_dir=None) -> str:
@@ -233,9 +233,10 @@ def read_dataset(name: str, data_dir=None) -> str:
     DatasetMissing when it cannot be read, MalformedRow when not UTF-8."""
     path = bundled_path(name)
     if data_dir is not None:
-        path = Path(data_dir) / path.name
+        path = os.path.join(data_dir, BUNDLED_DATASETS[name])
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise DatasetMissing(f"cannot read dataset file {path}: {exc}") from None
     except UnicodeDecodeError as exc:

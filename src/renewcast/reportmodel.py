@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property, partial
+from os import PathLike, fspath
 from typing import NamedTuple
 
 from . import corpus, growthfit
@@ -60,7 +61,8 @@ class ScenarioReport:
             if name == "cf_pv":
                 cfg["capacity_factors"] = dict(self.capacity_factors)
             elif name not in ("out_dir", "cf_wind", "cf_hydro"):
-                cfg[name] = list(value) if isinstance(value, tuple) else value
+                cfg[name] = (list(value) if isinstance(value, tuple) else
+                             fspath(value) if isinstance(value, PathLike) else value)
         return {
             "schema_version": SCHEMA_VERSION,
             "config": cfg,

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewcast
-from renewcast import corpus, growthfit, report, scenario
+from renewcast import artifacts, corpus, growthfit, report, scenario
 from renewcast.cli import main
 from renewcast.report import FIGURE_IDS, MAX_HYDRO_DEGREE, THRESHOLD_NAMES, WIND_TREATMENTS
 
@@ -198,15 +198,19 @@ def test_unwritable_artifact_leaves_earlier_output(tmp_path, monkeypatch, capsys
         (out / "appfig6.svg").unlink()
         (out / "appfig6.svg").mkdir()
     else:
-        write_text, calls = Path.write_text, []
+        calls = []
 
-        def failing(self, *args, **kwargs):
-            calls.append(self)
+        def failing(file, *args, **kwargs):
+            # the fifth sibling is created, then the disk is full
+            f = open(file, *args, **kwargs)
+            calls.append(file)
             if len(calls) == 5:
+                f.close()
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write_text(self, *args, **kwargs)
+            return f
 
-        monkeypatch.setattr(Path, "write_text", failing)
+        # the writer opens each sibling with the builtin open
+        monkeypatch.setattr(artifacts, "open", failing, raising=False)
     before = _files(out)
     assert main(["--horizon", "2060", "--out", str(out), command]) == 2
     assert "cannot write to" in capsys.readouterr().err
@@ -228,7 +232,7 @@ def _copy_bundled_data(data):
     data.mkdir()
     for name, fname in corpus.BUNDLED_DATASETS.items():
         if name != "offshore_depth":
-            (data / fname).write_bytes(corpus.bundled_path(name).read_bytes())
+            (data / fname).write_text(corpus.read_dataset(name), encoding="utf-8")
 
 
 @pytest.mark.parametrize("unreadable", ["not utf-8", "a directory"])
@@ -317,7 +321,7 @@ _SERIES = ("pv", "wind", "offshore_wind", "hydro", "pv_lcoe", "wind_lcoe", "batt
 
 
 def _bundled_text(name):
-    return corpus.bundled_path(name).read_text(encoding="utf-8")
+    return corpus.read_dataset(name)
 
 
 def _bundled_rows(name):
@@ -524,6 +528,31 @@ def _loaded_after(*argv):
 
 def test_package_import_loads_no_submodule():
     assert _loaded_after() == {"renewcast"}
+
+
+# Not listed: argparse's HelpFormatter loads shutil and fnmatch, and the
+# ScenarioConfig dataclass loads dataclasses and inspect.
+_UNUSED_STDLIB = {"importlib.resources", "pathlib", "zipfile", "tempfile", "urllib.parse"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "pv"], ["project", "pv", "--year", "2030"],
+    ["cross", "--threshold", "electric_fig5"], ["mix", "--year", "2030"], ["learn"],
+    ["budget"], ["figures", "--id", "fig1"], ["report"],
+], ids=lambda argv: argv[0])
+def test_cli_call_in_a_fresh_interpreter_loads_no_path_library(tmp_path, argv):
+    # without site, which may preload any of these, so that the difference
+    # from what the interpreter held at start-up (that of python -S -c pass)
+    # is what the call itself imports
+    probe = ("import sys\n"
+             "bare = set(sys.modules)\n"
+             "from renewcast.cli import main\n"
+             "assert main(sys.argv[1:]) == 0\n"
+             "print(' '.join(sorted(set(sys.modules) - bare)))")
+    stdout = _run_python("-S", "-c", probe, "--out", str(tmp_path), *argv).stdout
+    loaded = set(stdout.splitlines()[-1].split())
+    assert "renewcast.cli" in loaded
+    assert not loaded & _UNUSED_STDLIB
 
 
 _LATER_LAYERS = {f"renewcast.{m}" for m in (

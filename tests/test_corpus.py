@@ -1,6 +1,7 @@
 """Series ingestion, serialisation round trips and the constants registry."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_round_trip_is_byte_identical_modulo_order():
 def test_round_trip_all_bundled_files():
     for name in ("pv", "wind", "offshore_wind", "hydro", "pv_lcoe",
                  "wind_lcoe", "battery"):
-        text = corpus.bundled_path(name).read_text(encoding="utf-8")
+        text = corpus.read_dataset(name)
         assert rc.dump_series(rc.load_capacity_series(text)) == text
 
 
@@ -241,7 +242,7 @@ def test_bundled_series_load_with_their_schema(name):
 
 def test_series_declaring_another_unit_is_rejected(tmp_path):
     fname = corpus.BUNDLED_DATASETS["wind_lcoe"]
-    text = corpus.bundled_path("wind_lcoe").read_text(encoding="utf-8")
+    text = corpus.read_dataset("wind_lcoe")
     (tmp_path / fname).write_text(text.replace("# unit: USD_per_MWh", "# unit: USD_per_kWh"),
                                   encoding="utf-8")
     with pytest.raises(UnitMismatch) as excinfo:
@@ -252,6 +253,13 @@ def test_series_declaring_another_unit_is_rejected(tmp_path):
 def test_unknown_dataset_name():
     with pytest.raises(rc.errors.DatasetMissing):
         corpus.load_bundled("nope")
+
+
+def test_every_bundled_dataset_is_a_plain_file():
+    # read_dataset opens these paths directly, so the package must ship them
+    # as files beside its modules
+    for name in corpus.BUNDLED_DATASETS:
+        assert os.path.isfile(corpus.bundled_path(name)), name
 
 
 # -- constants registry ------------------------------------------------------

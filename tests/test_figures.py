@@ -68,7 +68,7 @@ def _weekly_report(root):
     data.mkdir()
     rng = random.Random("dense-pin")
     for name in CAPACITY + COSTS:
-        text = corpus.bundled_path(name).read_text(encoding="utf-8")
+        text = corpus.read_dataset(name)
         (data / corpus.BUNDLED_DATASETS[name]).write_text(
             _weekly(text, rng) if name in CAPACITY else text, encoding="utf-8")
     return rc.run_scenario(rc.ScenarioConfig(data_dir=str(data)))

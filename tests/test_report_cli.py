@@ -4,6 +4,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -202,9 +203,7 @@ def test_below_floor_cost_warning(tmp_path):
     for name, fname in corpus.BUNDLED_DATASETS.items():
         if name == "offshore_depth":
             continue
-        src = corpus.bundled_path(name)
-        (data / fname).write_text(src.read_text(encoding="utf-8"),
-                                  encoding="utf-8")
+        (data / fname).write_text(corpus.read_dataset(name), encoding="utf-8")
     (data / "pv_lcoe_usd_mwh.csv").write_text(
         "# fictional steep decline\n"
         "# technology: pv\n# kind: unit_cost\n# unit: USD_per_MWh\n"
@@ -244,6 +243,22 @@ def test_outputs_byte_identical_across_runs(tmp_path, default_report):
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_path_objects_give_what_their_strings_give(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    for name, fname in corpus.BUNDLED_DATASETS.items():
+        (data / fname).write_text(corpus.read_dataset(name), encoding="utf-8")
+    conf = tmp_path / "run.conf"
+    conf.write_text("horizon = 2060\n", encoding="utf-8")
+    runs = []
+    for form in (str, Path):
+        config = replace(rc.parse_config(form(conf)), data_dir=form(data))
+        written = rc.write_outputs(rc.run_scenario(config), form(out))
+        runs.append((written, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert b'"horizon": 2060.0' in runs[1][1]["report.json"]
 
 
 def test_every_csv_number_exists_in_json(tmp_path, default_report):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import reportmodel
 from .config import FIGURE_IDS, THRESHOLD_NAMES, ScenarioConfig, check_year, parse_config
@@ -51,24 +50,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("report", help="run everything and write all artifacts")
 
     p_fig = sub.add_parser("figures", help="write one or all SVG figures")
-    p_fig.add_argument("--id", dest="figure_id", default=None,
-                       help=f"one of: {', '.join(FIGURE_IDS)} (default: all)")
+    p_fig.add_argument("--id", dest="figure_id", default=None, choices=FIGURE_IDS,
+                       help="the one figure to write (default: all)")
     return parser
 
 
 def _load_config(args) -> ScenarioConfig:
     config = parse_config(args.config) if args.config else ScenarioConfig()
     if args.out is not None:
-        config = replace(config, out_dir=args.out)
+        config = config._replace(out_dir=args.out)
     if args.horizon is not None:
-        config = replace(config, horizon=args.horizon)
+        config = config._replace(horizon=args.horizon)
     if getattr(args, "year", None) is not None:
         check_year("--year", args.year)
     # cross and mix compute only their own threshold or year
     if args.command == "cross":
-        config = replace(config, thresholds=(args.threshold,))
+        config = config._replace(thresholds=(args.threshold,))
     if args.command == "mix":
-        config = replace(config, mix_years=(args.year,))
+        config = config._replace(mix_years=(args.year,))
     return config.validate()
 
 

@@ -5,7 +5,7 @@ else of the report."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigInvalid
 
@@ -37,8 +37,7 @@ def check_year(name: str, year: float):
             f"{name} must be a finite year <= {MAX_HORIZON:g}, got {year!r}")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Run configuration; every field has a default matching the bundled setup."""
 
     data_dir: str | None = None

@@ -56,7 +56,7 @@ class ScenarioReport:
         # the config as given, with the capacity factors as resolved; out_dir
         # is not echoed: artifacts must not depend on where they are written
         cfg = {}
-        for name in ScenarioConfig.__annotations__:     # its fields, in order
+        for name in ScenarioConfig._fields:
             value = getattr(self.config, name)
             if name == "cf_pv":
                 cfg["capacity_factors"] = dict(self.capacity_factors)

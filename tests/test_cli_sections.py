@@ -530,9 +530,9 @@ def test_package_import_loads_no_submodule():
     assert _loaded_after() == {"renewcast"}
 
 
-# Not listed: argparse's HelpFormatter loads shutil and fnmatch, and the
-# ScenarioConfig dataclass loads dataclasses and inspect.
-_UNUSED_STDLIB = {"importlib.resources", "pathlib", "zipfile", "tempfile", "urllib.parse"}
+# Not listed: argparse's HelpFormatter loads shutil and fnmatch.
+_UNUSED_STDLIB = {"importlib.resources", "pathlib", "zipfile", "tempfile", "urllib.parse",
+                  "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -582,18 +582,18 @@ def test_figures_load_no_html(tmp_path):
     assert "html" not in loaded
 
 
-def test_only_the_config_is_a_dataclass():
-    # records are NamedTuples or plain classes; ScenarioConfig is the one
-    # dataclass left
-    probe = ("import dataclasses, importlib, pkgutil, sys, renewcast\n"
+def test_no_class_is_a_dataclass():
+    # records are NamedTuples or plain classes
+    probe = ("import importlib, pkgutil, sys, renewcast\n"
              "for info in pkgutil.iter_modules(renewcast.__path__):\n"
              "    importlib.import_module(f'renewcast.{info.name}')\n"
-             "print(' '.join(sorted({f'{v.__module__}.{v.__qualname__}'\n"
-             "                       for name, mod in list(sys.modules.items())\n"
-             "                       if name.startswith('renewcast')\n"
-             "                       for v in vars(mod).values()\n"
-             "                       if isinstance(v, type) and dataclasses.is_dataclass(v)})))")
-    assert _run_python("-c", probe).stdout.split() == ["renewcast.config.ScenarioConfig"]
+             "import dataclasses\n"
+             "print(sorted({f'{v.__module__}.{v.__qualname__}'\n"
+             "              for name, mod in list(sys.modules.items())\n"
+             "              if name.startswith('renewcast')\n"
+             "              for v in vars(mod).values()\n"
+             "              if isinstance(v, type) and dataclasses.is_dataclass(v)}))")
+    assert _run_python("-c", probe).stdout.strip() == "[]"
 
 
 # every name renewcast exported when its __init__ imported all modules eagerly

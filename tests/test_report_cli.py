@@ -3,7 +3,6 @@
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -210,13 +209,13 @@ def test_below_floor_cost_warning(tmp_path):
         "2009,359.0\n2011,120.0\n2013,40.0\n2015,14.0\n2017,7.0\n2019,4.0\n",
         encoding="utf-8",
     )
-    rep = rc.run_scenario(replace(rc.ScenarioConfig(), data_dir=str(data)))
+    rep = rc.run_scenario(rc.ScenarioConfig()._replace(data_dir=str(data)))
     assert rep.to_dict()["learning"]["pv_cost_at_stated_2030_generation_usd_per_mwh"] < 1.0
     assert any("below the stated" in w for w in rep.warnings)
 
 
 def test_horizon_2024_not_reached():
-    config = replace(rc.ScenarioConfig(), horizon=2024.0)
+    config = rc.ScenarioConfig()._replace(horizon=2024.0)
     rep = rc.run_scenario(config)
     entries = [c for c in rep.crossings if c.threshold == "primary_fig5"]
     assert entries and all(c.status == "not_reached" for c in entries)
@@ -224,12 +223,39 @@ def test_horizon_2024_not_reached():
 
 def test_invalid_horizon_rejected():
     with pytest.raises(ConfigInvalid):
-        rc.run_scenario(replace(rc.ScenarioConfig(), horizon=2015.0))
+        rc.run_scenario(rc.ScenarioConfig()._replace(horizon=2015.0))
 
 
 def test_unknown_threshold_rejected():
     with pytest.raises(ConfigInvalid):
         rc.ScenarioConfig(thresholds=("electric_fig5", "nope")).validate()
+
+
+def test_config_is_an_immutable_record(default_report):
+    config = rc.ScenarioConfig()
+    with pytest.raises(AttributeError):
+        config.horizon = 2060.0
+    with pytest.raises(TypeError):
+        rc.ScenarioConfig(horizon_year=2060.0)
+    changed = config._replace(horizon=2060.0)
+    assert type(changed) is rc.ScenarioConfig
+    assert (changed.horizon, config.horizon) == (2060.0, 2050.0)
+    # report.json echoes the config in field order, the capacity factors
+    # folded into one key and out_dir left out
+    assert list(default_report.to_dict()["config"]) == [
+        "data_dir", "horizon", "wind_treatment", "changepoint_min_segment",
+        "changepoint_threshold", "pv_window", "wind_window", "wind_regime_window",
+        "offshore_window", "hydro_window", "hydro_degree", "capacity_factors",
+        "mix_years", "thresholds"]
+
+
+@pytest.mark.xfail(strict=True, raises=MissingFit,
+                   reason="fig6 looks up the electric_fig5 crossings whatever the "
+                          "configured thresholds")
+def test_outputs_without_electric_fig5(tmp_path):
+    config = rc.ScenarioConfig()._replace(thresholds=("electric_2030",))
+    rc.write_outputs(rc.run_scenario(config), tmp_path / "out")
+    assert (tmp_path / "out" / "fig6.svg").is_file()
 
 
 # -- determinism ------------------------------------------------------------------
@@ -254,7 +280,7 @@ def test_path_objects_give_what_their_strings_give(tmp_path):
     conf.write_text("horizon = 2060\n", encoding="utf-8")
     runs = []
     for form in (str, Path):
-        config = replace(rc.parse_config(form(conf)), data_dir=form(data))
+        config = rc.parse_config(form(conf))._replace(data_dir=form(data))
         written = rc.write_outputs(rc.run_scenario(config), form(out))
         runs.append((written, {p.name: p.read_bytes() for p in out.iterdir()}))
     assert runs[0] == runs[1]
@@ -460,8 +486,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--config", str(conf), "report"]) == 3
 
     assert main(["project", "hydro", "--year", "1900"]) == 4
-    assert main(["--out", str(tmp_path), "figures", "--id", "fig99"]) == 4
     capsys.readouterr()
+
+
+def test_cli_unknown_figure_id_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), "figures", "--id", "fig99"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fig99'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config_text, argv", [

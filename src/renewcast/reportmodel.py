@@ -188,9 +188,9 @@ class ScenarioReport:
 
     @cached_property
     def crossing_entries(self) -> Mapping:
-        """(threshold, combination, wind treatment) -> CrossingEntry for each
-        configured threshold and each projection, in crossing order, each
-        solved when first read."""
+        """(threshold, combination, wind treatment) -> CrossingEntry for every
+        known threshold and each projection, in crossing order, each solved
+        when first read."""
         from . import scenario
         projections, horizon = self.projections, self.config.horizon
 
@@ -207,13 +207,13 @@ class ScenarioReport:
                                  res.status, res.year, warn)
 
         return _LazyMap({(name, *key): partial(entry, name, *key)
-                         for name in THRESHOLD_NAMES if name in self.config.thresholds
-                         for key in projections})
+                         for name in THRESHOLD_NAMES for key in projections})
 
     @cached_property
     def crossings(self) -> list:
         """CrossingEntry per configured threshold, combination and treatment."""
-        return list(self.crossing_entries.values())
+        entries, thresholds = self.crossing_entries, self.config.thresholds
+        return [entries[key] for key in entries if key[0] in thresholds]
 
     @cached_property
     def mixes(self) -> dict:
@@ -267,8 +267,8 @@ class ScenarioReport:
         return self.learning["battery_time_decay"].cost_at_year(2030.0)
 
     def crossing_for(self, threshold, combination, wind_treatment=None):
-        """The CrossingEntry of one configured threshold, solved on first
-        request; MissingFit for a threshold or pair the report does not have."""
+        """The CrossingEntry of any known threshold, solved on first request;
+        MissingFit for a threshold, combination or treatment it does not know."""
         key = (threshold, combination, wind_treatment)
         if key not in self.crossing_entries:
             raise MissingFit(
@@ -313,10 +313,9 @@ class ScenarioReport:
             return ClaimRow(name, c.value, computed_year, delta, c.citation)
 
         def year(threshold, combo, treatment=None):
-            try:
-                return self.crossing_for(threshold, combo, treatment).year
-            except MissingFit:
-                return None
+            # published only for a configured threshold, like crossings
+            return (self.crossing_for(threshold, combo, treatment).year
+                    if threshold in self.config.thresholds else None)
 
         crossover_year = scenario.pv_wind_generation_crossover(
             self.profiles["pv"], self.profiles[f"wind_{headline}"])

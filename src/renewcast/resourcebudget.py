@@ -25,14 +25,11 @@ from .growthfit import ols
 
 
 class ResourcePotential:
-    def __init__(self, name: str, annual_potential_twh: float, qualifier: str = "",
-                 citation: str = ""):
+    def __init__(self, name: str, annual_potential_twh: float):
         if annual_potential_twh <= 0:
             raise NonPositiveValue(f"potential must be > 0, got {annual_potential_twh!r}")
         self.name = name
         self.annual_potential_twh = annual_potential_twh
-        self.qualifier = qualifier
-        self.citation = citation
 
 
 class AreaBudget(NamedTuple):
@@ -126,16 +123,12 @@ def reference_budget(cf_pv: float) -> dict:
     }
     budget_areas = {name: area_budget(demand, density, cf_pv)
                     for name, demand in demands.items()}
-    potentials = {
-        name: ResourcePotential(name, constant(const), qualifier,
-                                get_constant(const).citation)
-        for name, const, qualifier in (
-            ("onshore", "onshore_wind_potential", "onshore"),
-            ("offshore_50m", "offshore_50m", "water depth < 50 m"),
-            ("offshore_1000m", "offshore_1000m", "water depth < 1000 m"),
-            ("wind_total_as_stated", "wind_total_potential_as_stated", "as stated"),
-        )
-    }
+    potentials = {name: ResourcePotential(name, constant(const)) for name, const in (
+        ("onshore", "onshore_wind_potential"),
+        ("offshore_50m", "offshore_50m"),
+        ("offshore_1000m", "offshore_1000m"),
+        ("wind_total_as_stated", "wind_total_potential_as_stated"),
+    )}
     budget_fractions = {}
     for pot_name, pot in potentials.items():
         for dem_name in ("electric_2030", "primary_2030", "reduced_primary_2030"):
@@ -188,53 +181,48 @@ def discrepancy_row(name: str, constant_name: str, computed: float) -> Discrepan
 
 
 def appendix_discrepancies() -> list[DiscrepancyRow]:
-    """Recompute every stated budget figure from the registered inputs."""
-    density = constant("pv_density")
-    cf_pv = constant("cf_pv")
-    electric = constant("electric_demand_2030")
-    primary = constant("primary_demand_2030")
-    reduced = reduced_primary(primary)
-    total_stated = constant("wind_total_potential_as_stated")
+    """Every stated budget figure against its recomputation, read from the
+    reference budget at the registered PV capacity factor."""
+    budget = reference_budget(constant("cf_pv"))
+    areas, fractions = budget["areas"], budget["potential_fractions"]
 
-    area_electric = pv_area_required(electric, density, cf_pv)
-    area_primary = pv_area_required(primary, density, cf_pv)
-    area_reduced = pv_area_required(reduced, density, cf_pv)
-
-    points, target = load_offshore_depth_fixture()
     rows = [
-        ("pv_area_electric_2030_km2", "stated_pv_area_electric_km2", area_electric),
-        ("pv_area_primary_2030_km2", "stated_pv_area_primary_km2", area_primary),
+        ("pv_area_electric_2030_km2", "stated_pv_area_electric_km2",
+         areas["electric_2030"].required_area_km2),
+        ("pv_area_primary_2030_km2", "stated_pv_area_primary_km2",
+         areas["primary_2030"].required_area_km2),
         # The stated desert shares do not even follow from the stated areas;
         # recomputed here from the stated area (electric) and the recomputed
         # areas (primary, reduced) to expose both gaps.
         ("desert_fraction_electric_of_stated_area", "stated_desert_fraction_electric",
          desert_fraction(constant("stated_pv_area_electric_km2"))),
         ("desert_fraction_primary", "stated_desert_fraction_primary",
-         desert_fraction(area_primary)),
+         areas["primary_2030"].desert_fraction),
         ("desert_fraction_reduced", "stated_desert_fraction_reduced",
-         desert_fraction(area_reduced)),
+         areas["reduced_primary_2030"].desert_fraction),
         ("wind_fraction_electric", "stated_wind_fraction_electric",
-         electric / total_stated),
+         fractions["electric_2030_vs_wind_total_as_stated"]["fraction"]),
         ("wind_fraction_primary", "stated_wind_fraction_primary",
-         primary / total_stated),
+         fractions["primary_2030_vs_wind_total_as_stated"]["fraction"]),
         ("wind_fraction_reduced", "stated_wind_fraction_reduced",
-         reduced / total_stated),
+         fractions["reduced_primary_2030_vs_wind_total_as_stated"]["fraction"]),
         ("onshore_times_primary", "stated_onshore_times_primary",
-         constant("onshore_wind_potential") / primary),
+         fractions["primary_2030_vs_onshore"]["times_over"]),
         ("onshore_times_electric", "stated_onshore_times_electric",
-         constant("onshore_wind_potential") / electric),
+         fractions["electric_2030_vs_onshore"]["times_over"]),
         ("offshore50_times_electric", "stated_offshore50_times_electric",
-         constant("offshore_50m") / electric),
+         fractions["electric_2030_vs_offshore_50m"]["times_over"]),
         ("offshore1000_times_primary", "stated_offshore1000_times_primary",
-         constant("offshore_1000m") / primary),
+         fractions["primary_2030_vs_offshore_1000m"]["times_over"]),
         ("wind_total_potential_twh", "wind_total_potential_as_stated",
          constant("onshore_wind_potential") + constant("offshore_1000m")),
-        ("reduced_primary_2030_twh", "reduced_primary_2030", reduced),
+        ("reduced_primary_2030_twh", "reduced_primary_2030",
+         areas["reduced_primary_2030"].demand_twh_per_year),
         ("offshore_1000m_extrapolated_twh", "offshore_1000m",
-         offshore_depth_extrapolation(points, target)),
+         budget["offshore_depth_extrapolation"]["extrapolated_potential_twh_per_year"]),
         # Which demand the stated electric-demand area used is unstated;
         # neither candidate reproduces it, so both recomputations are reported.
         ("pv_area_electric_fig5_km2", "stated_pv_area_electric_km2",
-         pv_area_required(constant("electric_threshold_fig5"), density, cf_pv)),
+         areas["electric_fig5"].required_area_km2),
     ]
     return [discrepancy_row(*row) for row in rows]

@@ -50,8 +50,14 @@ def test_subcommands_that_print_no_crossing_solve_none(tmp_path, monkeypatch, ca
     (["report"], 28),
     # fig6 marks the headline treatment's two electric_fig5 crossings
     (["figures", "--id", "fig6"], 2),
+    # the configured threshold's 7, plus fig6's 2 whatever is configured
+    (["--config", "electric_2030.conf", "report"], 9),
+    (["--config", "electric_2030.conf", "figures", "--id", "fig6"], 2),
 ])
 def test_crossings_solved_per_subcommand(tmp_path, monkeypatch, capsys, argv, calls):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "electric_2030.conf").write_text("thresholds = electric_2030\n",
+                                                 encoding="utf-8")
     solved = []
     crossing_year = scenario.crossing_year
 

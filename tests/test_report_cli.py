@@ -1,5 +1,6 @@
 """End-to-end report assembly, artifact determinism, figures and the CLI."""
 
+import itertools
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -15,6 +16,7 @@ from renewcast import report as report_mod
 from renewcast import reportmodel
 from renewcast.artifacts import json_text
 from renewcast.cli import main
+from renewcast.config import THRESHOLD_NAMES, WIND_TREATMENTS
 from renewcast.errors import ConfigInvalid, MissingFit
 from renewcast.report import ClaimRow, CrossingEntry
 from renewcast.resourcebudget import AreaBudget, DiscrepancyRow
@@ -249,13 +251,51 @@ def test_config_is_an_immutable_record(default_report):
         "mix_years", "thresholds"]
 
 
-@pytest.mark.xfail(strict=True, raises=MissingFit,
-                   reason="fig6 looks up the electric_fig5 crossings whatever the "
-                          "configured thresholds")
-def test_outputs_without_electric_fig5(tmp_path):
-    config = rc.ScenarioConfig()._replace(thresholds=("electric_2030",))
-    rc.write_outputs(rc.run_scenario(config), tmp_path / "out")
-    assert (tmp_path / "out" / "fig6.svg").is_file()
+# claim -> the threshold whose crossing gives its computed year
+_CLAIM_THRESHOLDS = {
+    "wind_pv_meet_electric_fig5": "electric_fig5",
+    "three_tech_meet_electric_fig5": "electric_fig5",
+    "three_tech_meet_reduced_primary": "reduced_primary_2030",
+    "pv_alone_meets_electric_fig5": "electric_fig5",
+    "pv_alone_meets_electric_fig5_alt": "electric_fig5",
+    "pv_alone_meets_primary_fig5": "primary_fig5",
+}
+
+
+@pytest.mark.parametrize("treatment", WIND_TREATMENTS)
+def test_outputs_without_electric_fig5(tmp_path, treatment):
+    # Every threshold subset, the empty one included, draws the figures and
+    # writes the mix, budget and discrepancy tables of all four thresholds;
+    # the thresholds choose only the crossing rows and the claims' years.
+    def outputs(thresholds):
+        config = rc.ScenarioConfig()._replace(wind_treatment=treatment,
+                                              thresholds=thresholds)
+        out = tmp_path / ("-".join(thresholds) or "none")
+        rc.write_outputs(rc.run_scenario(config), out)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def claims(files):
+        return {c["name"]: c["computed_year"]
+                for c in json.loads(files["report.json"])["claims"]}
+
+    full = outputs(THRESHOLD_NAMES)
+    shared = [name for name in full if name.endswith(".svg")] + [
+        "mixes.csv", "budget.csv", "discrepancies.csv", "discrepancies.txt"]
+    crossing_lines = full["crossings.csv"].decode().splitlines(keepends=True)
+    full_claims = claims(full)
+    assert all(full_claims[name] is not None for name in _CLAIM_THRESHOLDS)
+    for size in range(len(THRESHOLD_NAMES) + 1):
+        for subset in itertools.combinations(THRESHOLD_NAMES, size):
+            files = outputs(subset)
+            for name in shared:
+                assert files[name] == full[name], (subset, name)
+            assert files["crossings.csv"].decode() == "".join(
+                crossing_lines[:1] + [line for line in crossing_lines[1:]
+                                      if line.split(",")[0] in subset]), subset
+            for name, year in claims(files).items():
+                unconfigured = (name in _CLAIM_THRESHOLDS
+                                and _CLAIM_THRESHOLDS[name] not in subset)
+                assert year == (None if unconfigured else full_claims[name]), (subset, name)
 
 
 # -- determinism ------------------------------------------------------------------
@@ -566,6 +606,19 @@ def test_cli_horizon_override(capsys):
 def test_crossing_for_missing_entry(default_report):
     with pytest.raises(MissingFit):
         default_report.crossing_for("electric_fig5", "wind_pv", "bogus")
+    with pytest.raises(MissingFit):
+        default_report.crossing_for("no_such_threshold", "pv")
+
+
+def test_appendix_rows_keep_the_registered_capacity_factor(default_report):
+    # the appendix recomputes the stated figures at the registered cf_pv;
+    # only the scenario's own budget follows its capacity factor
+    report = rc.run_scenario(rc.ScenarioConfig()._replace(cf_pv=0.2))
+    names = {row.name for row in rc.appendix_discrepancies()}
+    rows = [[repr(row) for row in rep.discrepancies if row.name in names]
+            for rep in (report, default_report)]
+    assert len(rows[0]) == 16 and rows[0] == rows[1]
+    assert report.budget["areas"] != default_report.budget["areas"]
 
 
 def test_discrepancy_row_type():

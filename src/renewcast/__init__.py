@@ -18,8 +18,8 @@ _EXPORTS = {
     "corpus": ("CapacitySeries", "Constant", "constant", "constant_names", "dump_series",
                "get_constant", "load_bundled", "load_capacity_series", "make_series",
                "reduced_primary"),
-    "genconvert": ("GenerationSeries", "TechnologyProfile", "generation_capability",
-                   "power_required", "series_to_generation"),
+    "genconvert": ("TechnologyProfile", "generation_capability", "power_required",
+                   "series_to_generation"),
     "growthfit": ("ExponentialFit", "PiecewiseExponentialFit", "PolynomialFit",
                   "detect_changepoint", "doubling_time", "extrapolate", "fit_exponential",
                   "fit_polynomial", "past_horizon"),

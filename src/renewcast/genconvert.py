@@ -8,7 +8,6 @@ is deliberately out of scope.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .corpus import HOURS_PER_YEAR, CapacitySeries
 from .errors import CapacityFactorOutOfRange, FitOutOfRange, NegativeDemand, NegativePower
@@ -24,19 +23,6 @@ class TechnologyProfile:
         self.capacity_factor = capacity_factor
         self.series = series
         self.model = model
-
-
-class GenerationSeries(NamedTuple):
-    technology: str
-    samples: tuple[tuple[float, float], ...]  # (year, TWh/yr)
-
-    @property
-    def years(self):
-        return tuple(s[0] for s in self.samples)
-
-    @property
-    def values(self):
-        return tuple(s[1] for s in self.samples)
 
 
 def _check_cf(capacity_factor: float):
@@ -65,12 +51,10 @@ def power_required(generation_twh: float, capacity_factor: float) -> float:
     return generation_twh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
 
 
-def series_to_generation(profile: TechnologyProfile) -> GenerationSeries:
-    """Pointwise conversion of a profile's installed-power samples."""
-    return GenerationSeries(
-        technology=profile.name,
-        samples=tuple(
-            (year, generation_capability(value, profile.capacity_factor))
-            for year, value in profile.series.samples
-        ),
-    )
+def series_to_generation(profile: TechnologyProfile) -> CapacitySeries:
+    """Pointwise conversion of a profile's installed power to an
+    annual_generation series."""
+    cf = profile.capacity_factor
+    return CapacitySeries(profile.name, "annual_generation", "TWh_per_year",
+                          profile.series.years,
+                          tuple(generation_capability(v, cf) for v in profile.series.values))

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .corpus import CapacitySeries
 from .errors import (
     CrossingOutOfRange,
+    DataError,
     FitOutOfRange,
     MissingYear,
     NonPositiveValue,
@@ -28,56 +29,39 @@ from .errors import (
 from .genconvert import generation_capability
 from .growthfit import ols, r_squared
 
-X_YEAR = "year"
-X_GENERATION = "cumulative_generation"
 
+class CostSeries(NamedTuple):
+    """Costs indexed by cumulative generation capability x (TWh/yr), x
+    ascending: the input of a learning-curve fit."""
 
-class CostSeries:
-    """(x, cost) samples; x_kind is X_YEAR or X_GENERATION."""
-
-    def __init__(self, technology: str, x_kind: str,
-                 samples: tuple[tuple[float, float], ...], cost_unit: str):
-        if x_kind not in (X_YEAR, X_GENERATION):
-            raise UnitMismatch(f"unknown x_kind {x_kind!r}")
-        for x, c in samples:
-            if c <= 0:
-                raise NonPositiveValue(f"{technology}: cost {c!r} at x={x:g} must be > 0")
-        self.technology = technology
-        self.x_kind = x_kind
-        self.samples = samples
-        self.cost_unit = cost_unit
+    technology: str
+    x: tuple[float, ...]
+    costs: tuple[float, ...]
+    cost_unit: str
 
     @property
     def x_range(self) -> tuple[float, float]:
-        return self.samples[0][0], self.samples[-1][0]
+        return self.x[0], self.x[-1]
 
 
-def cost_series(capacity_series: CapacitySeries) -> CostSeries:
-    """View a loaded unit_cost series as a year-indexed CostSeries."""
-    if capacity_series.quantity_kind != "unit_cost":
-        raise UnitMismatch(
-            f"{capacity_series.technology}: expected a unit_cost series, got "
-            f"{capacity_series.quantity_kind!r}"
-        )
-    return CostSeries(
-        technology=capacity_series.technology,
-        x_kind=X_YEAR,
-        samples=capacity_series.samples,
-        cost_unit=capacity_series.unit,
-    )
+def cost_series(series: CapacitySeries) -> CapacitySeries:
+    """The series itself, once it is checked to be a year-indexed unit_cost series."""
+    kind = getattr(series, "quantity_kind", None)
+    if kind != "unit_cost":
+        raise UnitMismatch(f"{series.technology}: expected a unit_cost series, got {kind!r}")
+    return series
 
 
-def join_cost_to_generation(cost: CostSeries, capacity: CapacitySeries,
+def join_cost_to_generation(cost: CapacitySeries, capacity: CapacitySeries,
                             capacity_factor: float) -> CostSeries:
-    """Re-index a year-indexed cost series by generation capability.
+    """Re-index a unit_cost series by generation capability.
 
     Every cost year must have a capacity sample; the x-value is the
     capability of the capacity installed by that year.
     """
-    if cost.x_kind != X_YEAR:
-        raise UnitMismatch("join expects a year-indexed cost series")
-    joined = []
-    for year, c in cost.samples:
+    cost = cost_series(cost)
+    x = []
+    for year in cost.years:
         try:
             installed = capacity.value_at(year)
         except KeyError:
@@ -85,14 +69,10 @@ def join_cost_to_generation(cost: CostSeries, capacity: CapacitySeries,
                 f"{cost.technology}: no {capacity.technology} capacity sample "
                 f"for cost year {year:g}"
             ) from None
-        joined.append((generation_capability(installed, capacity_factor), c))
-    joined.sort(key=lambda s: s[0])
-    return CostSeries(
-        technology=cost.technology,
-        x_kind=X_GENERATION,
-        samples=tuple(joined),
-        cost_unit=cost.cost_unit,
-    )
+        x.append(generation_capability(installed, capacity_factor))
+    order = sorted(range(len(x)), key=x.__getitem__)
+    return CostSeries(cost.technology, tuple(x[i] for i in order),
+                      tuple(cost.values[i] for i in order), cost.unit)
 
 
 class LearningCurveFit(NamedTuple):
@@ -137,25 +117,27 @@ class TimeDecayFit(NamedTuple):
 
 def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
     """Least squares on (log10 x, log10 cost) of a capability-indexed series."""
-    if series.x_kind != X_GENERATION:
-        raise UnitMismatch(
-            "learning curves need x_kind=cumulative_generation; "
-            "join_cost_to_generation builds one"
-        )
-    if len(series.samples) < 2:
+    if not isinstance(series, CostSeries):
+        raise UnitMismatch("learning curves need a generation-indexed CostSeries; "
+                           "join_cost_to_generation builds one")
+    if len(series.x) != len(series.costs):
+        raise DataError(f"{series.technology}: {len(series.x)} x values but "
+                        f"{len(series.costs)} costs")
+    if len(series.x) < 2:
         raise TooFewPoints("learning-curve fit needs >= 2 samples")
-    for x, _ in series.samples:
-        if x <= 0:
-            raise NonPositiveValue(f"x value {x!r} must be > 0")
-    lx = [math.log10(s[0]) for s in series.samples]
-    lc = [math.log10(s[1]) for s in series.samples]
+    for x, c in zip(series.x, series.costs):
+        if x <= 0 or c <= 0:
+            raise NonPositiveValue(f"{series.technology}: x {x!r} and cost {c!r} "
+                                   "must be > 0")
+    lx = list(map(math.log10, series.x))
+    lc = list(map(math.log10, series.costs))
     slope, xm, ym, sse, sst = ols(lx, lc)
     return LearningCurveFit(
         technology=series.technology,
         log10_intercept=ym - slope * xm,
         log10_slope=slope,
         r_squared=r_squared(sse, sst),
-        rmse_log10=math.sqrt(sse / len(series.samples)),
+        rmse_log10=math.sqrt(sse / len(lx)),
         x_range=series.x_range,
         cost_unit=series.cost_unit,
     )
@@ -196,14 +178,13 @@ def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, flo
     return x, cost
 
 
-def fit_time_decay(series: CostSeries) -> TimeDecayFit:
-    """Log-space least squares of cost against calendar year."""
-    if series.x_kind != X_YEAR:
-        raise UnitMismatch("time decay needs a year-indexed cost series")
-    if len(series.samples) < 2:
+def fit_time_decay(series: CapacitySeries) -> TimeDecayFit:
+    """Log-space least squares of a unit_cost series against calendar year."""
+    series = cost_series(series)
+    if len(series.years) < 2:
         raise TooFewPoints("time-decay fit needs >= 2 samples")
-    t = [float(s[0]) for s in series.samples]
-    lnc = [math.log(s[1]) for s in series.samples]
+    t = series.years
+    lnc = list(map(math.log, series.values))
     slope, tm, ym, sse, sst = ols(t, lnc)
     try:
         cost0, decay = math.exp(ym + slope * (t[0] - tm)), math.exp(slope)
@@ -217,5 +198,5 @@ def fit_time_decay(series: CostSeries) -> TimeDecayFit:
         decay=decay,
         r_squared=r_squared(sse, sst),
         window=(t[0], t[-1]),
-        cost_unit=series.cost_unit,
+        cost_unit=series.unit,
     )

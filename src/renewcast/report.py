@@ -6,9 +6,9 @@ from . import corpus, genconvert, growthfit, learncurve, resourcebudget, scenari
 from .artifacts import (budget_csv, claims_csv, crossings_csv, discrepancies_csv,
                         emit_discrepancies, mixes_csv, report_json, write_artifacts,
                         write_outputs)
-from .config import (_THRESHOLD_CONSTANTS, _WINDOW_KEYS, COMBINATIONS, FIGURE_IDS,
-                     MAX_HORIZON, MAX_HYDRO_DEGREE, THRESHOLD_NAMES, WIND_TREATMENTS,
-                     ScenarioConfig, check_year, parse_config)
+from .config import (_WINDOW_KEYS, COMBINATIONS, FIGURE_IDS, MAX_HORIZON, MAX_HYDRO_DEGREE,
+                     THRESHOLD_NAMES, WIND_TREATMENTS, ScenarioConfig, check_year,
+                     parse_config)
 from .figures import emit_figure
-from .reportmodel import (_LazyMap, SCHEMA_VERSION, ClaimRow, CrossingEntry, ScenarioReport,
-                          load_series, run_scenario)
+from .reportmodel import (SCHEMA_VERSION, ClaimRow, CrossingEntry, ScenarioReport, load_series,
+                          run_scenario)

@@ -228,12 +228,11 @@ class ScenarioReport:
         """name -> learncurve LearningCurveFit/TimeDecayFit."""
         from . import learncurve
         series, cf = self.series, self.capacity_factors
-        costs = {tech: learncurve.cost_series(series[f"{tech}_lcoe"])
-                 for tech in ("pv", "wind")}
+        costs = {"pv": series["pv_lcoe"], "wind": series["wind_lcoe"]}
         learning = {f"{tech}_learning_curve": learncurve.fit_learning_curve(
                         learncurve.join_cost_to_generation(cost, series[tech], cf[tech]))
                     for tech, cost in costs.items()}
-        costs["battery"] = learncurve.cost_series(series["battery"])
+        costs["battery"] = series["battery"]
         for tech, cost in costs.items():
             learning[f"{tech}_time_decay"] = learncurve.fit_time_decay(cost)
         return learning

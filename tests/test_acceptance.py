@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import renewcast as rc
-from renewcast.learncurve import CostSeries, X_GENERATION
+from renewcast.learncurve import CostSeries
 
 
 def _check(criterion, ok, detail):
@@ -124,8 +124,8 @@ def test_c08b_pv_learning_rate_exceeds_wind(rep):
 
 def test_c08c_twenty_percent_slope_identity():
     samples = tuple((100.0 * 2.0 ** k, 50.0 * 0.8 ** k) for k in range(6))
-    fit = rc.fit_learning_curve(CostSeries("x", X_GENERATION, samples,
-                                           "USD_per_MWh"))
+    fit = rc.fit_learning_curve(CostSeries("x", tuple(x for x, _ in samples),
+                                           tuple(c for _, c in samples), "USD_per_MWh"))
     rate = rc.learning_rate(fit)
     _check("8c", abs(rate - 0.20) <= 1e-12,
            f"20%-per-doubling input reproduces 1 - 2**slope = {rate!r}")
@@ -254,12 +254,12 @@ def test_c14_identity_properties(rep):
     base_samples = [(float(x), float(c)) for x, c in
                     zip(np.cumsum(rng.uniform(10, 50, size=9)),
                         np.exp(rng.normal(3.0, 0.5, size=9)))]
-    base = rc.fit_learning_curve(CostSeries("r", X_GENERATION,
-                                            tuple(base_samples), "USD_per_MWh"))
+    base_x = tuple(x for x, _ in base_samples)
+    base_costs = tuple(c for _, c in base_samples)
+    base = rc.fit_learning_curve(CostSeries("r", base_x, base_costs, "USD_per_MWh"))
     for k in (1e-3, 0.25, 7.0, 1e5):
         scaled = rc.fit_learning_curve(CostSeries(
-            "r", X_GENERATION, tuple((k * x, c) for x, c in base_samples),
-            "USD_per_MWh"))
+            "r", tuple(k * x for x in base_x), base_costs, "USD_per_MWh"))
         worst_slope = max(worst_slope,
                           abs(scaled.log10_slope - base.log10_slope))
 

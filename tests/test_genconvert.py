@@ -31,8 +31,8 @@ def test_single_sample_profile():
 def test_shape_preserved():
     s = rc.make_series("toy", "installed_power", "GW", [(2000, 1.0), (2001, 2.0)])
     gen = rc.series_to_generation(rc.TechnologyProfile("toy", 0.5, s))
-    assert gen.years == (2000.0, 2001.0)
-    assert len(gen.samples) == 2
+    assert gen == rc.CapacitySeries("toy", "annual_generation", "TWh_per_year",
+                                    (2000.0, 2001.0), (4.38, 8.76))
 
 
 def test_bundled_hydro_capability_at_last_year(hydro_profile):

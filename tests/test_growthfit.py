@@ -148,10 +148,7 @@ def test_polynomial_errors():
 
 
 def test_bundled_hydro_quadratic_extrapolation(hydro_profile):
-    gen = rc.series_to_generation(hydro_profile)
-    series = rc.make_series("hydro", "annual_generation", "TWh_per_year",
-                            gen.samples)
-    fit = rc.fit_polynomial(series, 2)
+    fit = rc.fit_polynomial(rc.series_to_generation(hydro_profile), 2)
     value_2030 = float(rc.extrapolate(fit, 2030.0))
     assert 6000.0 <= value_2030 <= 7200.0
 
@@ -273,6 +270,23 @@ def test_changepoint_equals_exhaustive_scan(case):
     piecewise = rc.detect_changepoint(_series(samples), min_segment=min_segment)
     assert (piecewise.changepoint_year, piecewise.sse_piecewise, piecewise.sse_single,
             piecewise.improvement_ratio) == _exhaustive_changepoint(samples, min_segment)
+
+
+def test_changepoint_equals_exhaustive_scan_on_clustered_years(monkeypatch):
+    # four years within 3e-9 of each other: a segment of two of them has a
+    # centred Sxx inside its rounding bound, so the slope bound falls back
+    # to the consecutive slopes of _max_slope
+    years = [2000.0 + k * 1e-9 for k in range(4)] + [2010.0 + i for i in range(8)]
+    lnv = [0.1, 0.3, 0.2, 0.4] + [1.0 + 0.2 * i for i in range(8)]
+    samples = [(y, math.exp(v)) for y, v in zip(years, lnv)]
+    calls = []
+    max_slope = growthfit._max_slope
+    monkeypatch.setattr(growthfit, "_max_slope",
+                        lambda xs, ys: calls.append(1) or max_slope(xs, ys))
+    piecewise = rc.detect_changepoint(_series(samples), min_segment=2)
+    assert calls
+    assert (piecewise.changepoint_year, piecewise.sse_piecewise, piecewise.sse_single,
+            piecewise.improvement_ratio) == _exhaustive_changepoint(samples, 2)
 
 
 def _weekly_samples(n, shape):

@@ -8,21 +8,23 @@ import pytest
 import renewcast as rc
 from renewcast.errors import (
     MissingYear,
+    NonPositiveValue,
     NonPositiveX,
     ParallelLines,
     PositiveSlope,
+    RenewcastError,
     TooFewPoints,
     UnitMismatch,
 )
-from renewcast.learncurve import CostSeries, X_GENERATION, X_YEAR
+from renewcast.learncurve import CostSeries
 
 
 def _gen_cost(samples, tech="toy", unit="USD_per_MWh"):
-    return CostSeries(tech, X_GENERATION, tuple(samples), unit)
+    return CostSeries(tech, tuple(x for x, _ in samples), tuple(c for _, c in samples), unit)
 
 
 def _year_cost(samples, tech="toy", unit="USD_per_MWh"):
-    return CostSeries(tech, X_YEAR, tuple(samples), unit)
+    return rc.make_series(tech, "unit_cost", unit, samples)
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,40 @@ def test_learning_curve_needs_generation_axis():
 def test_learning_curve_too_few_points():
     with pytest.raises(TooFewPoints):
         rc.fit_learning_curve(_gen_cost([(10.0, 100.0)]))
+
+
+@pytest.mark.parametrize("samples", [[(10.0, 100.0), (0.0, 90.0)],
+                                     [(10.0, 100.0), (20.0, 0.0)],
+                                     [(-10.0, 100.0), (20.0, 90.0)],
+                                     [(10.0, 100.0), (20.0, -90.0)]])
+def test_learning_curve_refuses_nonpositive_x_or_cost(samples):
+    with pytest.raises(NonPositiveValue):
+        rc.fit_learning_curve(_gen_cost(samples))
+
+
+def test_learning_curve_refuses_columns_of_unequal_length():
+    with pytest.raises(RenewcastError, match="3 x values but 2 costs"):
+        rc.fit_learning_curve(CostSeries("toy", (1.0, 2.0, 4.0), (9.0, 8.0), "USD_per_MWh"))
+
+
+def test_join_is_a_stable_sort_by_generation():
+    # capacity dips back in 2002, so x falls back; the costs follow their x
+    capacity = rc.make_series("toy", "installed_power", "GW",
+                              [(2000.0, 1.0), (2001.0, 3.0), (2002.0, 2.0), (2003.0, 3.0)])
+    cost = _year_cost([(2000.0, 40.0), (2001.0, 30.0), (2002.0, 35.0), (2003.0, 25.0)])
+    joined = rc.join_cost_to_generation(cost, capacity, 0.5)
+    x = tuple(rc.generation_capability(gw, 0.5) for gw in (1.0, 2.0, 3.0, 3.0))
+    assert joined == CostSeries("toy", x, (40.0, 35.0, 30.0, 25.0), "USD_per_MWh")
+    assert joined.x_range == (x[0], x[-1])
+
+
+def test_cost_series_is_the_checked_unit_cost_series():
+    cost = rc.load_bundled("pv_lcoe")
+    assert rc.cost_series(cost) is cost
+    with pytest.raises(UnitMismatch):
+        rc.cost_series(rc.load_bundled("pv"))
+    with pytest.raises(UnitMismatch):
+        rc.join_cost_to_generation(rc.load_bundled("pv"), rc.load_bundled("pv"), 0.2)
 
 
 def test_twenty_percent_per_doubling_slope():
@@ -153,9 +189,7 @@ def test_learning_rate_invariant_under_rescaling(pv_series):
     joined = rc.join_cost_to_generation(cost, pv_series, rc.constant("cf_pv"))
     base_rate = rc.learning_rate(rc.fit_learning_curve(joined))
     for k in (0.5, 42.0):
-        scaled = CostSeries("pv", X_GENERATION,
-                            tuple((k * x, c) for x, c in joined.samples),
-                            "USD_per_MWh")
+        scaled = joined._replace(x=tuple(k * x for x in joined.x))
         assert rc.learning_rate(rc.fit_learning_curve(scaled)) == pytest.approx(
             base_rate, abs=1e-12)
 

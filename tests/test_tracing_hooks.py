@@ -47,7 +47,7 @@ def test_tracing_hooks_resolve(tmp_path):
     # exact sizes of the default report: a miscount (say, of a series
     # stored as a pair of columns) shows here, not only in a benchmark run
     exact = {"scenario.crossings": 28, "corpus.rows": 128, "growthfit.points": 134,
-             "svgchart.points": 1250}
+             "svgchart.points": 1250, "genconvert.calls": 22}
     assert {name: counters.counts[name] for name in exact} == exact
 
 

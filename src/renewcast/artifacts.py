@@ -7,7 +7,7 @@ import os
 from contextlib import suppress
 
 from .config import FIGURE_IDS
-from .errors import OutputUnwritable
+from .errors import ConfigError
 from .reportmodel import ClaimRow, CrossingEntry, ScenarioReport
 
 
@@ -132,7 +132,7 @@ def write_artifacts(out_dir, artifacts) -> list:
     written. If anything fails first, the siblings are removed and out_dir
     keeps exactly the files it held before the call.
 
-    Raises OutputUnwritable when the directory or a file cannot be written.
+    Raises ConfigError when the directory or a file cannot be written.
     """
     staged = []     # (sibling, file) pairs
     try:
@@ -154,7 +154,7 @@ def write_artifacts(out_dir, artifacts) -> list:
             with suppress(FileNotFoundError):
                 os.unlink(sibling)
         if isinstance(exc, OSError):
-            raise OutputUnwritable(f"cannot write to {out_dir}: {exc}") from None
+            raise ConfigError(f"cannot write to {out_dir}: {exc}") from None
         raise
     return [path for _, path in staged]
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConfigInvalid
+from .errors import ConfigError
 
 # Latest accepted horizon or evaluation year; it bounds the crossing grid.
 MAX_HORIZON = 2200.0
@@ -33,7 +33,7 @@ THRESHOLD_NAMES = tuple(_THRESHOLD_CONSTANTS)
 def check_year(name: str, year: float):
     """Reject a non-finite year or one after MAX_HORIZON."""
     if not (math.isfinite(year) and year <= MAX_HORIZON):
-        raise ConfigInvalid(
+        raise ConfigError(
             f"{name} must be a finite year <= {MAX_HORIZON:g}, got {year!r}")
 
 
@@ -60,7 +60,7 @@ class ScenarioConfig(NamedTuple):
 
     def validate(self):
         if self.wind_treatment not in WIND_TREATMENTS:
-            raise ConfigInvalid(
+            raise ConfigError(
                 f"wind_treatment must be one of {WIND_TREATMENTS}, "
                 f"got {self.wind_treatment!r}"
             )
@@ -68,27 +68,27 @@ class ScenarioConfig(NamedTuple):
         for year in self.mix_years:
             check_year("mix year", year)
         if not math.isfinite(self.changepoint_threshold):
-            raise ConfigInvalid("changepoint_threshold must be finite")
+            raise ConfigError("changepoint_threshold must be finite")
         if self.changepoint_min_segment < 2:
-            raise ConfigInvalid("changepoint_min_segment must be >= 2")
+            raise ConfigError("changepoint_min_segment must be >= 2")
         if not 1 <= self.hydro_degree <= MAX_HYDRO_DEGREE:
-            raise ConfigInvalid(
+            raise ConfigError(
                 f"hydro_degree must be in 1..{MAX_HYDRO_DEGREE}, got {self.hydro_degree}")
         for t in self.thresholds:
             if t not in THRESHOLD_NAMES:
-                raise ConfigInvalid(
+                raise ConfigError(
                     f"unknown threshold {t!r}; known: {', '.join(sorted(THRESHOLD_NAMES))}"
                 )
         for cf in (self.cf_pv, self.cf_wind, self.cf_hydro):
             if cf is not None and not (0.0 < cf <= 1.0):
-                raise ConfigInvalid(f"capacity factor {cf!r} outside (0, 1]")
+                raise ConfigError(f"capacity factor {cf!r} outside (0, 1]")
         for key in _WINDOW_KEYS:
             lo, hi = getattr(self, key)
             text = ":".join("" if b is None else repr(b) for b in (lo, hi))
             if any(b is not None and not math.isfinite(b) for b in (lo, hi)):
-                raise ConfigInvalid(f"{key} bounds must be finite, got {text}")
+                raise ConfigError(f"{key} bounds must be finite, got {text}")
             if lo is not None and hi is not None and lo > hi:
-                raise ConfigInvalid(f"{key} starts after it ends: {text}")
+                raise ConfigError(f"{key} starts after it ends: {text}")
         return self
 
 
@@ -103,7 +103,7 @@ _STR_KEYS = {"data_dir", "out_dir", "wind_treatment"}
 
 def _parse_window(text: str):
     if ":" not in text:
-        raise ConfigInvalid(f"window must look like 'start:end', got {text!r}")
+        raise ConfigError(f"window must look like 'start:end', got {text!r}")
     lo_txt, hi_txt = text.split(":", 1)
     lo = float(lo_txt) if lo_txt.strip() else None
     hi = float(hi_txt) if hi_txt.strip() else None
@@ -116,14 +116,14 @@ def parse_config(path) -> ScenarioConfig:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read config file {path}: {exc}") from None
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
     for n, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ConfigInvalid(f"{path}:{n}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{path}:{n}: expected 'key = value', got {line!r}")
         key, _, raw = body.partition("=")
         key, raw = key.strip(), raw.strip().strip('"').strip("'")
         try:
@@ -140,7 +140,7 @@ def parse_config(path) -> ScenarioConfig:
             elif key == "thresholds":
                 values[key] = tuple(v.strip() for v in raw.split(",") if v.strip())
             else:
-                raise ConfigInvalid(f"{path}:{n}: unknown key {key!r}")
+                raise ConfigError(f"{path}:{n}: unknown key {key!r}")
         except ValueError as exc:
-            raise ConfigInvalid(f"{path}:{n}: bad value for {key}: {exc}") from None
+            raise ConfigError(f"{path}:{n}: bad value for {key}: {exc}") from None
     return ScenarioConfig(**values).validate()

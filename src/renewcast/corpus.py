@@ -26,16 +26,7 @@ from itertools import repeat
 from operator import contains, lt
 from typing import NamedTuple
 
-from .errors import (
-    DatasetMissing,
-    DuplicateYear,
-    EmptySeries,
-    MalformedRow,
-    NegativeDemand,
-    NonPositiveValue,
-    UnitMismatch,
-    UnknownConstant,
-)
+from .errors import DataError, ModelError
 
 HOURS_PER_YEAR = 8760.0
 
@@ -103,11 +94,11 @@ def _assemble(technology, kind, unit, years, values, provenance, header_lines, r
     """Check and year-order float columns into a series, a column per check;
     the samples are walked one by one only to name the first bad one."""
     if kind not in _KIND_UNITS:
-        raise UnitMismatch(f"unknown quantity kind {kind!r}")
+        raise DataError(f"unknown quantity kind {kind!r}")
     if unit not in _KIND_UNITS[kind]:
-        raise UnitMismatch(f"unit {unit!r} not valid for kind {kind!r}")
+        raise DataError(f"unit {unit!r} not valid for kind {kind!r}")
     if not years:
-        raise EmptySeries(f"series {technology!r} has no data rows")
+        raise DataError(f"series {technology!r} has no data rows")
     if not all(map(lt, years, years[1:])):     # rows usually come in year order
         if years != sorted(years):
             order = sorted(range(len(years)), key=years.__getitem__)
@@ -116,13 +107,13 @@ def _assemble(technology, kind, unit, years, values, provenance, header_lines, r
             row_text = [row_text[i] for i in order] if row_text else []
         for y0, y1 in zip(years, years[1:]):
             if y1 == y0:
-                raise DuplicateYear(f"series {technology!r}: year {y0:g} repeated")
+                raise DataError(f"series {technology!r}: year {y0:g} repeated")
     strict = kind in _LOG_FIT_KINDS     # annual_generation may be 0
     if not (min(values) > 0 if strict else min(values) >= 0):
         for y, v in zip(years, values):
             if v < 0 or strict and v == 0:
-                raise NonPositiveValue(f"series {technology!r}: value {v!r} at {y:g} "
-                                       f"must be {'>' if strict else '>='} 0")
+                raise DataError(f"series {technology!r}: value {v!r} at {y:g} "
+                                f"must be {'>' if strict else '>='} 0")
     return CapacitySeries(
         technology=technology,
         quantity_kind=kind,
@@ -173,21 +164,21 @@ def load_capacity_series(source: str) -> CapacitySeries:
 
 
 def _raise_first_bad_row(lines, start):
-    """Raise MalformedRow for the first bad line from lines[start] on, if any."""
+    """Raise DataError for the first bad line from lines[start] on, if any."""
     for n, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
         if line.startswith("#"):
-            raise MalformedRow(f"line {n}: comment after data rows")
+            raise DataError(f"line {n}: comment after data rows")
         parts = line.split(",")
         if len(parts) != 2:
-            raise MalformedRow(f"line {n}: expected 'year,value', got {line!r}")
+            raise DataError(f"line {n}: expected 'year,value', got {line!r}")
         try:
             year, value = map(float, parts)
         except ValueError as exc:
-            raise MalformedRow(f"line {n}: {exc}") from None
+            raise DataError(f"line {n}: {exc}") from None
         if not (math.isfinite(year) and math.isfinite(value)):
-            raise MalformedRow(f"line {n}: non-finite entry in {line!r}")
+            raise DataError(f"line {n}: non-finite entry in {line!r}")
 
 
 def dump_series(series: CapacitySeries) -> str:
@@ -222,7 +213,7 @@ def bundled_path(name: str) -> str:
     try:
         fname = BUNDLED_DATASETS[name]
     except KeyError:
-        raise DatasetMissing(
+        raise DataError(
             f"no bundled dataset {name!r}; known: {', '.join(sorted(BUNDLED_DATASETS))}"
         ) from None
     return os.path.join(_DATA_DIR, fname)
@@ -230,7 +221,7 @@ def bundled_path(name: str) -> str:
 
 def read_dataset(name: str, data_dir=None) -> str:
     """Text of a dataset file, bundled or of the same name in data_dir;
-    DatasetMissing when it cannot be read, MalformedRow when not UTF-8."""
+    DataError when it cannot be read or is not UTF-8."""
     path = bundled_path(name)
     if data_dir is not None:
         path = os.path.join(data_dir, BUNDLED_DATASETS[name])
@@ -238,20 +229,20 @@ def read_dataset(name: str, data_dir=None) -> str:
         with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as exc:
-        raise DatasetMissing(f"cannot read dataset file {path}: {exc}") from None
+        raise DataError(f"cannot read dataset file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise MalformedRow(f"dataset file {path} is not UTF-8 text: {exc}") from None
+        raise DataError(f"dataset file {path} is not UTF-8 text: {exc}") from None
 
 
 def load_series(name: str, data_dir=None) -> CapacitySeries:
     """The named series, parsed from its bundled file or its namesake in
-    data_dir; UnitMismatch when the file declares another kind or unit than
+    data_dir; DataError when the file declares another kind or unit than
     SERIES_SCHEMAS gives the dataset."""
     series = load_capacity_series(read_dataset(name, data_dir))
     kind, unit = SERIES_SCHEMAS[name]
     if (series.quantity_kind, series.unit) != (kind, unit):
-        raise UnitMismatch(f"dataset file {BUNDLED_DATASETS[name]} declares "
-                           f"{series.quantity_kind}/{series.unit}, not {kind}/{unit}")
+        raise DataError(f"dataset file {BUNDLED_DATASETS[name]} declares "
+                        f"{series.quantity_kind}/{series.unit}, not {kind}/{unit}")
     return series
 
 
@@ -409,7 +400,7 @@ def get_constant(name: str) -> Constant:
     try:
         return _CONSTANTS[name]
     except KeyError:
-        raise UnknownConstant(f"no constant named {name!r}") from None
+        raise DataError(f"no constant named {name!r}") from None
 
 
 def constant(name: str) -> float:
@@ -427,6 +418,6 @@ def reduced_primary(demand_twh: float) -> float:
     (186000 -> 106950) is reproduced bit-exactly.
     """
     if demand_twh < 0:
-        raise NegativeDemand(f"demand must be >= 0, got {demand_twh!r}")
+        raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
     retention = 1000.0 - 1000.0 * constant("efficiency_reduction")
     return demand_twh * retention / 1000.0

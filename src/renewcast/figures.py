@@ -8,7 +8,7 @@ from bisect import bisect_left, bisect_right
 
 from .config import _THRESHOLD_CONSTANTS, FIGURE_IDS
 from .corpus import HOURS_PER_YEAR, constant
-from .errors import MissingFit
+from .errors import ModelError
 from .reportmodel import ScenarioReport
 from .svgchart import Axis, Chart, render
 
@@ -67,7 +67,7 @@ def _add_pv_wind(chart, points, lines=()):
 def emit_figure(report: ScenarioReport, figure_id: str) -> str:
     """Standalone SVG for one figure id; see FIGURE_IDS for the valid set."""
     if figure_id not in FIGURE_IDS:
-        raise MissingFit(f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
+        raise ModelError(f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
     series = report.series
 
     if figure_id in _CAPACITY_FIGURES:

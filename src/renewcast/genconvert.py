@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .corpus import HOURS_PER_YEAR, CapacitySeries
-from .errors import CapacityFactorOutOfRange, FitOutOfRange, NegativeDemand, NegativePower
+from .errors import ModelError
 
 
 class TechnologyProfile:
@@ -27,7 +27,7 @@ class TechnologyProfile:
 
 def _check_cf(capacity_factor: float):
     if not (0.0 < capacity_factor <= 1.0):
-        raise CapacityFactorOutOfRange(
+        raise ModelError(
             f"capacity factor must be in (0, 1], got {capacity_factor!r}"
         )
 
@@ -36,10 +36,10 @@ def generation_capability(power_gw: float, capacity_factor: float) -> float:
     """TWh/yr generated by power_gw running at the given capacity factor."""
     _check_cf(capacity_factor)
     if power_gw < 0:
-        raise NegativePower(f"installed power must be >= 0, got {power_gw!r}")
+        raise ModelError(f"installed power must be >= 0, got {power_gw!r}")
     generation = power_gw * capacity_factor * HOURS_PER_YEAR / 1000.0
     if not math.isfinite(generation):
-        raise FitOutOfRange(f"the generation of {power_gw!r} GW is not finite")
+        raise ModelError(f"the generation of {power_gw!r} GW is not finite")
     return generation
 
 
@@ -47,7 +47,7 @@ def power_required(generation_twh: float, capacity_factor: float) -> float:
     """Inverse of generation_capability: GW needed for a TWh/yr target."""
     _check_cf(capacity_factor)
     if generation_twh < 0:
-        raise NegativeDemand(f"generation must be >= 0, got {generation_twh!r}")
+        raise ModelError(f"generation must be >= 0, got {generation_twh!r}")
     return generation_twh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
 
 

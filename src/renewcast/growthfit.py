@@ -14,18 +14,11 @@ import sys
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from math import fsum
-from operator import mul, sub, truediv
+from operator import mul, sub
 from typing import NamedTuple
 
 from .corpus import CapacitySeries
-from .errors import (
-    DegreeZero,
-    FitOutOfRange,
-    NonGrowingSeries,
-    NonPositiveValue,
-    TooFewPoints,
-    YearBeforeWindow,
-)
+from .errors import DataError, ModelError
 
 # Extrapolations further than this past the fit window are still computed
 # but flagged (past_horizon).
@@ -46,7 +39,7 @@ class ExponentialFit(NamedTuple):
         try:
             return math.exp(self.ln_intercept + self.ln_slope * (year - self.reference_year))
         except OverflowError:
-            raise FitOutOfRange(f"the fit at {year:g} exceeds the float range") from None
+            raise ModelError(f"the fit at {year:g} exceeds the float range") from None
 
     def year_at(self, value: float) -> float:
         """Inverse of value_at: the year the fit reaches value."""
@@ -103,9 +96,8 @@ def ols(x, y):
 
     Returns (slope, mean x, mean y, sse, sst); the line is
     mean_y + slope * (x - mean_x). Every sum is math.fsum, so each is
-    exactly rounded whatever its length or order. TooFewPoints when x
-    holds fewer than two distinct values, FitOutOfRange when a sum
-    overflows.
+    exactly rounded whatever its length or order. ModelError when x
+    holds fewer than two distinct values or a sum overflows.
     """
     n = len(x)
     try:
@@ -115,7 +107,7 @@ def ols(x, y):
         dy = [v - ym for v in y]
         denom = fsum(map(mul, dx, dx))
         if denom == 0.0:
-            raise TooFewPoints("a least-squares line needs >= 2 distinct x values")
+            raise ModelError("a least-squares line needs >= 2 distinct x values")
         slope = fsum(map(mul, dx, dy)) / denom
         resid = [v - (ym + slope * d) for d, v in zip(dx, y)]
         line = slope, xm, ym, fsum(map(mul, resid, resid)), fsum(map(mul, dy, dy))
@@ -123,7 +115,7 @@ def ols(x, y):
     except (OverflowError, ValueError):     # fsum past the float range, or inf - inf
         finite = False
     if not finite:
-        raise FitOutOfRange("a least-squares line overflows the float range")
+        raise ModelError("a least-squares line overflows the float range")
     return line
 
 
@@ -141,7 +133,7 @@ def fit_exponential(series: CapacitySeries, window=None) -> ExponentialFit:
     """
     years, values = _windowed(series, window)
     if len(years) < 2:
-        raise TooFewPoints(
+        raise ModelError(
             f"{series.technology}: exponential fit needs >= 2 points, "
             f"got {len(years)}"
         )
@@ -165,7 +157,7 @@ def _log_line(technology: str, years, values):
     """(ln values, ols line) of windowed columns whose values are all > 0."""
     if min(values) <= 0:
         y, v = next(s for s in zip(years, values) if s[1] <= 0)
-        raise NonPositiveValue(f"{technology}: value {v!r} at {y:g} not log-fittable")
+        raise DataError(f"{technology}: value {v!r} at {y:g} not log-fittable")
     lnv = list(map(math.log, values))
     return lnv, ols(years, lnv)
 
@@ -173,10 +165,10 @@ def _log_line(technology: str, years, values):
 def fit_polynomial(series: CapacitySeries, degree: int, window=None) -> PolynomialFit:
     """Least-squares polynomial in (year - first window year) of the raw values."""
     if degree < 1:
-        raise DegreeZero(f"polynomial degree must be >= 1, got {degree}")
+        raise ModelError(f"polynomial degree must be >= 1, got {degree}")
     years, v = _windowed(series, window)
     if len(years) < degree + 1:
-        raise TooFewPoints(
+        raise ModelError(
             f"{series.technology}: degree-{degree} fit needs >= {degree + 1} "
             f"points, got {len(years)}"
         )
@@ -193,8 +185,8 @@ def fit_polynomial(series: CapacitySeries, degree: int, window=None) -> Polynomi
     except (OverflowError, ValueError):     # fsum past the float range, or inf - inf
         finite = False
     if not finite:
-        raise FitOutOfRange(f"{series.technology}: degree-{degree} fit overflows "
-                            f"the float range")
+        raise ModelError(f"{series.technology}: degree-{degree} fit overflows "
+                         f"the float range")
     return PolynomialFit(
         reference_year=t0,
         coefficients=coeffs,
@@ -226,7 +218,7 @@ def _polyfit(x: list, v: list, degree: int) -> tuple:
         h0 = head[0]
         norm = math.sqrt(fsum(map(mul, head, head)))
         if norm == 0.0:
-            raise TooFewPoints(f"degree-{degree} fit needs >= {degree + 1} distinct years")
+            raise ModelError(f"degree-{degree} fit needs >= {degree + 1} distinct years")
         alpha = -norm if h0 >= 0.0 else norm
         head[0] = h0 - alpha
         half_vv = norm * (norm + abs(h0))
@@ -259,11 +251,11 @@ def detect_changepoint(series: CapacitySeries, min_segment: int = 3,
     against a configured threshold.
     """
     if min_segment < 2:
-        raise TooFewPoints("min_segment must be >= 2 so each side is fittable")
+        raise ModelError("min_segment must be >= 2 so each side is fittable")
     years, values = _windowed(series, window)
     n = len(years)
     if n < 2 * min_segment:
-        raise TooFewPoints(
+        raise ModelError(
             f"{series.technology}: changepoint scan needs >= {2 * min_segment} "
             f"points, got {n}"
         )
@@ -320,19 +312,6 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _max_slope(xs, ys) -> float:
-    """Upper bound on |ys[i+1]-ys[i]| / (xs[i+1]-xs[i]); inf unless xs rises.
-
-    Any least-squares slope through a run of the points is a weighted mean
-    of these consecutive slopes, so this bounds it too.
-    """
-    dx = list(map(sub, xs[1:], xs[:-1]))
-    if not min(dx) > 0.0:
-        return math.inf
-    dy = map(sub, ys[1:], ys[:-1])
-    return max(map(abs, map(truediv, dy, dx))) * (1.0 + 8 * _U)
-
-
 def _segment_sses(counts, sx, sz, sxx, sxz, szz, exx, exz):
     """Szz - Sxz**2 / Sxx of each segment from its raw moment sums, nan where
     the centred Sxx does not come out positive; and the largest
@@ -382,15 +361,13 @@ def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
     - The moments of the exact differences lie within 4.1u X1 Xm and
       4.1u (X1 Zm + Z1 Xm), under a ninth of Exx and Exz as n >= 4, of
       those of (x, z). As a slope is Sxz / Sxx, B is the largest
-      (|Sxz| + 2Exz) / (Sxx - 2Exx) over the scored segments, or where some
-      Sxx <= 2Exx, L: the largest consecutive slope of (t, y) and of (x, z),
-      of which every least-squares slope is a weighted mean.
+      (|Sxz| + 2Exz) / (Sxx - 2Exx) over the scored segments.
 
     Over both segments, with c = 6u max|y| sqrt(n) + p,
     P(k) <= (1 + u)((a sqrt(F(k) / (1 - u)) + sqrt(2) c)**2 + 8.8g W).
     The code rounds the constants up to absorb the rounding of T itself.
-    The moment bounds assume n g <= 0.01; past that every split is
-    returned.
+    The moment bounds assume n g <= 0.01, and B that every scored segment
+    has Sxx > 2Exx; past either, every split is returned.
     """
     n = len(t)
     lo, hi = min_segment, n - min_segment + 1
@@ -408,12 +385,9 @@ def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
         [s[-1] - p for p in s[lo:hi]] for s in sums), exx, exz)
     scores = [a + b for a, b in zip(left, right)]
     scored = [(s, k) for s, k in zip(scores, ks) if math.isfinite(s)]
-    if not scored or n * g > 0.01:
-        return list(ks)
-
     slope = max(left_slope, right_slope) * (1.0 + 8 * _U)
-    if slope == math.inf:
-        slope = max(_max_slope(t, y), _max_slope(x, z))
+    if not scored or n * g > 0.01 or slope == math.inf:
+        return list(ks)
     w = (z1 + 2 * slope * x1) * (zm + 2 * slope * xm)
     a = 1.0 + _gamma(n) + 8 * _U
     c = (6 * _U * max(map(abs, y)) * math.sqrt(n)
@@ -428,7 +402,7 @@ def extrapolate(model, year: float) -> float:
     """Closed-form model evaluation at any year >= window start."""
     lo = model.window[0]
     if year < lo:
-        raise YearBeforeWindow(
+        raise ModelError(
             f"year {year:g} precedes fit window start {lo:g}"
         )
     return model.value_at(year)
@@ -442,7 +416,7 @@ def past_horizon(model, year: float) -> bool:
 def doubling_time(fit: ExponentialFit) -> float:
     """Years for the fitted quantity to double: ln 2 / ln_slope."""
     if fit.ln_slope <= 0:
-        raise NonGrowingSeries(
+        raise ModelError(
             f"doubling time undefined for ln_slope {fit.ln_slope!r} <= 0"
         )
     return math.log(2.0) / fit.ln_slope

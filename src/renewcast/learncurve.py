@@ -14,18 +14,7 @@ import math
 from typing import NamedTuple
 
 from .corpus import CapacitySeries
-from .errors import (
-    CrossingOutOfRange,
-    DataError,
-    FitOutOfRange,
-    MissingYear,
-    NonPositiveValue,
-    NonPositiveX,
-    ParallelLines,
-    PositiveSlope,
-    TooFewPoints,
-    UnitMismatch,
-)
+from .errors import DataError, ModelError
 from .genconvert import generation_capability
 from .growthfit import ols, r_squared
 
@@ -48,7 +37,7 @@ def cost_series(series: CapacitySeries) -> CapacitySeries:
     """The series itself, once it is checked to be a year-indexed unit_cost series."""
     kind = getattr(series, "quantity_kind", None)
     if kind != "unit_cost":
-        raise UnitMismatch(f"{series.technology}: expected a unit_cost series, got {kind!r}")
+        raise DataError(f"{series.technology}: expected a unit_cost series, got {kind!r}")
     return series
 
 
@@ -65,7 +54,7 @@ def join_cost_to_generation(cost: CapacitySeries, capacity: CapacitySeries,
         try:
             installed = capacity.value_at(year)
         except KeyError:
-            raise MissingYear(
+            raise DataError(
                 f"{cost.technology}: no {capacity.technology} capacity sample "
                 f"for cost year {year:g}"
             ) from None
@@ -90,8 +79,8 @@ class LearningCurveFit(NamedTuple):
         try:
             return 10.0 ** (self.log10_intercept + self.log10_slope * math.log10(x))
         except OverflowError:
-            raise FitOutOfRange(f"the {self.technology} learning curve overflows at x = "
-                                f"{x:g}") from None
+            raise ModelError(f"the {self.technology} learning curve overflows at x = "
+                             f"{x:g}") from None
 
 
 class TimeDecayFit(NamedTuple):
@@ -112,23 +101,23 @@ class TimeDecayFit(NamedTuple):
             cost = math.inf
         if 0.0 < cost < math.inf:
             return cost
-        raise FitOutOfRange(f"{self.technology} cost decay at {year:g} leaves the float range")
+        raise ModelError(f"{self.technology} cost decay at {year:g} leaves the float range")
 
 
 def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
     """Least squares on (log10 x, log10 cost) of a capability-indexed series."""
     if not isinstance(series, CostSeries):
-        raise UnitMismatch("learning curves need a generation-indexed CostSeries; "
-                           "join_cost_to_generation builds one")
+        raise DataError("learning curves need a generation-indexed CostSeries; "
+                        "join_cost_to_generation builds one")
     if len(series.x) != len(series.costs):
         raise DataError(f"{series.technology}: {len(series.x)} x values but "
                         f"{len(series.costs)} costs")
     if len(series.x) < 2:
-        raise TooFewPoints("learning-curve fit needs >= 2 samples")
+        raise ModelError("learning-curve fit needs >= 2 samples")
     for x, c in zip(series.x, series.costs):
         if x <= 0 or c <= 0:
-            raise NonPositiveValue(f"{series.technology}: x {x!r} and cost {c!r} "
-                                   "must be > 0")
+            raise DataError(f"{series.technology}: x {x!r} and cost {c!r} "
+                            "must be > 0")
     lx = list(map(math.log10, series.x))
     lc = list(map(math.log10, series.costs))
     slope, xm, ym, sse, sst = ols(lx, lc)
@@ -146,7 +135,7 @@ def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
 def learning_rate(fit: LearningCurveFit) -> float:
     """Fractional cost decline per doubling of cumulative quantity: 1 - 2**slope."""
     if fit.log10_slope > 0:
-        raise PositiveSlope(
+        raise ModelError(
             f"{fit.technology}: cost rises with scale (slope "
             f"{fit.log10_slope!r}); learning rate undefined"
         )
@@ -156,25 +145,25 @@ def learning_rate(fit: LearningCurveFit) -> float:
 def cost_at(fit: LearningCurveFit, x: float) -> float:
     """Model cost at cumulative generation x > 0."""
     if x <= 0:
-        raise NonPositiveX(f"cumulative generation must be > 0, got {x!r}")
+        raise ModelError(f"cumulative generation must be > 0, got {x!r}")
     return fit.cost_at(x)
 
 
 def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, float]:
     """Intersection of two bi-log lines: (x, cost) where the curves meet."""
     if a.log10_slope == b.log10_slope:
-        raise ParallelLines(
+        raise ModelError(
             f"slopes are equal ({a.log10_slope!r}); the lines never cross"
         )
     log_x = (b.log10_intercept - a.log10_intercept) / (a.log10_slope - b.log10_slope)
     try:
         x = 10.0 ** log_x
         cost = a.cost_at(x)     # ValueError from log10 when x underflowed to 0
-    except (OverflowError, ValueError, FitOutOfRange):
+    except (OverflowError, ValueError, ModelError):
         cost = 0.0
     if cost == 0.0:             # 0.0 also when the cost itself underflowed
-        raise CrossingOutOfRange(f"the lines meet at x = 10**{log_x:g}, where x or "
-                                 "the cost leaves the float range")
+        raise ModelError(f"the lines meet at x = 10**{log_x:g}, where x or "
+                         "the cost leaves the float range")
     return x, cost
 
 
@@ -182,7 +171,7 @@ def fit_time_decay(series: CapacitySeries) -> TimeDecayFit:
     """Log-space least squares of a unit_cost series against calendar year."""
     series = cost_series(series)
     if len(series.years) < 2:
-        raise TooFewPoints("time-decay fit needs >= 2 samples")
+        raise ModelError("time-decay fit needs >= 2 samples")
     t = series.years
     lnc = list(map(math.log, series.values))
     slope, tm, ym, sse, sst = ols(t, lnc)
@@ -190,7 +179,7 @@ def fit_time_decay(series: CapacitySeries) -> TimeDecayFit:
         cost0, decay = math.exp(ym + slope * (t[0] - tm)), math.exp(slope)
         decay ** 10             # the report prints the decline over a decade
     except OverflowError:
-        raise FitOutOfRange(f"{series.technology}: the decay fit overflows") from None
+        raise ModelError(f"{series.technology}: the decay fit overflows") from None
     return TimeDecayFit(
         technology=series.technology,
         reference_year=t[0],

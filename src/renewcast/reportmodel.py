@@ -17,7 +17,7 @@ from . import corpus, growthfit
 from .config import (_THRESHOLD_CONSTANTS, COMBINATIONS, THRESHOLD_NAMES, WIND_TREATMENTS,
                      ScenarioConfig)
 from .corpus import constant, get_constant
-from .errors import ConfigInvalid, MissingFit
+from .errors import ConfigError, ModelError
 
 SCHEMA_VERSION = 1
 
@@ -224,18 +224,24 @@ class ScenarioReport:
                 for year in self.config.mix_years}
 
     @cached_property
-    def learning(self) -> dict:
-        """name -> learncurve LearningCurveFit/TimeDecayFit."""
+    def learning(self) -> Mapping:
+        """name -> learncurve LearningCurveFit/TimeDecayFit, each fitted when
+        first read."""
         from . import learncurve
         series, cf = self.series, self.capacity_factors
-        costs = {"pv": series["pv_lcoe"], "wind": series["wind_lcoe"]}
-        learning = {f"{tech}_learning_curve": learncurve.fit_learning_curve(
-                        learncurve.join_cost_to_generation(cost, series[tech], cf[tech]))
-                    for tech, cost in costs.items()}
-        costs["battery"] = series["battery"]
-        for tech, cost in costs.items():
-            learning[f"{tech}_time_decay"] = learncurve.fit_time_decay(cost)
-        return learning
+
+        def curve(tech):
+            return learncurve.fit_learning_curve(learncurve.join_cost_to_generation(
+                series[f"{tech}_lcoe"], series[tech], cf[tech]))
+
+        decay = learncurve.fit_time_decay
+        return _LazyMap({
+            "pv_learning_curve": partial(curve, "pv"),
+            "wind_learning_curve": partial(curve, "wind"),
+            "pv_time_decay": partial(decay, series["pv_lcoe"]),
+            "wind_time_decay": partial(decay, series["wind_lcoe"]),
+            "battery_time_decay": partial(decay, series["battery"]),
+        })
 
     @cached_property
     def budget(self) -> dict:
@@ -267,10 +273,10 @@ class ScenarioReport:
 
     def crossing_for(self, threshold, combination, wind_treatment=None):
         """The CrossingEntry of any known threshold, solved on first request;
-        MissingFit for a threshold, combination or treatment it does not know."""
+        ModelError for a threshold, combination or treatment it does not know."""
         key = (threshold, combination, wind_treatment)
         if key not in self.crossing_entries:
-            raise MissingFit(
+            raise ModelError(
                 f"no crossing entry for {threshold}/{combination}/{wind_treatment}"
             )
         return self.crossing_entries[key]
@@ -458,7 +464,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     series = load_series(config)
     last_data_year = max(s.last_year for s in series.values())
     if config.horizon <= last_data_year:
-        raise ConfigInvalid(
+        raise ConfigError(
             f"horizon {config.horizon:g} must exceed the last data year "
             f"{last_data_year:g}"
         )

@@ -12,22 +12,14 @@ import math
 from typing import NamedTuple
 
 from .corpus import HOURS_PER_YEAR, constant, get_constant, read_dataset, reduced_primary
-from .errors import (
-    CapacityFactorOutOfRange,
-    FitOutOfRange,
-    MalformedRow,
-    NegativeDemand,
-    NonPositiveDensity,
-    NonPositiveValue,
-    TooFewPoints,
-)
+from .errors import DataError, ModelError
 from .growthfit import ols
 
 
 class ResourcePotential:
     def __init__(self, name: str, annual_potential_twh: float):
         if annual_potential_twh <= 0:
-            raise NonPositiveValue(f"potential must be > 0, got {annual_potential_twh!r}")
+            raise DataError(f"potential must be > 0, got {annual_potential_twh!r}")
         self.name = name
         self.annual_potential_twh = annual_potential_twh
 
@@ -46,11 +38,11 @@ def pv_area_required(demand_twh: float, density_mw_km2: float,
     annual MWh yield of one km2.
     """
     if demand_twh < 0:
-        raise NegativeDemand(f"demand must be >= 0, got {demand_twh!r}")
+        raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
     if density_mw_km2 <= 0:
-        raise NonPositiveDensity(f"density must be > 0, got {density_mw_km2!r}")
+        raise ModelError(f"density must be > 0, got {density_mw_km2!r}")
     if not (0.0 < capacity_factor <= 1.0):
-        raise CapacityFactorOutOfRange(
+        raise ModelError(
             f"capacity factor must be in (0, 1], got {capacity_factor!r}"
         )
     return demand_twh * 1e6 / (density_mw_km2 * capacity_factor * HOURS_PER_YEAR)
@@ -70,7 +62,7 @@ def desert_fraction(area_km2: float) -> float:
 def potential_fraction(demand_twh: float, potential: ResourcePotential):
     """(demand/potential, potential/demand); times_over is inf at zero demand."""
     if demand_twh < 0:
-        raise NegativeDemand(f"demand must be >= 0, got {demand_twh!r}")
+        raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
     fraction = demand_twh / potential.annual_potential_twh
     times_over = math.inf if demand_twh == 0 else potential.annual_potential_twh / demand_twh
     return fraction, times_over
@@ -81,10 +73,10 @@ def offshore_depth_extrapolation(points, target_area) -> float:
     evaluated at the target area."""
     points = list(points)
     if len(points) < 2:
-        raise TooFewPoints(f"depth extrapolation needs >= 2 points, got {len(points)}")
+        raise ModelError(f"depth extrapolation needs >= 2 points, got {len(points)}")
     for x, p in points:
         if x <= 0 or p <= 0:
-            raise NonPositiveValue(f"area and potential must be > 0, got ({x!r}, {p!r})")
+            raise DataError(f"area and potential must be > 0, got ({x!r}, {p!r})")
     slope, xm, ym, _, _ = ols([float(x) for x, _ in points],
                               [float(p) for _, p in points])
     return (ym - slope * xm) + slope * float(target_area)
@@ -99,14 +91,14 @@ def load_offshore_depth_fixture():
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise MalformedRow(f"line {n}: expected depth,area,potential")
+            raise DataError(f"line {n}: expected depth,area,potential")
         area = float(parts[1])
         if parts[2].strip() == "":
             target = area
         else:
             points.append((area, float(parts[2])))
     if target is None:
-        raise MalformedRow("fixture has no extrapolation-target row")
+        raise DataError("fixture has no extrapolation-target row")
     return points, target
 
 
@@ -170,7 +162,7 @@ def discrepancy_row(name: str, constant_name: str, computed: float) -> Discrepan
     """The registered constant_name as stated, against computed."""
     c = get_constant(constant_name)
     if computed == 0:
-        raise FitOutOfRange(f"{name} is computed as 0: its relative deviation is undefined")
+        raise ModelError(f"{name} is computed as 0: its relative deviation is undefined")
     return DiscrepancyRow(
         name=name,
         stated=c.value,

@@ -6,7 +6,7 @@ On a projection proven non-decreasing in closed form (growing exponentials and
 polynomials of degree <= 2 with a non-negative derivative at both ends) binary
 search finds that point; any other projection is sampled on the whole lattice,
 which must not decrease. A projection that jumps over the level raises
-LevelNotMet. For a single exponential component the bisection result matches
+ModelError. For a single exponential component the bisection result matches
 the closed form to well under 1e-6 years (tested).
 """
 
@@ -16,17 +16,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .errors import (
-    EmptyCombination,
-    FitOutOfRange,
-    LevelNotMet,
-    NegativeDemand,
-    NegativePower,
-    NonMonotoneProjection,
-    NotExponential,
-    ParallelGrowth,
-    YearBeforeWindow,
-)
+from .errors import ModelError
 from .corpus import HOURS_PER_YEAR
 from .genconvert import TechnologyProfile
 from .growthfit import ExponentialFit, PolynomialFit
@@ -46,7 +36,7 @@ class DemandThreshold:
 
     def __init__(self, name: str, level_twh: float):
         if level_twh <= 0:
-            raise NegativeDemand(f"threshold level must be > 0, got {level_twh!r}")
+            raise ModelError(f"threshold level must be > 0, got {level_twh!r}")
         self.name = name
         self.level_twh = level_twh
 
@@ -64,7 +54,7 @@ class CombinedProjection:
 
     def __init__(self, components: tuple[TechnologyProfile, ...]):
         if not components:
-            raise EmptyCombination("a projection needs at least one component")
+            raise ModelError("a projection needs at least one component")
         self.components = components
         self.start_year = max(p.model.window[0] for p in components)
         # (name, model.value_at, capacity factor) per component; the capacity
@@ -75,14 +65,14 @@ class CombinedProjection:
     def _generation(self, year: float) -> list[float]:
         """TWh/yr of each component, in component order."""
         if year < self.start_year:
-            raise YearBeforeWindow(
+            raise ModelError(
                 f"year {year:g} precedes projection start {self.start_year:g}"
             )
         out = []
         for _, value_at, cf in self._terms:
             power = value_at(year)
             if power < 0:
-                raise NegativePower(f"installed power must be >= 0, got {power!r}")
+                raise ModelError(f"installed power must be >= 0, got {power!r}")
             out.append(power * cf * HOURS_PER_YEAR / 1000.0)
         return out
 
@@ -113,12 +103,12 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
 
     Lattice point i < n is start + i * GRID_STEP_YEARS and point n is the
     horizon, n = ceil((horizon - start) / GRID_STEP_YEARS). A sampled lattice
-    that decreases beyond float noise raises NonMonotoneProjection.
+    that decreases beyond float noise raises ModelError.
     """
     level = threshold.level_twh
     start = projection.start_year
     if horizon <= start:
-        raise YearBeforeWindow(f"horizon {horizon:g} must exceed start {start:g}")
+        raise ModelError(f"horizon {horizon:g} must exceed start {start:g}")
     n = int(math.ceil((horizon - start) / GRID_STEP_YEARS))
 
     def year_of(i):
@@ -131,8 +121,8 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
         values = [projection.value(year_of(i)) for i in range(n + 1)]
         for i, (v0, v1) in enumerate(zip(values, values[1:])):
             if v1 < v0 - 1e-9 * max(1.0, abs(v0)):
-                raise NonMonotoneProjection(f"projection decreases between {year_of(i):g} "
-                                            f"({v0:g}) and {year_of(i + 1):g} ({v1:g})")
+                raise ModelError(f"projection decreases between {year_of(i):g} "
+                                 f"({v0:g}) and {year_of(i + 1):g} ({v1:g})")
     if values[0] >= level:
         return CrossingResult(threshold.name, level, ALREADY_SATISFIED, start, horizon)
     if values[n] < level:
@@ -153,7 +143,7 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
     year = 0.5 * (lo + hi)
     value = projection.value(year)
     if abs(value - level) > LEVEL_TOLERANCE * level:
-        raise LevelNotMet(
+        raise ModelError(
             f"projection jumps past {level:g} at {year:g} (value {value:g}); "
             "the level is never met"
         )
@@ -171,8 +161,8 @@ def mix_at_year(projection: CombinedProjection, year: float) -> list[MixEntry]:
     parts = projection.component_values(year)
     total = sum(v for _, v in parts)
     if not 0.0 < total < math.inf:
-        raise FitOutOfRange(f"total generation at {year:g} is {total!r} TWh/yr; "
-                            "the shares are not finite")
+        raise ModelError(f"total generation at {year:g} is {total!r} TWh/yr; "
+                         "the shares are not finite")
     return [
         MixEntry(name, value, 100.0 * value / total)
         for name, value in parts
@@ -188,7 +178,7 @@ def pv_wind_generation_crossover(pv: TechnologyProfile,
     """
     for p in (pv, wind):
         if not isinstance(p.model, ExponentialFit):
-            raise NotExponential(
+            raise ModelError(
                 f"{p.name}: crossover needs an exponential fit, got "
                 f"{type(p.model).__name__}"
             )
@@ -197,7 +187,7 @@ def pv_wind_generation_crossover(pv: TechnologyProfile,
     cp = math.log(pv.capacity_factor * k) + fp.ln_intercept - fp.ln_slope * fp.reference_year
     cw = math.log(wind.capacity_factor * k) + fw.ln_intercept - fw.ln_slope * fw.reference_year
     if fp.ln_slope == fw.ln_slope:
-        raise ParallelGrowth(
+        raise ModelError(
             f"{pv.name} and {wind.name} grow at the same rate "
             f"({fp.ln_slope!r}); no crossover"
         )

@@ -1,6 +1,8 @@
 """Each CLI subcommand computes only the report sections it prints, and every
 input ends in one of the documented exit codes."""
 
+import ast
+import builtins
 import contextlib
 import errno
 import gc
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewcast
-from renewcast import artifacts, corpus, growthfit, report, scenario
+from renewcast import artifacts, corpus, errors, growthfit, learncurve, report, scenario
 from renewcast.cli import main
 from renewcast.report import FIGURE_IDS, MAX_HYDRO_DEGREE, THRESHOLD_NAMES, WIND_TREATMENTS
 
@@ -147,6 +149,36 @@ def test_each_figure_fits_only_what_it_draws(tmp_path, monkeypatch, capsys, figu
         monkeypatch.setattr(growthfit, name, counting(name, getattr(growthfit, name)))
     assert main(["--out", str(tmp_path), "figures", "--id", figure_id]) == 0
     assert sorted(made) == fits
+
+
+_CURVES = [("fit_learning_curve", "pv"), ("fit_learning_curve", "wind"),
+           ("join_cost_to_generation", "pv"), ("join_cost_to_generation", "wind")]
+_DECAYS = [("fit_time_decay", "battery"), ("fit_time_decay", "pv"),
+           ("fit_time_decay", "wind")]
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["figures", "--id", "fig1"], []),
+    (["figures", "--id", "fig7"], _DECAYS[1:]),
+    (["figures", "--id", "appfig6"], _DECAYS[:1]),
+    (["budget"], _DECAYS[:1]),
+    (["figures", "--id", "fig8"], _CURVES),
+    (["learn"], _CURVES + _DECAYS),
+])
+def test_each_call_fits_only_the_learning_records_it_reads(tmp_path, monkeypatch, capsys,
+                                                           argv, fits):
+    made = []
+
+    def counting(name, fit):
+        def wrapper(series, *args):
+            made.append((name, series.technology))
+            return fit(series, *args)
+        return wrapper
+
+    for name in ("join_cost_to_generation", "fit_learning_curve", "fit_time_decay"):
+        monkeypatch.setattr(learncurve, name, counting(name, getattr(learncurve, name)))
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    assert sorted(made) == sorted(fits)
 
 
 def test_report_is_freed_without_the_cycle_collector(tmp_path):
@@ -393,6 +425,26 @@ def test_learning_curve_cost_overflow_is_a_model_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+# a PV cost year before the first PV capacity sample: the join fails
+_COST_YEAR_WITHOUT_CAPACITY = {**_bundled_with(),
+                               "pv_lcoe": ((1950.0, 500.0), *_bundled_rows("pv_lcoe"))}
+
+
+@pytest.mark.parametrize("rows, code, error", [
+    (_COST_YEAR_WITHOUT_CAPACITY, 3, "pv: no pv capacity sample for cost year 1950"),
+    # constant PV capacity: every PV cost sits at one x, so the curve fit fails
+    (_bundled_with(pv=lambda y, v: 100.0), 4,
+     "a least-squares line needs >= 2 distinct x values"),
+])
+def test_a_failing_learning_curve_spares_calls_that_print_none(tmp_path, capsys, rows, code,
+                                                              error):
+    conf = _write_data_dir(tmp_path, rows)
+    for argv in (["figures", "--id", "fig7"], ["figures", "--id", "appfig6"], ["budget"]):
+        assert main(["--config", str(conf), "--out", str(tmp_path / "out"), *argv]) == 0
+    assert main(["--config", str(conf), "--out", str(tmp_path / "out"), "learn"]) == code
+    assert error in capsys.readouterr().err
+
+
 def test_offshore_fit_that_does_not_grow_leaves_the_1tw_claim_empty(tmp_path, capsys):
     conf = _write_data_dir(tmp_path, _CONSTANT_OFFSHORE)
     out = tmp_path / "out"
@@ -501,6 +553,47 @@ def test_fuzzed_data_dir_exits_with_a_contract_code(rows, picks):
             assert code in (0, 2, 3, 4), argv
             assert "Traceback" not in stderr.getvalue()
             _assert_all_finite(stdout.getvalue(), out)
+
+
+_EXIT_CODE_CLASSES = {"ConfigError", "DataError", "ModelError"}
+# (module, builtin exception) of each raise that is no input fault: a
+# programming error, or a failure its caller catches or turns into one of
+# _EXIT_CODE_CLASSES
+_BUILTIN_RAISES = {
+    ("__init__", "AttributeError"),         # __getattr__ of an unknown name
+    ("artifacts", "IsADirectoryError"),     # write_artifacts: OSError, so ConfigError
+    ("artifacts", "TypeError"),             # json_text: a value that is no JSON
+    ("artifacts", "ValueError"),
+    ("cli", "AssertionError"),              # a subcommand with no branch
+    ("corpus", "KeyError"),                 # CapacitySeries.value_at, caught by the join
+    ("svgchart", "ValueError"),             # a line whose columns differ in length
+}
+
+
+def _names_an_exception(name):
+    cls = getattr(errors, name, None) or getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, BaseException)
+
+
+def test_every_raise_names_an_exit_code_class():
+    # cli.main maps ConfigError to 2, DataError to 3 and ModelError to 4, so
+    # each raise of an input fault must name one of them, and only errors.py
+    # may declare an exception class
+    builtin, declared = set(), {}
+    for path in sorted(Path(renewcast.__file__).parent.glob("*.py")):
+        module = path.stem
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                assert isinstance(node.exc, ast.Call), f"{module}:{node.lineno}"
+                name = node.exc.func.id
+                if name not in _EXIT_CODE_CLASSES:
+                    builtin.add((module, name))
+            elif isinstance(node, ast.ClassDef) and any(
+                    _names_an_exception(ast.unparse(base).rsplit(".", 1)[-1])
+                    for base in node.bases):
+                declared.setdefault(module, []).append(node.name)
+    assert builtin == _BUILTIN_RAISES
+    assert declared == {"errors": ["RenewcastError", *sorted(_EXIT_CODE_CLASSES)]}
 
 
 def _run_python(*args):

@@ -10,16 +10,7 @@ from hypothesis import strategies as st
 
 import renewcast as rc
 from renewcast import corpus
-from renewcast.errors import (
-    DataError,
-    DuplicateYear,
-    EmptySeries,
-    MalformedRow,
-    NegativeDemand,
-    NonPositiveValue,
-    UnitMismatch,
-    UnknownConstant,
-)
+from renewcast.errors import DataError, ModelError
 
 MINIMAL = """\
 # toy series
@@ -66,7 +57,8 @@ def test_fractional_years_parse():
 @pytest.mark.parametrize("bad_value", ["0", "-3"])
 def test_nonpositive_rejected_for_log_fit_series(bad_value):
     text = f"# kind: installed_power\n# unit: GW\n2000,1\n2001,{bad_value}\n"
-    with pytest.raises(NonPositiveValue):
+    with pytest.raises(DataError, match=rf"^series 'unnamed': value {float(bad_value)!r} at 2001 "
+                                        r"must be > 0$"):
         rc.load_capacity_series(text)
 
 
@@ -78,25 +70,26 @@ def test_generation_series_allows_zero():
 
 def test_duplicate_year_rejected():
     text = "# kind: installed_power\n# unit: GW\n2000,1\n2000,2\n"
-    with pytest.raises(DuplicateYear):
+    with pytest.raises(DataError, match=r"^series 'unnamed': year 2000 repeated$"):
         rc.load_capacity_series(text)
 
 
 def test_empty_series_rejected():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(DataError, match=r"^series 'unnamed' has no data rows$"):
         rc.load_capacity_series("# kind: installed_power\n# unit: GW\n")
 
 
 def test_unit_invalid_for_kind():
     text = "# kind: installed_power\n# unit: USD_per_MWh\n2000,1\n"
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(DataError,
+                       match=r"^unit 'USD_per_MWh' not valid for kind 'installed_power'$"):
         rc.load_capacity_series(text)
 
 
 def test_malformed_row():
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match=r"^line 3: expected 'year,value', got '2000;1'$"):
         rc.load_capacity_series("# kind: installed_power\n# unit: GW\n2000;1\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DataError, match=r"^line 4: comment after data rows$"):
         rc.load_capacity_series(
             "# kind: installed_power\n# unit: GW\n2000,1\n# late comment\n2001,2\n")
 
@@ -112,7 +105,7 @@ def _reference_load(source):
             continue
         if line.startswith("#"):
             if not in_header:
-                raise MalformedRow(f"line {n}: comment after data rows")
+                raise DataError(f"line {n}: comment after data rows")
             header.append(line)
             body = line[1:].strip()
             for key in meta:
@@ -123,14 +116,14 @@ def _reference_load(source):
         in_header = False
         parts = line.split(",")
         if len(parts) != 2:
-            raise MalformedRow(f"line {n}: expected 'year,value', got {line!r}")
+            raise DataError(f"line {n}: expected 'year,value', got {line!r}")
         try:
             year = float(parts[0])
             value = float(parts[1])
         except ValueError as exc:
-            raise MalformedRow(f"line {n}: {exc}") from None
+            raise DataError(f"line {n}: {exc}") from None
         if not (math.isfinite(year) and math.isfinite(value)):
-            raise MalformedRow(f"line {n}: non-finite entry in {line!r}")
+            raise DataError(f"line {n}: non-finite entry in {line!r}")
         rows.append((year, value))
         row_text.append(line)
     provenance = " ".join(
@@ -139,21 +132,21 @@ def _reference_load(source):
     technology, kind, unit = meta["technology"] or "unnamed", meta["kind"], meta["unit"]
 
     if kind not in corpus._KIND_UNITS:
-        raise UnitMismatch(f"unknown quantity kind {kind!r}")
+        raise DataError(f"unknown quantity kind {kind!r}")
     if unit not in corpus._KIND_UNITS[kind]:
-        raise UnitMismatch(f"unit {unit!r} not valid for kind {kind!r}")
+        raise DataError(f"unit {unit!r} not valid for kind {kind!r}")
     if not rows:
-        raise EmptySeries(f"series {technology!r} has no data rows")
+        raise DataError(f"series {technology!r} has no data rows")
     order = sorted(range(len(rows)), key=lambda i: rows[i][0])
     rows, row_text = [rows[i] for i in order], [row_text[i] for i in order]
     for (y0, _), (y1, _) in zip(rows, rows[1:]):
         if y1 == y0:
-            raise DuplicateYear(f"series {technology!r}: year {y0:g} repeated")
+            raise DataError(f"series {technology!r}: year {y0:g} repeated")
     strict = kind in corpus._LOG_FIT_KINDS
     for y, v in rows:
         if v < 0 or strict and v == 0:
-            raise NonPositiveValue(f"series {technology!r}: value {v!r} at {y:g} "
-                                   f"must be {'>' if strict else '>='} 0")
+            raise DataError(f"series {technology!r}: value {v!r} at {y:g} "
+                            f"must be {'>' if strict else '>='} 0")
     return corpus.CapacitySeries(technology, kind, unit, tuple(y for y, _ in rows),
                                  tuple(v for _, v in rows), provenance, tuple(header),
                                  tuple(row_text))
@@ -245,13 +238,14 @@ def test_series_declaring_another_unit_is_rejected(tmp_path):
     text = corpus.read_dataset("wind_lcoe")
     (tmp_path / fname).write_text(text.replace("# unit: USD_per_MWh", "# unit: USD_per_kWh"),
                                   encoding="utf-8")
-    with pytest.raises(UnitMismatch) as excinfo:
+    with pytest.raises(DataError, match=r"declares unit_cost/USD_per_kWh, "
+                                        r"not unit_cost/USD_per_MWh$") as excinfo:
         corpus.load_series("wind_lcoe", tmp_path)
     assert fname in str(excinfo.value)
 
 
 def test_unknown_dataset_name():
-    with pytest.raises(rc.errors.DatasetMissing):
+    with pytest.raises(DataError, match=r"^no bundled dataset 'nope'; known: "):
         corpus.load_bundled("nope")
 
 
@@ -337,7 +331,7 @@ def test_get_constant_examples():
 
 
 def test_unknown_constant():
-    with pytest.raises(UnknownConstant):
+    with pytest.raises(DataError, match=r"^no constant named 'flux_capacitance'$"):
         rc.get_constant("flux_capacitance")
 
 
@@ -359,7 +353,7 @@ def test_reduced_primary_examples():
 
 
 def test_reduced_primary_rejects_negative():
-    with pytest.raises(NegativeDemand):
+    with pytest.raises(ModelError, match=r"^demand must be >= 0, got -1\.0$"):
         rc.reduced_primary(-1.0)
 
 

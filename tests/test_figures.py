@@ -14,8 +14,6 @@ import math
 import pathlib
 import random
 
-import pytest
-
 import renewcast as rc
 from renewcast import cli, corpus, growthfit
 from renewcast.figures import _half_years
@@ -102,12 +100,11 @@ def test_reports_read_columns_not_samples(tmp_path, monkeypatch):
 
 def test_weekly_wind_changepoint_refits_two_splits(tmp_path, monkeypatch):
     # the single line, then both ols lines of the two splits whose scores
-    # lie within the rounding bound of the least; no consecutive-slope pass
+    # lie within the rounding bound of the least
     report = _weekly_report(tmp_path)
     calls = []
     ols = growthfit.ols
     monkeypatch.setattr(growthfit, "ols", lambda x, y: calls.append(1) or ols(x, y))
-    monkeypatch.setattr(growthfit, "_max_slope", lambda *a: pytest.fail("_max_slope called"))
     config = report.config
     rc.detect_changepoint(report.series["wind"], config.changepoint_min_segment,
                           config.wind_window)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import renewcast as rc
-from renewcast.errors import CapacityFactorOutOfRange, NegativePower
+from renewcast.errors import ModelError
 
 
 def test_full_utilization():
@@ -42,16 +42,17 @@ def test_bundled_hydro_capability_at_last_year(hydro_profile):
 
 @pytest.mark.parametrize("cf", [0.0, -0.1, 1.0001, 2.0])
 def test_capacity_factor_bounds(cf):
-    with pytest.raises(CapacityFactorOutOfRange):
+    out_of_range = rf"^capacity factor must be in \(0, 1\], got {cf!r}$"
+    with pytest.raises(ModelError, match=out_of_range):
         rc.generation_capability(1.0, cf)
-    with pytest.raises(CapacityFactorOutOfRange):
+    with pytest.raises(ModelError, match=out_of_range):
         rc.TechnologyProfile("x", cf,
                              rc.make_series("x", "installed_power", "GW",
                                             [(2000, 1.0)]))
 
 
 def test_negative_power_rejected():
-    with pytest.raises(NegativePower):
+    with pytest.raises(ModelError, match=r"^installed power must be >= 0, got -1\.0$"):
         rc.generation_capability(-1.0, 0.5)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import renewcast as rc
 from renewcast import growthfit
+from renewcast.errors import ModelError
 from renewcast.report import MAX_HYDRO_DEGREE
 
 
@@ -64,7 +65,7 @@ def test_ols_matches_numpy(case):
 
 
 def test_ols_rejects_a_single_distinct_x():
-    with pytest.raises(rc.errors.TooFewPoints):
+    with pytest.raises(ModelError, match=r"^a least-squares line needs >= 2 distinct x values$"):
         growthfit.ols([2000.0, 2000.0], [1.0, 2.0])
 
 
@@ -73,9 +74,9 @@ def test_fits_that_overflow_are_model_errors(far_years):
     # years whose squares, or whose sum, leave the float range leave no fit
     series = rc.make_series("toy", "installed_power", "GW",
                             [(y, 1.0) for y in far_years] + [(2000.0, 2.0), (2001.0, 3.0)])
-    with pytest.raises(rc.errors.FitOutOfRange):
+    with pytest.raises(ModelError, match=r"^a least-squares line overflows the float range$"):
         rc.fit_exponential(series)
-    with pytest.raises(rc.errors.FitOutOfRange):
+    with pytest.raises(ModelError, match=r"^toy: degree-2 fit overflows the float range$"):
         rc.fit_polynomial(series, 2)
 
 

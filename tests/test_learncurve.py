@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 
 import renewcast as rc
-from renewcast.errors import (
-    MissingYear,
-    NonPositiveValue,
-    NonPositiveX,
-    ParallelLines,
-    PositiveSlope,
-    RenewcastError,
-    TooFewPoints,
-    UnitMismatch,
-)
+from renewcast.errors import DataError, ModelError, RenewcastError
 from renewcast.learncurve import CostSeries
 
 
@@ -55,12 +46,12 @@ def test_flat_cost_means_zero_learning():
 
 
 def test_learning_curve_needs_generation_axis():
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(DataError, match=r"^learning curves need a generation-indexed CostSeries; "):
         rc.fit_learning_curve(_year_cost([(2009.0, 100.0), (2010.0, 90.0)]))
 
 
 def test_learning_curve_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ModelError, match=r"^learning-curve fit needs >= 2 samples$"):
         rc.fit_learning_curve(_gen_cost([(10.0, 100.0)]))
 
 
@@ -69,7 +60,7 @@ def test_learning_curve_too_few_points():
                                      [(-10.0, 100.0), (20.0, 90.0)],
                                      [(10.0, 100.0), (20.0, -90.0)]])
 def test_learning_curve_refuses_nonpositive_x_or_cost(samples):
-    with pytest.raises(NonPositiveValue):
+    with pytest.raises(DataError, match=r"^toy: x -?[0-9.]+ and cost -?[0-9.]+ must be > 0$"):
         rc.fit_learning_curve(_gen_cost(samples))
 
 
@@ -92,9 +83,10 @@ def test_join_is_a_stable_sort_by_generation():
 def test_cost_series_is_the_checked_unit_cost_series():
     cost = rc.load_bundled("pv_lcoe")
     assert rc.cost_series(cost) is cost
-    with pytest.raises(UnitMismatch):
+    wrong_kind = r"^pv: expected a unit_cost series, got 'installed_power'$"
+    with pytest.raises(DataError, match=wrong_kind):
         rc.cost_series(rc.load_bundled("pv"))
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(DataError, match=wrong_kind):
         rc.join_cost_to_generation(rc.load_bundled("pv"), rc.load_bundled("pv"), 0.2)
 
 
@@ -106,7 +98,7 @@ def test_twenty_percent_per_doubling_slope():
 
 def test_positive_slope_is_reported_not_accepted():
     fit = rc.fit_learning_curve(_gen_cost([(10.0, 50.0), (100.0, 80.0)]))
-    with pytest.raises(PositiveSlope):
+    with pytest.raises(ModelError, match=r"^toy: cost rises with scale \(slope "):
         rc.learning_rate(fit)
 
 
@@ -125,7 +117,7 @@ def test_doubling_x_multiplies_cost_by_two_to_slope(pv_learning):
 
 
 def test_cost_at_rejects_nonpositive(pv_learning):
-    with pytest.raises(NonPositiveX):
+    with pytest.raises(ModelError, match=r"^cumulative generation must be > 0, got 0\.0$"):
         rc.cost_at(pv_learning, 0.0)
 
 
@@ -149,7 +141,7 @@ def test_crossing_satisfies_both_lines():
 
 def test_identical_lines_never_cross():
     a = rc.LearningCurveFit("a", 3.0, -0.5, 1.0, 0.0, (1.0, 100.0), "USD_per_MWh")
-    with pytest.raises(ParallelLines):
+    with pytest.raises(ModelError, match=r"^slopes are equal \(-0\.5\); the lines never cross$"):
         rc.curve_crossing(a, a)
 
 
@@ -215,7 +207,7 @@ def test_geometric_recovery_randomized():
 
 
 def test_time_decay_needs_year_axis():
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(DataError, match=r"^toy: expected a unit_cost series, got None$"):
         rc.fit_time_decay(_gen_cost([(10.0, 100.0), (20.0, 80.0)]))
 
 
@@ -264,5 +256,5 @@ def test_bundled_battery_2030_band():
 
 def test_join_requires_matching_years(pv_series):
     cost = _year_cost([(1950.0, 100.0)])
-    with pytest.raises(MissingYear):
+    with pytest.raises(DataError, match=r"^toy: no pv capacity sample for cost year 1950$"):
         rc.join_cost_to_generation(cost, pv_series, 0.256)

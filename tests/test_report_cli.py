@@ -17,7 +17,7 @@ from renewcast import reportmodel
 from renewcast.artifacts import json_text
 from renewcast.cli import main
 from renewcast.config import THRESHOLD_NAMES, WIND_TREATMENTS
-from renewcast.errors import ConfigInvalid, MissingFit
+from renewcast.errors import ConfigError, ModelError
 from renewcast.report import ClaimRow, CrossingEntry
 from renewcast.resourcebudget import AreaBudget, DiscrepancyRow
 from renewcast.scenario import MixEntry
@@ -224,12 +224,12 @@ def test_horizon_2024_not_reached():
 
 
 def test_invalid_horizon_rejected():
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigError, match=r"^horizon 2015 must exceed the last data year "):
         rc.run_scenario(rc.ScenarioConfig()._replace(horizon=2015.0))
 
 
 def test_unknown_threshold_rejected():
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigError, match=r"^unknown threshold 'nope'; known: "):
         rc.ScenarioConfig(thresholds=("electric_fig5", "nope")).validate()
 
 
@@ -419,7 +419,7 @@ def test_fig8_bilog_with_crossing(default_report):
 
 
 def test_unknown_figure_id(default_report):
-    with pytest.raises(MissingFit) as err:
+    with pytest.raises(ModelError, match=r"^unknown figure id 'fig99'; valid ids: ") as err:
         rc.emit_figure(default_report, "fig99")
     assert "fig5" in str(err.value) and "appfig6" in str(err.value)
 
@@ -452,19 +452,20 @@ def test_parse_config_roundtrip(tmp_path):
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("fuzz = 1\n", encoding="utf-8")
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigError, match=r"bad\.conf:1: unknown key 'fuzz'$"):
         rc.parse_config(path)
 
 
 def test_parse_config_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("horizon = soon\n", encoding="utf-8")
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigError, match=r"bad\.conf:1: bad value for horizon: "):
         rc.parse_config(path)
 
 
 def test_missing_config_file():
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigError,
+                       match=r"^cannot read config file /nonexistent/scenario\.conf: "):
         rc.parse_config("/nonexistent/scenario.conf")
 
 
@@ -604,9 +605,9 @@ def test_cli_horizon_override(capsys):
 
 
 def test_crossing_for_missing_entry(default_report):
-    with pytest.raises(MissingFit):
+    with pytest.raises(ModelError, match=r"^no crossing entry for electric_fig5/wind_pv/bogus$"):
         default_report.crossing_for("electric_fig5", "wind_pv", "bogus")
-    with pytest.raises(MissingFit):
+    with pytest.raises(ModelError, match=r"^no crossing entry for no_such_threshold/pv/None$"):
         default_report.crossing_for("no_such_threshold", "pv")
 
 

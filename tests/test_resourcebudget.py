@@ -7,12 +7,7 @@ import pytest
 
 import renewcast as rc
 from renewcast import resourcebudget
-from renewcast.errors import (
-    CapacityFactorOutOfRange,
-    NegativeDemand,
-    NonPositiveDensity,
-    TooFewPoints,
-)
+from renewcast.errors import ModelError
 
 DENSITY = 42.8
 CF = 0.256
@@ -40,11 +35,11 @@ def test_primary_demand_area():
 
 
 def test_area_errors():
-    with pytest.raises(NegativeDemand):
+    with pytest.raises(ModelError, match=r"^demand must be >= 0, got -1\.0$"):
         rc.pv_area_required(-1.0, DENSITY, CF)
-    with pytest.raises(NonPositiveDensity):
+    with pytest.raises(ModelError, match=r"^density must be > 0, got 0\.0$"):
         rc.pv_area_required(1.0, 0.0, CF)
-    with pytest.raises(CapacityFactorOutOfRange):
+    with pytest.raises(ModelError, match=r"^capacity factor must be in \(0, 1\], got 1\.5$"):
         rc.pv_area_required(1.0, DENSITY, 1.5)
 
 
@@ -125,7 +120,7 @@ def test_exact_proportional_points():
 
 
 def test_depth_extrapolation_needs_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ModelError, match=r"^depth extrapolation needs >= 2 points, got 1$"):
         rc.offshore_depth_extrapolation([(1.0, 10.0)], 2.0)
 
 

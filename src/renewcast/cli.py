@@ -7,8 +7,10 @@ artifacts are deterministic for a given config and dataset set.
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
+from contextlib import suppress
+from types import SimpleNamespace
 
 from . import reportmodel
 from .config import FIGURE_IDS, THRESHOLD_NAMES, ScenarioConfig, check_year, parse_config
@@ -17,42 +19,144 @@ from .errors import ConfigError, DataError, ModelError
 _TECHS = ("pv", "wind", "offshore_wind", "hydro")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="renewcast",
-        description="Growth-curve and learning-curve scenario engine for "
-                    "renewable-energy time series.",
-    )
-    parser.add_argument("--config", metavar="PATH",
-                        help="flat key=value config file (defaults are built in)")
-    parser.add_argument("--out", metavar="DIR",
-                        help="output directory (report artifacts)")
-    parser.add_argument("--horizon", type=float, metavar="YEAR",
-                        help="projection horizon override")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _braces(names):
+    return "{" + ",".join(names) + "}"
 
-    p_fit = sub.add_parser("fit", help="fit one technology and print the parameters")
-    p_fit.add_argument("technology", choices=_TECHS)
 
-    p_proj = sub.add_parser("project", help="extrapolate one technology's generation")
-    p_proj.add_argument("technology", choices=_TECHS)
-    p_proj.add_argument("--year", type=float, required=True)
+# The grammar. A parser is (help, the choices of its one positional, its
+# options); an option is flag: (dest, metavar, type, required, help), and its
+# type is str, float or the tuple of its choices.
+_YEAR = {"--year": ("year", "YEAR", float, True, "")}
+_COMMANDS = {
+    "fit": ("fit one technology and print the parameters", _TECHS, {}),
+    "project": ("extrapolate one technology's generation", _TECHS, _YEAR),
+    "cross": ("crossing year for one demand threshold", (), {"--threshold": (
+        "threshold", _braces(THRESHOLD_NAMES), THRESHOLD_NAMES, True, "")}),
+    "mix": ("generation mix at one year", (), _YEAR),
+    "learn": ("learning-curve and cost-decay results", (), {}),
+    "budget": ("resource budgets and discrepancy table", (), {}),
+    "report": ("run everything and write all artifacts", (), {}),
+    "figures": ("write one or all SVG figures", (), {"--id": (
+        "figure_id", _braces(FIGURE_IDS), FIGURE_IDS, False,
+        "the one figure to write (default: all)")}),
+}
+# per parser, the top level (None) too: prog, positional dest, help, choices, options
+_PARSERS = {c: (f"renewcast {c}", "technology", *spec) for c, spec in _COMMANDS.items()}
+_PARSERS[None] = ("renewcast", "command", "Growth-curve and learning-curve scenario "
+                  "engine for renewable-energy time\nseries.", tuple(_COMMANDS), {
+    "--config": ("config", "PATH", str, False,
+                 "flat key=value config file (defaults are built in)"),
+    "--out": ("out", "DIR", str, False, "output directory (report artifacts)"),
+    "--horizon": ("horizon", "YEAR", float, False, "projection horizon override")})
 
-    p_cross = sub.add_parser("cross", help="crossing year for one demand threshold")
-    p_cross.add_argument("--threshold", required=True,
-                         choices=THRESHOLD_NAMES)
 
-    p_mix = sub.add_parser("mix", help="generation mix at one year")
-    p_mix.add_argument("--year", type=float, required=True)
+def _help(cmd) -> str:
+    """The text of -h, byte for byte as argparse printed it at 80 columns."""
+    prog, _, text, choices, options = _PARSERS[cmd]
+    words, rows = [f"usage: {prog} [-h]"], [("-h, --help", "show this help message and exit")]
+    for flag, (_, metavar, _, required, doc) in options.items():
+        words += [flag, metavar] if required else [f"[{flag} {metavar}]"]
+        rows.append((f"{flag} {metavar}", doc))
+    pos = [_braces(choices)] * bool(choices) + ["..."] * (cmd is None)
+    listed = [(p, "") for p in pos[:1]] + [
+        (f"  {name}", spec[0]) for name, spec in _COMMANDS.items() if cmd is None]
+    usage = " ".join(words + pos)
+    if len(usage) > 78:  # the one line break argparse made in each long usage here
+        cut = len(words) - (not pos)
+        usage = f"{' '.join(words[:cut])}\n{'':{len(prog) + 8}}{' '.join(words[cut:] + pos)}"
+    # each row: an invocation, then its help from column width, or below it if too long
+    width = min(24, max(len(inv) for inv, _ in rows + listed) + 4)
+    sections = (("positional arguments", listed), ("options", rows))
+    return "\n\n".join([usage] + [text] * (cmd is None) + [f"{title}:" + "".join(
+        f"\n  {inv}" if not doc else f"\n  {inv:<{width - 2}}{doc}"
+        if len(inv) <= width - 4 else f"\n  {inv}\n{'':{width}}{doc}" for inv, doc in section)
+        for title, section in sections if section]) + "\n"
 
-    sub.add_parser("learn", help="learning-curve and cost-decay results")
-    sub.add_parser("budget", help="resource budgets and discrepancy table")
-    sub.add_parser("report", help="run everything and write all artifacts")
 
-    p_fig = sub.add_parser("figures", help="write one or all SVG figures")
-    p_fig.add_argument("--id", dest="figure_id", default=None, choices=FIGURE_IDS,
-                       help="the one figure to write (default: all)")
-    return parser
+def _fail(cmd, message):  # argparse's exit 2
+    usage = _help(cmd).partition("\n\n")[0]
+    with suppress(OSError):
+        sys.stderr.write(f"{usage}\n{_PARSERS[cmd][0]}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read(flags, token):
+    """What argparse took a token before "--" for: "A" for a positional, else
+    the (flag, attached value) pairs it may name, or [(None, None)]."""
+    if not token.startswith("-") or token == "-":
+        return "A"
+    name, eq, value = token.partition("=")
+    if token in flags or eq and name in flags:
+        return [(name, value if eq else None)]
+    if token.startswith("--"):  # the flags it is a prefix of
+        found = [(flag, value if eq else None) for flag in flags if flag.startswith(name)]
+    else:  # -h with text attached
+        found = [(flag, token[2:]) for flag in flags if flag == token[:2]]
+    # argparse's ^-\d+$|^-\d*\.\d+$, where $ also matches before a final newline
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    number = ((not whole or whole.isdecimal()) and frac.isdecimal() if dot
+              else whole.isdecimal())
+    return found or ("A" if number or " " in token else [(None, None)])
+
+
+def _value(cmd, name, word, kind):  # kind is str, float or a tuple of choices
+    if kind is float:
+        try:
+            return float(word)
+        except ValueError:
+            _fail(cmd, f"argument {name}: invalid float value: {word!r}")
+    if kind is not str and word not in kind:
+        _fail(cmd, f"argument {name}: invalid choice: {word!r} "
+                   f"(choose from {', '.join(map(repr, kind))})")
+    return word
+
+
+def _parse(argv, cmd, ns) -> list:
+    """Read argv into ns as argparse's parser for the top level (cmd None) or a
+    subcommand did; return what it did not recognize. Unlike argparse 3.10-3.12,
+    fit --h is fit --help, and --opt=-- gives the value "--"."""
+    _, dest, _, choices, options = _PARSERS[cmd]
+    flags = ("-h", "--help", *options)
+    vars(ns).update(dict.fromkeys([dest] * bool(choices) + [o[0] for o in options.values()]))
+    reads = []  # per token: "A" a positional, "-" the first "--", else what _read found
+    for token in argv:
+        reads.append("A" if "-" in reads else "-" if token == "--" else _read(flags, token))
+    extras, i = [], 0
+    while i < len(argv):
+        read, j = reads[i], i + (reads[i] == "-")
+        if read in ("A", "-") and choices and not vars(ns)[dest] and reads[j:j + 1] == ["A"]:
+            if cmd is None:  # the subcommand, which reads all that follows
+                ns.command = _value(cmd, dest, argv[i], choices)
+                extras += _parse(argv[i + 1:], argv[i], ns)
+                break
+            setattr(ns, dest, _value(cmd, dest, argv[j], choices))  # without "--"
+            i = j + 1 + (reads[j + 1:j + 2] == ["-"])
+        elif read in ("A", "-") or read[0][0] is None:
+            extras.append(argv[i])
+            i += 1
+        elif len(read) > 1:  # at the top level, only before the subcommand
+            _fail(cmd, f"ambiguous option: {argv[i]} could match "
+                       f"{', '.join(flag for flag, _ in read)}")
+        else:
+            (flag, value), i = read[0], i + 1
+            if flag in ("-h", "--help"):  # -hh is -h -h; other attached text is an error
+                rest = (value.lstrip("h") or None) if flag == "-h" and value else value
+                if rest is not None:
+                    _fail(cmd, f"argument -h/--help: ignored explicit argument {rest!r}")
+                (sys.stdout or sys.stderr).write(_help(cmd))  # stderr if stdout is closed
+                raise SystemExit(0)
+            if value is None:
+                if reads[i:i + 1] != ["A"]:
+                    _fail(cmd, f"argument {flag}: expected one argument")
+                value, i = argv[i], i + 1
+            setattr(ns, options[flag][0], _value(cmd, flag, value, options[flag][2]))
+    missing = [dest] * (bool(choices) and vars(ns)[dest] is None) + [
+        flag for flag, spec in options.items() if spec[3] and vars(ns)[spec[0]] is None]
+    if missing:
+        _fail(cmd, f"the following arguments are required: {', '.join(missing)}")
+    if extras and cmd is None:
+        _fail(cmd, f"unrecognized arguments: {' '.join(extras)}")
+    return extras
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -71,12 +175,6 @@ def _load_config(args) -> ScenarioConfig:
     return config.validate()
 
 
-def _print_fit(name, fit_dict):
-    print(f"[{name}]")
-    for key, value in fit_dict.items():
-        print(f"  {key} = {value}")
-
-
 def _run(args) -> int:
     config = _load_config(args)
     rep = reportmodel.run_scenario(config)
@@ -85,7 +183,9 @@ def _run(args) -> int:
         keys = {"pv": ("pv",), "wind": ("wind_trend", "wind_piecewise", "wind_rebound"),
                 "offshore_wind": ("offshore_wind",), "hydro": ("hydro",)}
         for key in keys[args.technology]:
-            _print_fit(key, rep.fit_dict(key))
+            print(f"[{key}]")
+            for name, value in rep.fit_dict(key).items():
+                print(f"  {name} = {value}")
         return 0
 
     if args.command == "project":
@@ -106,9 +206,8 @@ def _run(args) -> int:
 
     if args.command == "cross":
         for c in rep.crossings:
-            treatment = c.wind_treatment or "-"
             year = "" if c.year is None else repr(c.year)
-            print(f"{c.threshold},{c.combination},{treatment},{c.status},{year}")
+            print(f"{c.threshold},{c.combination},{c.wind_treatment or '-'},{c.status},{year}")
         return 0
 
     if args.command == "mix":
@@ -157,9 +256,14 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = SimpleNamespace()
     try:
-        return _run(args)
+        try:
+            _parse(sys.argv[1:] if argv is None else list(argv), None, args)
+            return _run(args)
+        finally:
+            if sys.stdout is not None:  # None when started with stdout closed
+                sys.stdout.flush()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -169,6 +273,12 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # every file opened turns its OSError into a ConfigError or DataError,
+        # so this is standard output; os.devnull takes what is still buffered
+        sys.stdout = open(os.devnull, "w")
+        print(f"config error: cannot write to standard output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

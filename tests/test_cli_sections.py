@@ -565,6 +565,7 @@ _BUILTIN_RAISES = {
     ("artifacts", "TypeError"),             # json_text: a value that is no JSON
     ("artifacts", "ValueError"),
     ("cli", "AssertionError"),              # a subcommand with no branch
+    ("cli", "SystemExit"),                  # argparse's exits: 2 on bad usage, 0 after -h
     ("corpus", "KeyError"),                 # CapacitySeries.value_at, caught by the join
     ("svgchart", "ValueError"),             # a line whose columns differ in length
 }
@@ -629,9 +630,8 @@ def test_package_import_loads_no_submodule():
     assert _loaded_after() == {"renewcast"}
 
 
-# Not listed: argparse's HelpFormatter loads shutil and fnmatch.
 _UNUSED_STDLIB = {"importlib.resources", "pathlib", "zipfile", "tempfile", "urllib.parse",
-                  "dataclasses", "inspect"}
+                  "dataclasses", "inspect", "argparse", "gettext", "locale", "shutil", "fnmatch"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,9 +15,8 @@ imports its module when first read.
 from importlib import import_module
 
 _EXPORTS = {
-    "corpus": ("CapacitySeries", "Constant", "constant", "constant_names", "dump_series",
-               "get_constant", "load_bundled", "load_capacity_series", "make_series",
-               "reduced_primary"),
+    "corpus": ("CapacitySeries", "Constant", "constant", "dump_series", "get_constant",
+               "load_bundled", "load_capacity_series", "make_series", "reduced_primary"),
     "genconvert": ("TechnologyProfile", "generation_capability", "power_required",
                    "series_to_generation"),
     "growthfit": ("ExponentialFit", "PiecewiseExponentialFit", "PolynomialFit",
@@ -30,11 +29,11 @@ _EXPORTS = {
     "reportmodel": ("ScenarioReport", "run_scenario"),
     "artifacts": ("emit_discrepancies", "write_outputs"),
     "figures": ("emit_figure",),
-    "resourcebudget": ("AreaBudget", "ResourcePotential", "appendix_discrepancies",
-                       "desert_fraction", "offshore_depth_extrapolation",
-                       "potential_fraction", "pv_area_required"),
-    "scenario": ("CombinedProjection", "CrossingResult", "DemandThreshold", "combine",
-                 "crossing_year", "mix_at_year", "pv_wind_generation_crossover"),
+    "resourcebudget": ("AreaBudget", "appendix_discrepancies", "desert_fraction",
+                       "offshore_depth_extrapolation", "potential_fraction",
+                       "pv_area_required"),
+    "scenario": ("CombinedProjection", "combine", "crossing_year", "mix_at_year",
+                 "pv_wind_generation_crossover"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import suppress
 from types import SimpleNamespace
 
 from . import reportmodel
@@ -73,11 +72,18 @@ def _help(cmd) -> str:
         for title, section in sections if section]) + "\n"
 
 
+def _error(code, message) -> int:
+    """code, after writing message to stderr if stderr can be written."""
+    try:
+        sys.stderr.write(f"{message}\n")
+    except OSError:  # os.devnull takes what is still buffered
+        sys.stderr = open(os.devnull, "w")
+    return code
+
+
 def _fail(cmd, message):  # argparse's exit 2
     usage = _help(cmd).partition("\n\n")[0]
-    with suppress(OSError):
-        sys.stderr.write(f"{usage}\n{_PARSERS[cmd][0]}: error: {message}\n")
-    raise SystemExit(2)
+    raise SystemExit(_error(2, f"{usage}\n{_PARSERS[cmd][0]}: error: {message}"))
 
 
 def _read(flags, token):
@@ -172,7 +178,7 @@ def _load_config(args) -> ScenarioConfig:
         config = config._replace(thresholds=(args.threshold,))
     if args.command == "mix":
         config = config._replace(mix_years=(args.year,))
-    return config.validate()
+    return config  # run_scenario validates it
 
 
 def _run(args) -> int:
@@ -265,20 +271,16 @@ def main(argv=None) -> int:
             if sys.stdout is not None:  # None when started with stdout closed
                 sys.stdout.flush()
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, f"config error: {exc}")
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        return _error(3, f"data error: {exc}")
     except ModelError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 4
+        return _error(4, f"model error: {exc}")
     except OSError as exc:
         # every file opened turns its OSError into a ConfigError or DataError,
         # so this is standard output; os.devnull takes what is still buffered
         sys.stdout = open(os.devnull, "w")
-        print(f"config error: cannot write to standard output: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, f"config error: cannot write to standard output: {exc}")
 
 
 if __name__ == "__main__":

@@ -407,10 +407,6 @@ def constant(name: str) -> float:
     return get_constant(name).value
 
 
-def constant_names() -> tuple[str, ...]:
-    return tuple(_CONSTANTS)
-
-
 def reduced_primary(demand_twh: float) -> float:
     """Apply the 42.5% efficiency reduction to a primary-energy demand.
 

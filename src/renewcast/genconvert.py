@@ -2,7 +2,8 @@
 
 One global average capacity factor per technology, applied uniformly;
 8760 h/yr with no leap correction. The regional spread behind the averages
-is deliberately out of scope.
+is deliberately out of scope. TechnologyProfile(name, capacity_factor, model)
+and series_to_generation(series, capacity_factor) check the capacity factor.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from .errors import ModelError
 
 
 class TechnologyProfile:
-    """A technology's capacity series, capacity factor and fitted growth model."""
+    """A technology's capacity factor and fitted growth model."""
 
-    def __init__(self, name: str, capacity_factor: float, series: CapacitySeries,
-                 model=None):
+    def __init__(self, name: str, capacity_factor: float, model):
         _check_cf(capacity_factor)
         self.name = name
         self.capacity_factor = capacity_factor
-        self.series = series
         self.model = model
 
 
@@ -51,10 +50,9 @@ def power_required(generation_twh: float, capacity_factor: float) -> float:
     return generation_twh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
 
 
-def series_to_generation(profile: TechnologyProfile) -> CapacitySeries:
-    """Pointwise conversion of a profile's installed power to an
-    annual_generation series."""
-    cf = profile.capacity_factor
-    return CapacitySeries(profile.name, "annual_generation", "TWh_per_year",
-                          profile.series.years,
-                          tuple(generation_capability(v, cf) for v in profile.series.values))
+def series_to_generation(series: CapacitySeries, capacity_factor: float) -> CapacitySeries:
+    """Pointwise conversion of an installed-power series to an
+    annual_generation series of the same technology."""
+    return CapacitySeries(series.technology, "annual_generation", "TWh_per_year", series.years,
+                          tuple(generation_capability(v, capacity_factor)
+                                for v in series.values))

@@ -156,7 +156,7 @@ class ScenarioReport:
         from .genconvert import TechnologyProfile
         # the makers hold no reference to self, so a report is freed without
         # waiting for the cycle collector
-        series, fits, factors = self.series, self.fits, self.capacity_factors
+        fits, factors = self.fits, self.capacity_factors
 
         def profile(name):
             tech = "wind" if name.startswith("wind_") else name
@@ -164,7 +164,7 @@ class ScenarioReport:
             # the piecewise treatment projects from the right segment
             model = fit.right if name == "wind_piecewise" else fit
             return TechnologyProfile(tech, factors["wind" if tech == "offshore_wind" else tech],
-                                     series[tech], model)
+                                     model)
 
         return _LazyMap({name: partial(profile, name) for name in fits})
 
@@ -197,14 +197,13 @@ class ScenarioReport:
         def entry(threshold, combination, wind_treatment):
             proj = projections[(combination, wind_treatment)]
             level = constant(_THRESHOLD_CONSTANTS[threshold])
-            res = scenario.crossing_year(proj, scenario.DemandThreshold(threshold, level),
-                                         horizon)
+            status, year = scenario.crossing_year(proj, level, horizon)
             # a crossing is flagged when any component fit had to reach more
             # than HORIZON_WARNING_YEARS past its own window
-            warn = res.year is not None and any(
-                growthfit.past_horizon(p.model, res.year) for p in proj.components)
+            warn = year is not None and any(
+                growthfit.past_horizon(p.model, year) for p in proj.components)
             return CrossingEntry(threshold, level, combination, wind_treatment,
-                                 res.status, res.year, warn)
+                                 status, year, warn)
 
         return _LazyMap({(name, *key): partial(entry, name, *key)
                          for name in THRESHOLD_NAMES for key in projections})

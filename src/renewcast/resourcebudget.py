@@ -1,5 +1,6 @@
 """Land-area and resource-potential budgets, plus the discrepancy checker.
 
+potential_fraction(demand_twh, potential_twh) takes plain TWh/yr values.
 Every stated budget figure of the bundled reference scenario is recomputed
 from the registered inputs and reported as (stated, computed, deviation).
 Several stated values deviate by 2-20%; the checker never adjusts inputs to
@@ -14,14 +15,6 @@ from typing import NamedTuple
 from .corpus import HOURS_PER_YEAR, constant, get_constant, read_dataset, reduced_primary
 from .errors import DataError, ModelError
 from .growthfit import ols
-
-
-class ResourcePotential:
-    def __init__(self, name: str, annual_potential_twh: float):
-        if annual_potential_twh <= 0:
-            raise DataError(f"potential must be > 0, got {annual_potential_twh!r}")
-        self.name = name
-        self.annual_potential_twh = annual_potential_twh
 
 
 class AreaBudget(NamedTuple):
@@ -59,12 +52,14 @@ def desert_fraction(area_km2: float) -> float:
     return area_km2 / constant("desert_area")
 
 
-def potential_fraction(demand_twh: float, potential: ResourcePotential):
+def potential_fraction(demand_twh: float, potential_twh: float):
     """(demand/potential, potential/demand); times_over is inf at zero demand."""
+    if not potential_twh > 0:
+        raise DataError(f"potential must be > 0, got {potential_twh!r}")
     if demand_twh < 0:
         raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
-    fraction = demand_twh / potential.annual_potential_twh
-    times_over = math.inf if demand_twh == 0 else potential.annual_potential_twh / demand_twh
+    fraction = demand_twh / potential_twh
+    times_over = math.inf if demand_twh == 0 else potential_twh / demand_twh
     return fraction, times_over
 
 
@@ -115,7 +110,7 @@ def reference_budget(cf_pv: float) -> dict:
     }
     budget_areas = {name: area_budget(demand, density, cf_pv)
                     for name, demand in demands.items()}
-    potentials = {name: ResourcePotential(name, constant(const)) for name, const in (
+    potentials = {name: constant(const) for name, const in (
         ("onshore", "onshore_wind_potential"),
         ("offshore_50m", "offshore_50m"),
         ("offshore_1000m", "offshore_1000m"),

@@ -1,13 +1,14 @@
 """Combined projections, demand-threshold crossings and generation mixes.
 
-Crossing years are continuous roots, found by bisection from the 0.1-year
-lattice step whose upper end is the first lattice point at or above the level.
-On a projection proven non-decreasing in closed form (growing exponentials and
-polynomials of degree <= 2 with a non-negative derivative at both ends) binary
-search finds that point; any other projection is sampled on the whole lattice,
-which must not decrease. A projection that jumps over the level raises
-ModelError. For a single exponential component the bisection result matches
-the closed form to well under 1e-6 years (tested).
+crossing_year(projection, level, horizon) returns (status, year) for a level
+in TWh/yr. The year is a continuous root, found by bisection from the
+0.1-year lattice step whose upper end is the first lattice point at or above
+the level. On a projection proven non-decreasing in closed form (growing
+exponentials and polynomials of degree <= 2 with a non-negative derivative at
+both ends) binary search finds that point; any other projection is sampled on
+the whole lattice, which must not decrease. A projection that jumps over the
+level raises ModelError. For a single exponential component the bisection
+result matches the closed form to well under 1e-6 years (tested).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .corpus import HOURS_PER_YEAR
 from .genconvert import TechnologyProfile
 from .growthfit import ExponentialFit, PolynomialFit
 
-DEFAULT_HORIZON = 2050.0
 GRID_STEP_YEARS = 0.1
 YEAR_TOLERANCE = 1e-9           # bisection stops below this bracket width
 LEVEL_TOLERANCE = 1e-6          # |projection - level| <= tol * level at root
@@ -29,24 +29,6 @@ LEVEL_TOLERANCE = 1e-6          # |projection - level| <= tol * level at root
 ALREADY_SATISFIED = "already_satisfied"
 CROSSED = "crossed"
 NOT_REACHED = "not_reached"
-
-
-class DemandThreshold:
-    """A named demand level."""
-
-    def __init__(self, name: str, level_twh: float):
-        if level_twh <= 0:
-            raise ModelError(f"threshold level must be > 0, got {level_twh!r}")
-        self.name = name
-        self.level_twh = level_twh
-
-
-class CrossingResult(NamedTuple):
-    threshold: str
-    level_twh: float
-    status: str                  # already_satisfied | crossed | not_reached
-    year: float | None
-    horizon: float
 
 
 class CombinedProjection:
@@ -97,15 +79,18 @@ def _non_decreasing(model, start: float, horizon: float) -> bool:
     return False
 
 
-def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
-                  horizon: float = DEFAULT_HORIZON) -> CrossingResult:
-    """First year the projection meets the threshold level, by bisection.
+def crossing_year(projection: CombinedProjection, level: float,
+                  horizon: float) -> tuple[str, float | None]:
+    """(status, year): the first year the projection meets level TWh/yr, by
+    bisection. status is ALREADY_SATISFIED (year is the projection start),
+    CROSSED or NOT_REACHED (year is None).
 
     Lattice point i < n is start + i * GRID_STEP_YEARS and point n is the
     horizon, n = ceil((horizon - start) / GRID_STEP_YEARS). A sampled lattice
     that decreases beyond float noise raises ModelError.
     """
-    level = threshold.level_twh
+    if not level > 0:
+        raise ModelError(f"threshold level must be > 0, got {level!r}")
     start = projection.start_year
     if horizon <= start:
         raise ModelError(f"horizon {horizon:g} must exceed start {start:g}")
@@ -124,9 +109,9 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
                 raise ModelError(f"projection decreases between {year_of(i):g} "
                                  f"({v0:g}) and {year_of(i + 1):g} ({v1:g})")
     if values[0] >= level:
-        return CrossingResult(threshold.name, level, ALREADY_SATISFIED, start, horizon)
+        return ALREADY_SATISFIED, start
     if values[n] < level:
-        return CrossingResult(threshold.name, level, NOT_REACHED, None, horizon)
+        return NOT_REACHED, None
 
     if proven:
         hit = bisect_left(range(n), True, 1, n,
@@ -147,7 +132,7 @@ def crossing_year(projection: CombinedProjection, threshold: DemandThreshold,
             f"projection jumps past {level:g} at {year:g} (value {value:g}); "
             "the level is never met"
         )
-    return CrossingResult(threshold.name, level, CROSSED, year, horizon)
+    return CROSSED, year
 
 
 class MixEntry(NamedTuple):

@@ -33,16 +33,16 @@ def default_report():
 @pytest.fixture(scope="session")
 def pv_profile(pv_series):
     fit = rc.fit_exponential(pv_series, (2000.0, None))
-    return rc.TechnologyProfile("pv", rc.constant("cf_pv"), pv_series, fit)
+    return rc.TechnologyProfile("pv", rc.constant("cf_pv"), fit)
 
 
 @pytest.fixture(scope="session")
 def wind_profile(wind_series):
     fit = rc.fit_exponential(wind_series)
-    return rc.TechnologyProfile("wind", rc.constant("cf_wind"), wind_series, fit)
+    return rc.TechnologyProfile("wind", rc.constant("cf_wind"), fit)
 
 
 @pytest.fixture(scope="session")
 def hydro_profile(hydro_series):
     fit = rc.fit_polynomial(hydro_series, 2)
-    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), hydro_series, fit)
+    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), fit)

@@ -203,8 +203,7 @@ def test_c13_bisection_equals_closed_form():
         cf = rng.uniform(0.05, 1.0)
         samples = [(2000.0 + k, v0 * growth ** k) for k in range(4)]
         series = rc.make_series("r", "installed_power", "GW", samples)
-        profile = rc.TechnologyProfile("r", cf, series,
-                                       rc.fit_exponential(series))
+        profile = rc.TechnologyProfile("r", cf, rc.fit_exponential(series))
         fit = profile.model
         level = rc.generation_capability(v0, cf) * rng.uniform(3.0, 1e4)
         closed = (fit.reference_year
@@ -213,9 +212,8 @@ def test_c13_bisection_equals_closed_form():
         if not 2001.0 < closed < 2049.0:
             continue
         checked += 1
-        res = rc.crossing_year(rc.combine([profile]),
-                               rc.DemandThreshold("t", level), horizon=2050.0)
-        worst = max(worst, abs(res.year - closed))
+        _, year = rc.crossing_year(rc.combine([profile]), level, horizon=2050.0)
+        worst = max(worst, abs(year - closed))
     _check("13", worst <= 1e-6,
            f"{checked} randomized projections: worst |bisection - closed "
            f"form| = {worst:.2e} yr (<= 1e-6)")

@@ -258,3 +258,27 @@ def test_a_failed_write_to_stdout_is_a_config_error(tmp_path, argv, target, unbu
     assert done.returncode == 2
     (line,) = done.stderr.splitlines()
     assert line.startswith("config error: cannot write to standard output: [Errno ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, stdout_full, code", [
+    (["fit", "bogus"], False, 2),
+    (["--config", "missing.conf", "fit", "pv"], False, 2),
+    (["--config", "empty_data_dir.conf", "fit", "pv"], False, 3),
+    (["project", "pv", "--year", "1990"], False, 4),
+    (["fit", "pv"], True, 2),
+], ids=["usage", "config", "data", "model", "stdout"])
+def test_an_error_exit_keeps_its_code_when_stderr_cannot_be_written(tmp_path, argv,
+                                                                     stdout_full, code,
+                                                                     unbuffered):
+    # the message is lost; the exit code is not
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty_data_dir.conf").write_text(f"data_dir = {tmp_path / 'empty'}\n",
+                                                  encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "renewcast.cli", *argv],
+                              stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                              cwd=tmp_path, env=_src_env(**unbuffered), timeout=60)
+    assert done.returncode == code

@@ -63,9 +63,9 @@ def test_crossings_solved_per_subcommand(tmp_path, monkeypatch, capsys, argv, ca
     solved = []
     crossing_year = scenario.crossing_year
 
-    def counting(projection, threshold, horizon):
-        solved.append(threshold.name)
-        return crossing_year(projection, threshold, horizon)
+    def counting(projection, level, horizon):
+        solved.append(level)
+        return crossing_year(projection, level, horizon)
 
     monkeypatch.setattr(scenario, "crossing_year", counting)
     assert main(["--out", str(tmp_path), *argv]) == 0
@@ -597,6 +597,25 @@ def test_every_raise_names_an_exit_code_class():
     assert declared == {"errors": ["RenewcastError", *sorted(_EXIT_CODE_CLASSES)]}
 
 
+# the classes that are neither a NamedTuple nor an exception: objects with
+# derived or mutable state, and the one validating record
+_PLAIN_CLASSES = {"CombinedProjection", "Chart", "ScenarioReport", "_LazyMap",
+                  "TechnologyProfile"}
+
+
+def test_every_class_is_a_named_tuple_an_error_or_listed():
+    # a value that is only checked and passed on is a NamedTuple field or a
+    # plain argument, not a class of its own
+    plain = set()
+    for path in sorted(Path(renewcast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and not (
+                    [ast.unparse(base) for base in node.bases] == ["NamedTuple"]
+                    or path.stem == "errors"):
+                plain.add(node.name)
+    assert plain == _PLAIN_CLASSES
+
+
 def _run_python(*args):
     """A fresh interpreter that imports renewcast from this source tree."""
     src = Path(renewcast.__file__).resolve().parent.parent
@@ -697,10 +716,9 @@ def test_no_class_is_a_dataclass():
 
 # every name renewcast exports
 _PUBLIC_NAMES = """
-    AreaBudget CapacitySeries CombinedProjection Constant CostSeries CrossingResult
-    DemandThreshold ExponentialFit LearningCurveFit
-    PiecewiseExponentialFit PolynomialFit ResourcePotential ScenarioConfig ScenarioReport
-    TechnologyProfile TimeDecayFit appendix_discrepancies combine constant constant_names
+    AreaBudget CapacitySeries CombinedProjection Constant CostSeries ExponentialFit
+    LearningCurveFit PiecewiseExponentialFit PolynomialFit ScenarioConfig ScenarioReport
+    TechnologyProfile TimeDecayFit appendix_discrepancies combine constant
     cost_at cost_series crossing_year curve_crossing desert_fraction detect_changepoint
     doubling_time dump_series emit_discrepancies emit_figure extrapolate fit_exponential
     fit_learning_curve fit_polynomial fit_time_decay generation_capability get_constant

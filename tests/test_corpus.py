@@ -316,7 +316,7 @@ CORE_CONSTANTS = {
 
 
 def test_registry_matches_citation_table():
-    assert set(rc.constant_names()) == set(CORE_CONSTANTS)
+    assert set(corpus._CONSTANTS) == set(CORE_CONSTANTS)
     for name, (value, unit) in CORE_CONSTANTS.items():
         c = rc.get_constant(name)
         assert c.value == value, name

@@ -22,21 +22,20 @@ def test_zero_power():
 
 def test_single_sample_profile():
     s = rc.make_series("pv", "installed_power", "GW", [(2019, 630.0)])
-    profile = rc.TechnologyProfile("pv", 0.256, s)
-    gen = rc.series_to_generation(profile)
+    gen = rc.series_to_generation(s, 0.256)
     assert gen.samples == ((2019.0, pytest.approx(630.0 * 0.256 * 8.76,
                                                   rel=1e-12)),)
 
 
 def test_shape_preserved():
     s = rc.make_series("toy", "installed_power", "GW", [(2000, 1.0), (2001, 2.0)])
-    gen = rc.series_to_generation(rc.TechnologyProfile("toy", 0.5, s))
+    gen = rc.series_to_generation(s, 0.5)
     assert gen == rc.CapacitySeries("toy", "annual_generation", "TWh_per_year",
                                     (2000.0, 2001.0), (4.38, 8.76))
 
 
-def test_bundled_hydro_capability_at_last_year(hydro_profile):
-    gen = rc.series_to_generation(hydro_profile)
+def test_bundled_hydro_capability_at_last_year(hydro_series):
+    gen = rc.series_to_generation(hydro_series, rc.constant("cf_hydro"))
     assert 4200.0 <= gen.values[-1] <= 4800.0
 
 
@@ -46,9 +45,9 @@ def test_capacity_factor_bounds(cf):
     with pytest.raises(ModelError, match=out_of_range):
         rc.generation_capability(1.0, cf)
     with pytest.raises(ModelError, match=out_of_range):
-        rc.TechnologyProfile("x", cf,
-                             rc.make_series("x", "installed_power", "GW",
-                                            [(2000, 1.0)]))
+        rc.TechnologyProfile("x", cf, None)
+    with pytest.raises(ModelError, match=out_of_range):
+        rc.series_to_generation(rc.make_series("x", "installed_power", "GW", [(2000, 1.0)]), cf)
 
 
 def test_negative_power_rejected():

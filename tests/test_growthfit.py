@@ -141,8 +141,8 @@ def test_polynomial_errors():
         rc.fit_polynomial(_series([(2000, 1.0), (2001, 2.0)]), 2)
 
 
-def test_bundled_hydro_quadratic_extrapolation(hydro_profile):
-    fit = rc.fit_polynomial(rc.series_to_generation(hydro_profile), 2)
+def test_bundled_hydro_quadratic_extrapolation(hydro_series):
+    fit = rc.fit_polynomial(rc.series_to_generation(hydro_series, rc.constant("cf_hydro")), 2)
     value_2030 = float(rc.extrapolate(fit, 2030.0))
     assert 6000.0 <= value_2030 <= 7200.0
 

@@ -557,11 +557,12 @@ def test_cli_unknown_figure_id_is_a_config_error(tmp_path, capsys):
 ])
 def test_cli_rejects_nonfinite_and_unbounded_numbers(tmp_path, monkeypatch, capsys,
                                                      config_text, argv):
-    def no_run(config):
+    def no_load(config):
         raise AssertionError("the scenario ran although the input is invalid")
 
-    # rejected while the config is checked, before any fit or crossing grid
-    monkeypatch.setattr(reportmodel, "run_scenario", no_run)
+    # rejected while the config is checked, before any series is loaded and
+    # so before any fit or crossing grid
+    monkeypatch.setattr(reportmodel, "load_series", no_load)
     if config_text is not None:
         conf = tmp_path / "run.conf"
         conf.write_text(config_text + "\n", encoding="utf-8")

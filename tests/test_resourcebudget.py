@@ -7,7 +7,7 @@ import pytest
 
 import renewcast as rc
 from renewcast import resourcebudget
-from renewcast.errors import ModelError
+from renewcast.errors import DataError, ModelError
 
 DENSITY = 42.8
 CF = 0.256
@@ -59,31 +59,34 @@ def test_desert_fraction_linear():
 
 
 def test_potential_fraction_examples():
-    onshore = rc.ResourcePotential("onshore", 690000.0)
-    frac, times = rc.potential_fraction(186000.0, onshore)
+    frac, times = rc.potential_fraction(186000.0, 690000.0)
     assert times == pytest.approx(3.70968, rel=1e-5)
 
-    total = rc.ResourcePotential("total", 301775.0)
-    frac, times = rc.potential_fraction(35000.0, total)
+    frac, times = rc.potential_fraction(35000.0, 301775.0)
     assert frac == pytest.approx(0.115980, rel=1e-5)
 
-    same = rc.ResourcePotential("same", 1234.0)
-    frac, times = rc.potential_fraction(1234.0, same)
+    frac, times = rc.potential_fraction(1234.0, 1234.0)
     assert frac == 1.0 and times == 1.0
 
 
 def test_potential_fraction_zero_demand():
-    frac, times = rc.potential_fraction(0.0, rc.ResourcePotential("p", 10.0))
+    frac, times = rc.potential_fraction(0.0, 10.0)
     assert frac == 0.0
     assert times == math.inf
+
+
+@pytest.mark.parametrize("potential", [0.0, -1.0, math.nan])
+def test_potential_must_be_positive(potential):
+    # a nan potential would otherwise give (nan, nan)
+    with pytest.raises(DataError, match=r"^potential must be > 0, got "):
+        rc.potential_fraction(1.0, potential)
 
 
 def test_fraction_times_product():
     rng = np.random.default_rng(29)
     for _ in range(50):
         demand = rng.uniform(1.0, 1e6)
-        pot = rc.ResourcePotential("p", rng.uniform(1.0, 1e6))
-        frac, times = rc.potential_fraction(demand, pot)
+        frac, times = rc.potential_fraction(demand, rng.uniform(1.0, 1e6))
         assert frac * times == pytest.approx(1.0, rel=1e-12)
 
 

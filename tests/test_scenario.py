@@ -16,11 +16,7 @@ from renewcast.growthfit import ExponentialFit, PolynomialFit
 def _exp_profile(name, value0, ratio_per_year, t0=2000.0, cf=1.0, n=3):
     samples = [(t0 + k, value0 * ratio_per_year ** k) for k in range(n)]
     s = rc.make_series(name, "installed_power", "GW", samples)
-    return rc.TechnologyProfile(name, cf, s, rc.fit_exponential(s))
-
-
-def _threshold(level, name="toy"):
-    return rc.DemandThreshold(name, level)
+    return rc.TechnologyProfile(name, cf, rc.fit_exponential(s))
 
 
 # -- combine -------------------------------------------------------------------
@@ -74,30 +70,34 @@ def test_bundled_total_2025(pv_profile, wind_profile, hydro_profile):
 def test_crossing_matches_closed_form():
     # capability(t) = 8.76 * 2^(t - 2000) TWh/yr
     p = _exp_profile("a", 1.0, 2.0)
-    res = rc.crossing_year(rc.combine([p]), _threshold(8960.0), horizon=2050.0)
+    status, year = rc.crossing_year(rc.combine([p]), 8960.0, horizon=2050.0)
     closed_form = 2000.0 + math.log2(8960.0 / 8.76)
-    assert res.status == "crossed"
-    assert res.year == pytest.approx(closed_form, abs=1e-6)
+    assert status == "crossed"
+    assert year == pytest.approx(closed_form, abs=1e-6)
 
 
 def test_already_satisfied():
     p = _exp_profile("a", 10.0, 2.0)   # 87.6 TWh at the window start
-    res = rc.crossing_year(rc.combine([p]), _threshold(50.0))
-    assert res.status == "already_satisfied"
-    assert res.year == 2000.0
+    assert rc.crossing_year(rc.combine([p]), 50.0, 2050.0) == ("already_satisfied", 2000.0)
 
 
 def test_not_reached_by_horizon():
     p = _exp_profile("a", 1.0, 1.01)
-    res = rc.crossing_year(rc.combine([p]), _threshold(1e9), horizon=2030.0)
-    assert res.status == "not_reached"
-    assert res.year is None
+    assert rc.crossing_year(rc.combine([p]), 1e9, horizon=2030.0) == ("not_reached", None)
 
 
 def test_nonmonotone_projection_rejected():
     p = _exp_profile("a", 4.0, 0.5)    # decaying
     with pytest.raises(ModelError, match=r"^projection decreases between 2000 "):
-        rc.crossing_year(rc.combine([p]), _threshold(1e3))
+        rc.crossing_year(rc.combine([p]), 1e3, 2050.0)
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
+def test_level_must_be_positive(level):
+    # checked before the projection is sampled: a nan level would otherwise
+    # compare false everywhere and come back crossed just before the horizon
+    with pytest.raises(ModelError, match=r"^threshold level must be > 0, got "):
+        rc.crossing_year(rc.combine([_exp_profile("a", 1.0, 2.0)]), level, 2050.0)
 
 
 class _StepModel:
@@ -110,24 +110,21 @@ class _StepModel:
 
 
 def _step_profile():
-    series = rc.make_series("step", "installed_power", "GW",
-                            [(2000.0, 1.0), (2010.0, 1000.0)])
-    return rc.TechnologyProfile("step", 0.5, series, _StepModel())
+    return rc.TechnologyProfile("step", 0.5, _StepModel())
 
 
 def test_step_projection_never_meets_level():
     # generation jumps from 4.38 to 4380 TWh/yr at 2005.03: bisection closes
     # in on the step, where the level of 100 is never met
     with pytest.raises(ModelError, match=r"^projection jumps past 100 at ") as err:
-        rc.crossing_year(rc.combine([_step_profile()]), _threshold(100.0), 2020.0)
+        rc.crossing_year(rc.combine([_step_profile()]), 100.0, 2020.0)
     assert "2005.03" in str(err.value)
 
 
 def _quartic_hydro_profile():
     # a quartic hydro fit turns negative inside the default horizon
     series = rc.load_bundled("hydro")
-    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), series,
-                                rc.fit_polynomial(series, 4))
+    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), rc.fit_polynomial(series, 4))
 
 
 @pytest.mark.parametrize("make_profile, level, horizon, error", [
@@ -144,7 +141,7 @@ def test_failed_crossing_fails_again_on_the_same_projection(make_profile, level,
     assert not _proven(proj, horizon)
     for solve in (rc.crossing_year, rc.crossing_year, _lattice_scan):
         with pytest.raises(ModelError, match=error):
-            solve(proj, _threshold(level), horizon)
+            solve(proj, level, horizon)
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,21 +156,21 @@ def test_shared_projection_solves_like_fresh_ones(pv_profile, wind_profile,
     shared = rc.combine(parts)
     results = {}
     for level, horizon in requests:
-        res = rc.crossing_year(shared, _threshold(level), horizon)
-        assert res == rc.crossing_year(rc.combine(parts), _threshold(level), horizon)
+        res = rc.crossing_year(shared, level, horizon)
+        assert res == rc.crossing_year(rc.combine(parts), level, horizon)
         results[level, horizon] = res
     for horizon in {h for _, h in requests}:
-        years = [math.inf if res.year is None else res.year
-                 for (_, h), res in sorted(results.items()) if h == horizon]
+        years = [math.inf if year is None else year
+                 for (_, h), (_, year) in sorted(results.items()) if h == horizon]
         assert years == sorted(years)
 
 
 # -- the proven path against the full lattice scan ------------------------------
 
-def _lattice_scan(projection, threshold, horizon):
+def _lattice_scan(projection, level, horizon):
     """Reference solver: sample every 0.1-year lattice point, bracket the
     first at or above the level, then bisect to 1e-9 years."""
-    level, start = threshold.level_twh, projection.start_year
+    start = projection.start_year
     n = math.ceil((horizon - start) / 0.1)
     years = [start + i * 0.1 for i in range(n)] + [horizon]
     values = [projection.value(t) for t in years]
@@ -181,9 +178,9 @@ def _lattice_scan(projection, threshold, horizon):
         if v1 < v0 - 1e-9 * max(1.0, abs(v0)):
             raise ModelError("projection decreases")
     if values[0] >= level:
-        return rc.CrossingResult(threshold.name, level, "already_satisfied", start, horizon)
+        return "already_satisfied", start
     if values[-1] < level:
-        return rc.CrossingResult(threshold.name, level, "not_reached", None, horizon)
+        return "not_reached", None
     hit = next(i for i, v in enumerate(values) if v >= level)
     lo, hi = years[hit - 1], years[hit]
     while hi - lo > 1e-9:
@@ -192,7 +189,7 @@ def _lattice_scan(projection, threshold, horizon):
     year = 0.5 * (lo + hi)
     if abs(projection.value(year) - level) > 1e-6 * level:
         raise ModelError("projection jumps past the level")
-    return rc.CrossingResult(threshold.name, level, "crossed", year, horizon)
+    return "crossed", year
 
 
 def _proven(projection, horizon):
@@ -200,11 +197,8 @@ def _proven(projection, horizon):
                for p in projection.components)
 
 
-_SERIES = rc.make_series("x", "installed_power", "GW", [(2000.0, 1.0), (2001.0, 2.0)])
-
-
 def _profile(model, cf=0.5):
-    return rc.TechnologyProfile("x", cf, _SERIES, model)
+    return rc.TechnologyProfile("x", cf, model)
 
 
 def _exponential(ln_intercept, ln_slope, start):
@@ -249,14 +243,12 @@ def test_proven_path_equals_lattice_scan(case, pick, scale, at):
     else:
         i = round(at * n)
         level = proj.value(horizon if i == n else start + i * 0.1)
-    threshold = _threshold(level)
-    assert rc.crossing_year(proj, threshold, horizon) == _lattice_scan(proj, threshold, horizon)
+    assert rc.crossing_year(proj, level, horizon) == _lattice_scan(proj, level, horizon)
 
 
 def _cubic_hydro_profile():
     series = rc.load_bundled("hydro")
-    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), series,
-                                rc.fit_polynomial(series, 3))
+    return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), rc.fit_polynomial(series, 3))
 
 
 _FAILURES = ("projection decreases", "projection jumps past", "installed power must be >= 0")
@@ -287,9 +279,8 @@ def test_unproven_projections_take_the_lattice_scan(pv_profile, make, with_pv, l
     proj = rc.combine([pv_profile, make()] if with_pv else [make()])
     horizon = proj.start_year + span
     assert not _proven(proj, horizon)
-    threshold = _threshold(level)
-    expected = _outcome(lambda: _lattice_scan(proj, threshold, horizon))
-    assert _outcome(lambda: rc.crossing_year(proj, threshold, horizon)) == expected
+    expected = _outcome(lambda: _lattice_scan(proj, level, horizon))
+    assert _outcome(lambda: rc.crossing_year(proj, level, horizon)) == expected
 
 
 def test_default_projections_take_the_proven_path(default_report, monkeypatch):
@@ -308,26 +299,24 @@ def test_default_projections_take_the_proven_path(default_report, monkeypatch):
     for proj in default_report.projections.values():
         assert _proven(proj, horizon)
         calls.clear()
-        res = rc.crossing_year(proj, _threshold(33000.0), horizon)
-        assert res.status == "crossed"
+        status, _ = rc.crossing_year(proj, 33000.0, horizon)
+        assert status == "crossed"
         assert len(calls) <= 50 < (horizon - proj.start_year) / 0.1
 
 
 def test_threshold_monotonicity(pv_profile, wind_profile):
     proj = rc.combine([pv_profile, wind_profile])
-    years = [rc.crossing_year(proj, _threshold(level)).year
+    years = [rc.crossing_year(proj, level, 2050.0)[1]
              for level in (20000.0, 33000.0, 50000.0, 100000.0)]
     assert years == sorted(years)
 
 
 def test_adding_component_never_delays(pv_profile, wind_profile, hydro_profile):
     for level in (20000.0, 33000.0, 106950.0):
-        two = rc.crossing_year(rc.combine([pv_profile, wind_profile]),
-                               _threshold(level))
-        three = rc.crossing_year(
-            rc.combine([pv_profile, wind_profile, hydro_profile]),
-            _threshold(level))
-        assert three.year <= two.year
+        _, two = rc.crossing_year(rc.combine([pv_profile, wind_profile]), level, 2050.0)
+        _, three = rc.crossing_year(
+            rc.combine([pv_profile, wind_profile, hydro_profile]), level, 2050.0)
+        assert three <= two
 
 
 def test_bisection_equals_closed_form_randomized():
@@ -344,15 +333,14 @@ def test_bisection_equals_closed_form_randomized():
                   / fit.ln_slope)
         if closed >= 2049.0:
             continue
-        res = rc.crossing_year(rc.combine([p]), _threshold(level), horizon=2050.0)
-        assert res.status == "crossed"
-        assert res.year == pytest.approx(closed, abs=1e-6)
+        status, year = rc.crossing_year(rc.combine([p]), level, horizon=2050.0)
+        assert status == "crossed"
+        assert year == pytest.approx(closed, abs=1e-6)
 
 
 def test_bundled_wind_pv_crossing(pv_profile, wind_profile):
-    res = rc.crossing_year(rc.combine([pv_profile, wind_profile]),
-                           _threshold(33000.0, "electric"))
-    assert 2025.0 <= res.year <= 2027.0
+    _, year = rc.crossing_year(rc.combine([pv_profile, wind_profile]), 33000.0, 2050.0)
+    assert 2025.0 <= year <= 2027.0
 
 
 # -- mixes ----------------------------------------------------------------------

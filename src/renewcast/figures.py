@@ -4,11 +4,11 @@ the subcommands that draw one; each figure reads only the fits it draws."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
 from .config import _THRESHOLD_CONSTANTS, FIGURE_IDS
 from .corpus import HOURS_PER_YEAR, constant
 from .errors import ModelError
+from .growthfit import _windowed
 from .reportmodel import ScenarioReport
 from .svgchart import Axis, Chart, render
 
@@ -107,9 +107,7 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
             prof = report.profiles["wind_trend" if tech == "wind" else tech]
             cf = prof.capacity_factor
             # only the samples on the x axis: hydro's start before it
-            years = series[tech].years
-            i, j = bisect_left(years, chart.x.lo), bisect_right(years, chart.x.hi)
-            xs, gw = years[i:j], series[tech].values[i:j]
+            xs, gw = _windowed(series[tech], (chart.x.lo, chart.x.hi))
             k = cf * HOURS_PER_YEAR / 1000.0
             chart.add_points(xs, [v * k for v in gw], color, tech)
             lx, ly = _line_points(prof.model, max(prof.model.window[0], 1996), 2040)

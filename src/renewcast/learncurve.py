@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .corpus import CapacitySeries
 from .errors import DataError, ModelError
 from .genconvert import generation_capability
-from .growthfit import ols, r_squared
+from .growthfit import _exponential, _log_line, ols, r_squared
 
 
 class CostSeries(NamedTuple):
@@ -168,24 +168,17 @@ def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, flo
 
 
 def fit_time_decay(series: CapacitySeries) -> TimeDecayFit:
-    """Log-space least squares of a unit_cost series against calendar year."""
+    """The exponential fit of a unit_cost series against calendar year, read
+    as a cost at its first year and an annual factor."""
     series = cost_series(series)
     if len(series.years) < 2:
         raise ModelError("time-decay fit needs >= 2 samples")
-    t = series.years
-    lnc = list(map(math.log, series.values))
-    slope, tm, ym, sse, sst = ols(t, lnc)
+    years, values = series.years, series.values
+    fit = _exponential(years, _log_line(series.technology, years, values)[1])
     try:
-        cost0, decay = math.exp(ym + slope * (t[0] - tm)), math.exp(slope)
+        cost0, decay = math.exp(fit.ln_intercept), math.exp(fit.ln_slope)
         decay ** 10             # the report prints the decline over a decade
     except OverflowError:
         raise ModelError(f"{series.technology}: the decay fit overflows") from None
-    return TimeDecayFit(
-        technology=series.technology,
-        reference_year=t[0],
-        cost0=cost0,
-        decay=decay,
-        r_squared=r_squared(sse, sst),
-        window=(t[0], t[-1]),
-        cost_unit=series.unit,
-    )
+    return TimeDecayFit(series.technology, fit.reference_year, cost0, decay,
+                        fit.r_squared_logspace, fit.window, series.unit)

@@ -92,14 +92,8 @@ class ScenarioReport:
                 "window": list(fit.window),
             }
         if name == "hydro":
-            return {
-                "kind": "polynomial",
-                "reference_year": fit.reference_year,
-                "coefficients": list(fit.coefficients),
-                "degree": fit.degree,
-                "rmse": fit.rmse,
-                "window": list(fit.window),
-            }
+            return {"kind": "polynomial", **fit._asdict(),
+                    "coefficients": list(fit.coefficients), "window": list(fit.window)}
         out = _exp_fit_dict(fit)
         if name == "pv":
             out["residual_signs"] = growthfit.residual_signs(self.series["pv"], fit)

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .corpus import HOURS_PER_YEAR, constant, get_constant, read_dataset, reduced_primary
 from .errors import DataError, ModelError
+from .genconvert import _check_cf
 from .growthfit import ols
 
 
@@ -34,10 +35,7 @@ def pv_area_required(demand_twh: float, density_mw_km2: float,
         raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
     if density_mw_km2 <= 0:
         raise ModelError(f"density must be > 0, got {density_mw_km2!r}")
-    if not (0.0 < capacity_factor <= 1.0):
-        raise ModelError(
-            f"capacity factor must be in (0, 1], got {capacity_factor!r}"
-        )
+    _check_cf(capacity_factor)
     return demand_twh * 1e6 / (density_mw_km2 * capacity_factor * HOURS_PER_YEAR)
 
 

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple
 
+from .config import MAX_HORIZON
 from .errors import ModelError
 from .corpus import HOURS_PER_YEAR
 from .genconvert import TechnologyProfile
@@ -92,8 +93,8 @@ def crossing_year(projection: CombinedProjection, level: float,
     if not level > 0:
         raise ModelError(f"threshold level must be > 0, got {level!r}")
     start = projection.start_year
-    if horizon <= start:
-        raise ModelError(f"horizon {horizon:g} must exceed start {start:g}")
+    if not (start < horizon <= MAX_HORIZON):
+        raise ModelError(f"horizon {horizon!r} must be in ({start:g}, {MAX_HORIZON:g}]")
     n = int(math.ceil((horizon - start) / GRID_STEP_YEARS))
 
     def year_of(i):

@@ -79,6 +79,11 @@ def test_empty_series_rejected():
         rc.load_capacity_series("# kind: installed_power\n# unit: GW\n")
 
 
+def test_unknown_quantity_kind():
+    with pytest.raises(DataError, match=r"^unknown quantity kind 'capacity'$"):
+        rc.make_series("x", "capacity", "GW", [(2000, 1.0)])
+
+
 def test_unit_invalid_for_kind():
     text = "# kind: installed_power\n# unit: USD_per_MWh\n2000,1\n"
     with pytest.raises(DataError,

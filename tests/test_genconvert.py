@@ -1,5 +1,7 @@
 """Capacity-factor conversion arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ def test_bundled_hydro_capability_at_last_year(hydro_series):
     assert 4200.0 <= gen.values[-1] <= 4800.0
 
 
-@pytest.mark.parametrize("cf", [0.0, -0.1, 1.0001, 2.0])
+@pytest.mark.parametrize("cf", [0.0, -0.1, 1.0001, 2.0, math.nan])
 def test_capacity_factor_bounds(cf):
     out_of_range = rf"^capacity factor must be in \(0, 1\], got {cf!r}$"
     with pytest.raises(ModelError, match=out_of_range):
@@ -48,11 +50,18 @@ def test_capacity_factor_bounds(cf):
         rc.TechnologyProfile("x", cf, None)
     with pytest.raises(ModelError, match=out_of_range):
         rc.series_to_generation(rc.make_series("x", "installed_power", "GW", [(2000, 1.0)]), cf)
+    with pytest.raises(ModelError, match=out_of_range):
+        rc.pv_area_required(1.0, 42.8, cf)
 
 
 def test_negative_power_rejected():
     with pytest.raises(ModelError, match=r"^installed power must be >= 0, got -1\.0$"):
         rc.generation_capability(-1.0, 0.5)
+
+
+def test_negative_generation_rejected():
+    with pytest.raises(ModelError, match=r"^generation must be >= 0, got -1\.0$"):
+        rc.power_required(-1.0, 0.5)
 
 
 def test_linearity():

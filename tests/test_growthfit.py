@@ -203,6 +203,12 @@ def test_changepoint_needs_enough_points():
         rc.detect_changepoint(s, min_segment=3)
 
 
+def test_changepoint_min_segment_must_be_two():
+    s = _series([(2000.0 + k, 2.0 ** k) for k in range(8)])
+    with pytest.raises(ModelError, match=r"^min_segment must be >= 2 so each side is fittable$"):
+        rc.detect_changepoint(s, min_segment=1)
+
+
 def test_sse_piecewise_never_exceeds_sse_single():
     rng = np.random.default_rng(2021)
     for _ in range(60):
@@ -341,6 +347,31 @@ def test_extrapolate_rejects_years_before_window():
     fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0)]))
     with pytest.raises(ModelError, match=r"^year 1999 precedes fit window start 2000$"):
         rc.extrapolate(fit, 1999.0)
+
+
+def test_extrapolate_refuses_a_nan_year():
+    fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0)]))
+    with pytest.raises(ModelError, match=r"^year must be a number, got nan$"):
+        rc.extrapolate(fit, math.nan)
+
+
+def test_year_at_inverts_value_at():
+    fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0)]))
+    assert fit.year_at(fit.value_at(2013.5)) == pytest.approx(2013.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_year_at_refuses_a_value_the_fit_never_takes(value):
+    fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0)]))
+    with pytest.raises(ModelError, match=rf"^value must be > 0, got {value!r}$"):
+        fit.year_at(value)
+
+
+def test_year_at_refuses_a_flat_fit():
+    fit = rc.fit_exponential(_series([(2000, 3.0), (2001, 3.0)]))
+    assert fit.ln_slope == 0.0
+    with pytest.raises(ModelError, match=r"^a flat fit \(ln_slope 0\.0\) reaches no single year$"):
+        fit.year_at(3.0)
 
 
 def test_horizon_warning_flag():

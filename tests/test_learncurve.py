@@ -206,6 +206,11 @@ def test_geometric_recovery_randomized():
         assert fit.cost0 == pytest.approx(c0, rel=1e-9)
 
 
+def test_time_decay_too_few_points():
+    with pytest.raises(ModelError, match=r"^time-decay fit needs >= 2 samples$"):
+        rc.fit_time_decay(_year_cost([(2000.0, 8.0)]))
+
+
 def test_time_decay_needs_year_axis():
     with pytest.raises(DataError, match=r"^toy: expected a unit_cost series, got None$"):
         rc.fit_time_decay(_gen_cost([(10.0, 100.0), (20.0, 80.0)]))

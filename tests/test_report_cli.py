@@ -463,6 +463,19 @@ def test_parse_config_rejects_bad_value(tmp_path):
         rc.parse_config(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("horizon 2045", r"bad\.conf:1: expected 'key = value', got 'horizon 2045'$"),
+    ("pv_window = 2005", r"^window must look like 'start:end', got '2005'$"),
+    ("wind_treatment = gusty", r"^wind_treatment must be one of "
+                               r"\('trend', 'piecewise', 'rebound'\), got 'gusty'$"),
+])
+def test_parse_config_rejects_malformed_lines(tmp_path, line, message):
+    path = tmp_path / "bad.conf"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        rc.parse_config(path)
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError,
                        match=r"^cannot read config file /nonexistent/scenario\.conf: "):

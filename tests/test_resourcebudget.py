@@ -82,6 +82,11 @@ def test_potential_must_be_positive(potential):
         rc.potential_fraction(1.0, potential)
 
 
+def test_potential_fraction_refuses_negative_demand():
+    with pytest.raises(ModelError, match=r"^demand must be >= 0, got -1\.0$"):
+        rc.potential_fraction(-1.0, 10.0)
+
+
 def test_fraction_times_product():
     rng = np.random.default_rng(29)
     for _ in range(50):
@@ -125,6 +130,15 @@ def test_exact_proportional_points():
 def test_depth_extrapolation_needs_points():
     with pytest.raises(ModelError, match=r"^depth extrapolation needs >= 2 points, got 1$"):
         rc.offshore_depth_extrapolation([(1.0, 10.0)], 2.0)
+
+
+@pytest.mark.parametrize("points, shown", [
+    ([(1.0, 10.0), (0.0, 20.0)], r"\(0\.0, 20\.0\)"),
+    ([(1.0, 10.0), (2.0, -5.0)], r"\(2\.0, -5\.0\)"),
+])
+def test_depth_extrapolation_refuses_nonpositive_points(points, shown):
+    with pytest.raises(DataError, match=rf"^area and potential must be > 0, got {shown}$"):
+        rc.offshore_depth_extrapolation(points, 3.0)
 
 
 def test_bundled_fixture_reproduces_registered_potential():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import renewcast as rc
 from renewcast import scenario
+from renewcast.config import MAX_HORIZON
 from renewcast.errors import ModelError
 from renewcast.growthfit import ExponentialFit, PolynomialFit
 
@@ -98,6 +99,28 @@ def test_level_must_be_positive(level):
     # compare false everywhere and come back crossed just before the horizon
     with pytest.raises(ModelError, match=r"^threshold level must be > 0, got "):
         rc.crossing_year(rc.combine([_exp_profile("a", 1.0, 2.0)]), level, 2050.0)
+
+
+def _cubic_profile():
+    # 1 + x + x**2 + x**3 grows, but no cubic is proven non-decreasing, so
+    # its crossings sample the whole lattice up to the horizon
+    return _profile(PolynomialFit(2000.0, (1.0, 1.0, 1.0, 1.0), 3, 0.0, (2000.0, 2010.0)))
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, MAX_HORIZON + 1.0])
+def test_horizon_must_be_after_start_and_within_max(horizon):
+    # checked before the lattice is sized: a nan or infinite horizon cannot
+    # size it, and a finite one past MAX_HORIZON would sample every step
+    proj = rc.combine([_cubic_profile()])
+    assert not _proven(proj, 2050.0)
+    with pytest.raises(ModelError, match=rf"^horizon {horizon!r} must be in \(2000, 2200\]$"):
+        rc.crossing_year(proj, 1e3, horizon)
+
+
+def test_max_horizon_still_solves():
+    proj = rc.combine([_cubic_profile()])
+    assert rc.crossing_year(proj, 1e3, MAX_HORIZON) == _lattice_scan(proj, 1e3, MAX_HORIZON)
+    assert rc.crossing_year(proj, 1e12, MAX_HORIZON) == ("not_reached", None)
 
 
 class _StepModel:

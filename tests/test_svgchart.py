@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renewcast.svgchart import Axis, Chart, render
+from renewcast.svgchart import Axis, Chart, _nice_ticks, render
 
 # sha256 of _pinned_svg(): any change to a coordinate, its formatting or
 # the element order moves it
@@ -140,3 +140,8 @@ def test_scale_equals_the_mixed_type_expression(case):
     # converting them once first must keep every pixel's bits
     axis, values, a, b = case
     assert _outcome(axis.scale, values, a, b) == _outcome(_scale_reference, axis, values, a, b)
+
+
+@pytest.mark.parametrize("lo, hi", [(3.0, 3.0), (5.0, 1.0)])
+def test_an_empty_tick_range_gets_its_low_end(lo, hi):
+    assert _nice_ticks(lo, hi) == [lo]

@@ -7,10 +7,10 @@ Series file grammar (UTF-8):
     directive := '# unit: <unit>' | '# kind: <kind>' | '# technology: <name>'
     data-row  := <year> ',' <value>              -- year may be fractional
 
-Header lines come first; directives may appear anywhere in the header block
-and double as provenance. Blank lines are ignored. Rows are sorted by year
-on load, so serialising a loaded series reproduces the input byte for byte
-modulo row order.
+Header lines come first; directives may appear anywhere in the header block,
+the last of each key wins, and every other header line joins the provenance.
+Blank lines are ignored. Rows are sorted by year on load, so serialising a
+loaded series reproduces the input byte for byte modulo row order.
 
 Canonical units: GW for installed power, TWh_per_year for energy rates,
 USD_per_MWh for electricity cost, USD_per_kWh for storage cost. Conversions
@@ -82,12 +82,11 @@ def _format_row(year: float, value: float) -> str:
 
 def make_series(technology, quantity_kind, unit, samples, provenance="") -> CapacitySeries:
     """Build and validate a series from in-memory (year, value) pairs."""
-    rows = [_format_row(y, float(v)) for y, v in samples]
     header = [f"# technology: {technology}", f"# kind: {quantity_kind}", f"# unit: {unit}"]
     if provenance:
         header = [f"# {provenance}"] + header
     return _assemble(technology, quantity_kind, unit, [float(y) for y, _ in samples],
-                     [float(v) for _, v in samples], provenance, header, rows)
+                     [float(v) for _, v in samples], provenance, header, ())
 
 
 def _assemble(technology, kind, unit, years, values, provenance, header_lines, row_text):
@@ -100,11 +99,10 @@ def _assemble(technology, kind, unit, years, values, provenance, header_lines, r
     if not years:
         raise DataError(f"series {technology!r} has no data rows")
     if not all(map(lt, years, years[1:])):     # rows usually come in year order
-        if years != sorted(years):
-            order = sorted(range(len(years)), key=years.__getitem__)
-            years = [years[i] for i in order]
-            values = [values[i] for i in order]
-            row_text = [row_text[i] for i in order] if row_text else []
+        order = sorted(range(len(years)), key=years.__getitem__)
+        years = [years[i] for i in order]
+        values = [values[i] for i in order]
+        row_text = [row_text[i] for i in order] if row_text else []
         for y0, y1 in zip(years, years[1:]):
             if y1 == y0:
                 raise DataError(f"series {technology!r}: year {y0:g} repeated")
@@ -148,17 +146,15 @@ def load_capacity_series(source: str) -> CapacitySeries:
     if not well_formed:
         _raise_first_bad_row(lines, start)
 
-    meta = {"technology": "", "kind": "", "unit": ""}
+    meta, notes = {"technology": "", "kind": "", "unit": ""}, []
     for line in header:
         body = line[1:].strip()
-        for key in meta:
-            prefix = f"{key}:"
-            if body.startswith(prefix):
-                meta[key] = body[len(prefix):].strip()
-    provenance = " ".join(
-        l[1:].strip() for l in header
-        if not any(l[1:].strip().startswith(f"{k}:") for k in meta)
-    )
+        key, colon, value = body.partition(":")
+        if colon and key in meta:       # the last directive wins
+            meta[key] = value.strip()
+        else:
+            notes.append(body)
+    provenance = " ".join(notes)
     return _assemble(meta["technology"] or "unnamed", meta["kind"], meta["unit"], years,
                      values, provenance, header, rows)
 
@@ -413,7 +409,7 @@ def reduced_primary(demand_twh: float) -> float:
     Computed as demand * 575 / 1000 so the registered 2030 figure
     (186000 -> 106950) is reproduced bit-exactly.
     """
-    if demand_twh < 0:
+    if not demand_twh >= 0:
         raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
     retention = 1000.0 - 1000.0 * constant("efficiency_reduction")
     return demand_twh * retention / 1000.0

@@ -105,14 +105,12 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
                       width=720, height=480)
         for tech, color in (*_PV_WIND, ("hydro", "#2f855a")):
             prof = report.profiles["wind_trend" if tech == "wind" else tech]
-            cf = prof.capacity_factor
             # only the samples on the x axis: hydro's start before it
             xs, gw = _windowed(series[tech], (chart.x.lo, chart.x.hi))
-            k = cf * HOURS_PER_YEAR / 1000.0
+            k = prof.capacity_factor * HOURS_PER_YEAR / 1000.0
             chart.add_points(xs, [v * k for v in gw], color, tech)
             lx, ly = _line_points(prof.model, max(prof.model.window[0], 1996), 2040)
-            chart.add_line(lx, [v * cf * HOURS_PER_YEAR / 1000.0 for v in ly], color,
-                           dashed=True)
+            chart.add_line(lx, [v * k for v in ly], color, dashed=True)
         _add_demand_lines(chart)
         return render([chart], chart.title)
 

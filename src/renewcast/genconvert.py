@@ -45,7 +45,7 @@ def generation_capability(power_gw: float, capacity_factor: float) -> float:
 def power_required(generation_twh: float, capacity_factor: float) -> float:
     """Inverse of generation_capability: GW needed for a TWh/yr target."""
     _check_cf(capacity_factor)
-    if generation_twh < 0:
+    if not generation_twh >= 0:
         raise ModelError(f"generation must be >= 0, got {generation_twh!r}")
     return generation_twh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
 

@@ -43,8 +43,8 @@ class ExponentialFit(NamedTuple):
 
     def year_at(self, value: float) -> float:
         """Inverse of value_at: the year the fit reaches value."""
-        if not value > 0:
-            raise ModelError(f"value must be > 0, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ModelError(f"value must be finite and > 0, got {value!r}")
         if self.ln_slope == 0:
             raise ModelError(f"a flat fit (ln_slope {self.ln_slope!r}) reaches no single year")
         return (math.log(value) - self.ln_intercept) / self.ln_slope + self.reference_year
@@ -404,8 +404,8 @@ def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
 
 def extrapolate(model, year: float) -> float:
     """Closed-form model evaluation at any year >= window start."""
-    if year != year:
-        raise ModelError(f"year must be a number, got {year!r}")
+    if not math.isfinite(year):
+        raise ModelError(f"year must be finite, got {year!r}")
     lo = model.window[0]
     if year < lo:
         raise ModelError(

@@ -144,7 +144,7 @@ def learning_rate(fit: LearningCurveFit) -> float:
 
 def cost_at(fit: LearningCurveFit, x: float) -> float:
     """Model cost at cumulative generation x > 0."""
-    if x <= 0:
+    if not x > 0:
         raise ModelError(f"cumulative generation must be > 0, got {x!r}")
     return fit.cost_at(x)
 

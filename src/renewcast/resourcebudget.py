@@ -31,9 +31,9 @@ def pv_area_required(demand_twh: float, density_mw_km2: float,
     area = demand * 1e6 / (density * cf * 8760): the denominator is the
     annual MWh yield of one km2.
     """
-    if demand_twh < 0:
+    if not demand_twh >= 0:
         raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
-    if density_mw_km2 <= 0:
+    if not density_mw_km2 > 0:
         raise ModelError(f"density must be > 0, got {density_mw_km2!r}")
     _check_cf(capacity_factor)
     return demand_twh * 1e6 / (density_mw_km2 * capacity_factor * HOURS_PER_YEAR)
@@ -47,6 +47,8 @@ def area_budget(demand_twh: float, density_mw_km2: float,
 
 def desert_fraction(area_km2: float) -> float:
     """Share of the global desert area (excl. Antarctica) an area occupies."""
+    if not area_km2 >= 0:
+        raise ModelError(f"area must be >= 0, got {area_km2!r}")
     return area_km2 / constant("desert_area")
 
 
@@ -54,7 +56,7 @@ def potential_fraction(demand_twh: float, potential_twh: float):
     """(demand/potential, potential/demand); times_over is inf at zero demand."""
     if not potential_twh > 0:
         raise DataError(f"potential must be > 0, got {potential_twh!r}")
-    if demand_twh < 0:
+    if not demand_twh >= 0:
         raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
     fraction = demand_twh / potential_twh
     times_over = math.inf if demand_twh == 0 else potential_twh / demand_twh
@@ -70,6 +72,8 @@ def offshore_depth_extrapolation(points, target_area) -> float:
     for x, p in points:
         if x <= 0 or p <= 0:
             raise DataError(f"area and potential must be > 0, got ({x!r}, {p!r})")
+    if not math.isfinite(target_area):
+        raise DataError(f"target area must be finite, got {target_area!r}")
     slope, xm, ym, _, _ = ols([float(x) for x, _ in points],
                               [float(p) for _, p in points])
     return (ym - slope * xm) + slope * float(target_area)

@@ -40,10 +40,6 @@ class CombinedProjection:
             raise ModelError("a projection needs at least one component")
         self.components = components
         self.start_year = max(p.model.window[0] for p in components)
-        # (name, model.value_at, capacity factor) per component; the capacity
-        # factors were validated when each profile was made
-        self._terms = tuple((p.name, p.model.value_at, p.capacity_factor)
-                            for p in components)
 
     def _generation(self, year: float) -> list[float]:
         """TWh/yr of each component, in component order."""
@@ -52,15 +48,15 @@ class CombinedProjection:
                 f"year {year:g} precedes projection start {self.start_year:g}"
             )
         out = []
-        for _, value_at, cf in self._terms:
-            power = value_at(year)
+        for p in self.components:       # capacity factors were checked with each profile
+            power = p.model.value_at(year)
             if power < 0:
                 raise ModelError(f"installed power must be >= 0, got {power!r}")
-            out.append(power * cf * HOURS_PER_YEAR / 1000.0)
+            out.append(power * p.capacity_factor * HOURS_PER_YEAR / 1000.0)
         return out
 
     def component_values(self, year: float) -> list[tuple[str, float]]:
-        return [(term[0], v) for term, v in zip(self._terms, self._generation(year))]
+        return [(p.name, v) for p, v in zip(self.components, self._generation(year))]
 
     def value(self, year: float) -> float:
         return sum(self._generation(year))

@@ -94,11 +94,11 @@ class Chart:
         self.width, self.height = width, height
         self.elements = []      # (kind, x column or value, ...) in drawing order
 
-    def add_points(self, xs, ys, color, label="", radius=3.0):
-        self.elements.append(("points", *_columns(xs, ys), color, label, radius))
+    def add_points(self, xs, ys, color, label=""):
+        self.elements.append(("points", *_columns(xs, ys), color, label))
 
-    def add_line(self, xs, ys, color, label="", dashed=False, width=1.6):
-        self.elements.append(("line", *_columns(xs, ys), color, label, dashed, width))
+    def add_line(self, xs, ys, color, label="", dashed=False):
+        self.elements.append(("line", *_columns(xs, ys), color, label, dashed))
 
     def add_hline(self, value, label):
         self.elements.append(("hline", value, label))
@@ -126,7 +126,7 @@ class Chart:
         flat[1::2] = self.y.scale(ys, y0, y1)
         return tuple(flat)
 
-    def render_group(self, dx=0.0) -> str:
+    def render_group(self, dx) -> str:
         top, right, bottom, left = 46, 16, 40, 78       # margins
         x0, x1, y0, y1 = left, self.width - right, self.height - bottom, top  # y0 is the bottom
         parts = [f'<g transform="translate({_fmt(dx)},0)" font-family="sans-serif">']
@@ -165,19 +165,19 @@ class Chart:
         for el in self.elements:
             kind = el[0]
             if kind == "points":
-                _, xs, ys, color, label, radius = el
+                _, xs, ys, color, label = el
                 # the hottest path: one %-format call per element, _fmt's spec inlined
-                circle = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(radius)}" fill="{color}"/>'
+                circle = f'<circle cx="%.2f" cy="%.2f" r="3.00" fill="{color}"/>'
                 flat = self._clip(xs, ys, x0, x1, y0, y1)
                 if flat:
                     parts.append("\n".join([circle] * (len(flat) // 2)) % flat)
             elif kind == "line":
-                _, xs, ys, color, label, dashed, width = el
+                _, xs, ys, color, label, dashed = el
                 flat = self._clip(xs, ys, x0, x1, y0, y1)
                 pts = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % flat
                 dash = ' stroke-dasharray="6 4"' if dashed else ""
                 parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="{color}" stroke-width="{_fmt(width)}"{dash}/>')
+                             f'stroke="{color}" stroke-width="1.60"{dash}/>')
             elif kind in ("hline", "vline"):
                 _, value, label = el
                 if kind == "hline":
@@ -209,7 +209,7 @@ class Chart:
         return "\n".join(parts)
 
 
-def render(charts, title="") -> str:
+def render(charts, title) -> str:
     """Compose one or more charts side by side into a standalone SVG."""
     charts = list(charts)
     width = sum(c.width for c in charts)
@@ -218,7 +218,7 @@ def render(charts, title="") -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<desc>{escape(title)}</desc>' if title else "<desc/>",
+        f'<desc>{escape(title)}</desc>',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
     ]
     dx = 0.0

@@ -597,6 +597,36 @@ def test_every_raise_names_an_exit_code_class():
     assert declared == {"errors": ["RenewcastError", *sorted(_EXIT_CODE_CLASSES)]}
 
 
+_NAN, _INF = math.nan, math.inf
+_LEARNING_FIT = learncurve.LearningCurveFit("toy", 2.0, -0.5, 1.0, 0.0, (1.0, 10.0), "USD_per_MWh")
+_DEPTH_POINTS = [(1.0, 10.0), (2.0, 20.0)]
+
+
+# arguments no public function can compute with: each is refused with the
+# class of its exit code, never turned into a nan, inf or negative result
+@pytest.mark.parametrize("name, args, cls, message", [
+    ("pv_area_required", (_NAN, 42.8, 0.2), errors.ModelError, "demand must be >= 0, got nan"),
+    ("pv_area_required", (1.0, _NAN, 0.2), errors.ModelError, "density must be > 0, got nan"),
+    ("potential_fraction", (_NAN, 1.0), errors.ModelError, "demand must be >= 0, got nan"),
+    ("reduced_primary", (_NAN,), errors.ModelError, "demand must be >= 0, got nan"),
+    ("power_required", (_NAN, 0.2), errors.ModelError, "generation must be >= 0, got nan"),
+    ("cost_at", (_LEARNING_FIT, _NAN), errors.ModelError,
+     "cumulative generation must be > 0, got nan"),
+    ("desert_fraction", (-1.0,), errors.ModelError, "area must be >= 0, got -1.0"),
+    ("desert_fraction", (_NAN,), errors.ModelError, "area must be >= 0, got nan"),
+    ("offshore_depth_extrapolation", (_DEPTH_POINTS, _NAN), errors.DataError,
+     "target area must be finite, got nan"),
+    ("offshore_depth_extrapolation", (_DEPTH_POINTS, _INF), errors.DataError,
+     "target area must be finite, got inf"),
+    ("offshore_depth_extrapolation", (_DEPTH_POINTS, -_INF), errors.DataError,
+     "target area must be finite, got -inf"),
+])
+def test_library_refuses_what_it_cannot_compute(name, args, cls, message):
+    with pytest.raises(cls) as got:
+        getattr(renewcast, name)(*args)
+    assert (type(got.value), str(got.value)) == (cls, message)
+
+
 # the classes that are neither a NamedTuple nor an exception: objects with
 # derived or mutable state, and the one validating record
 _PLAIN_CLASSES = {"CombinedProjection", "Chart", "ScenarioReport", "_LazyMap",

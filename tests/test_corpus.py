@@ -174,6 +174,12 @@ _BAD_LINE = st.one_of(
     st.sampled_from(["# a comment after the data", " # indented comment", "2000;1"]))
 
 
+# header lines that are almost directives (a space before the colon, a
+# capital, no space after '#', a second colon, no colon) and a repeated one
+_NEAR_MISS = st.sampled_from(["# unit : GW", "# Unit: GW", "#kind:installed_power",
+                              "# technology:a:b", "# technology", "# technology: again"])
+
+
 @st.composite
 def _series_texts(draw):
     """Series files: a header with directives, provenance and blank lines, then
@@ -181,7 +187,8 @@ def _series_texts(draw):
     with blank lines between them, and at times bad lines among the rows."""
     kind, unit = draw(_SCHEMA)
     header = ["# technology: toy", f"# kind: {kind}", f"# unit: {unit}"]
-    header += draw(st.lists(st.one_of(_BLANK, st.just("# a provenance note")), max_size=3))
+    header += draw(st.lists(st.one_of(_BLANK, st.just("# a provenance note"), _NEAR_MISS),
+                            max_size=3))
     rows = draw(st.lists(st.one_of(_ROW, _ROW, _ROW, _BLANK), max_size=12))
     if draw(st.integers(0, 2)) == 0:
         rows.insert(draw(st.integers(0, len(rows))), draw(_BAD_LINE))

@@ -349,10 +349,11 @@ def test_extrapolate_rejects_years_before_window():
         rc.extrapolate(fit, 1999.0)
 
 
-def test_extrapolate_refuses_a_nan_year():
+@pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf])
+def test_extrapolate_refuses_a_nan_year(year):
     fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0)]))
-    with pytest.raises(ModelError, match=r"^year must be a number, got nan$"):
-        rc.extrapolate(fit, math.nan)
+    with pytest.raises(ModelError, match=rf"^year must be finite, got {year!r}$"):
+        rc.extrapolate(fit, year)
 
 
 def test_year_at_inverts_value_at():
@@ -360,10 +361,10 @@ def test_year_at_inverts_value_at():
     assert fit.year_at(fit.value_at(2013.5)) == pytest.approx(2013.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_year_at_refuses_a_value_the_fit_never_takes(value):
     fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0)]))
-    with pytest.raises(ModelError, match=rf"^value must be > 0, got {value!r}$"):
+    with pytest.raises(ModelError, match=rf"^value must be finite and > 0, got {value!r}$"):
         fit.year_at(value)
 
 

@@ -11,7 +11,7 @@ from renewcast.svgchart import Axis, Chart, _nice_ticks, render
 
 # sha256 of _pinned_svg(): any change to a coordinate, its formatting or
 # the element order moves it
-PINNED_SHA256 = "1055f2197ecd3a0528836f1c5e3c0e7106c8388983b5a8584c6c9920934058e1"
+PINNED_SHA256 = "5760818c343043ab297385314222ae03d4566e9f5ceb79210fa0a4873116fcea"
 
 
 def _pinned_svg() -> str:
@@ -19,7 +19,7 @@ def _pinned_svg() -> str:
                 Axis("generation [TWh/yr]", "log", 1.0, 1e6))
     years = [1996 + 0.37 * i for i in range(120)]
     log.add_points(years, [1.7 ** (0.3 * i) for i in range(120)], "#1f77b4",
-                   label="observed", radius=2.5)
+                   label="observed")
     log.add_line(years, [3.0 * 1.25 ** (y - 1996) for y in years], "#ff7f0e",
                  label="fit", dashed=True)
     log.add_hline(26000.0, "demand")
@@ -30,7 +30,7 @@ def _pinned_svg() -> str:
     lin.add_points([2008 + i for i in range(14)], [400.0 * 0.8 ** i for i in range(14)],
                    "#2ca02c", label="pv")
     lin.add_line([2008 + 0.5 * i for i in range(27)],
-                 [350.0 - 11.1 * i for i in range(27)], "#d62728", width=2.0)
+                 [350.0 - 11.1 * i for i in range(27)], "#d62728")
     lin.add_hline(57.5, "floor")
     lin.add_vline(2015.25, "mid")
     lin.add_marker(2019.0, 80.0, "point")
@@ -72,15 +72,16 @@ def _chart_of(kind, hi, pairs):
 def test_dropped_points_stay_dropped():
     for kind, hi, kept, dropped in (("linear", 100.0, _KEPT_LINEAR, _DROPPED_LINEAR),
                                     ("log", 1e4, _KEPT_LOG, _DROPPED_LOG)):
-        clean = render([_chart_of(kind, hi, kept)])
+        clean = render([_chart_of(kind, hi, kept)], kind)
         assert clean.count("<circle") == len(kept)
         # each dropped pair alone among in-range ones, where min and max of
         # the columns can still lie inside the axes, then all of them at once
         for pair in dropped:
-            assert render([_chart_of(kind, hi, kept[:2] + [pair] + kept[2:])]) == clean
+            assert render([_chart_of(kind, hi, kept[:2] + [pair] + kept[2:])], kind) == clean
         mixed = dropped[:4] + kept[:2] + dropped[4:] + kept[2:] + dropped[::-1]
-        assert render([_chart_of(kind, hi, mixed)]) == clean
-        assert render([_chart_of(kind, hi, dropped)]) == render([_chart_of(kind, hi, [])])
+        assert render([_chart_of(kind, hi, mixed)], kind) == clean
+        empty = render([_chart_of(kind, hi, [])], kind)
+        assert render([_chart_of(kind, hi, dropped)], kind) == empty
 
 
 def test_columns_of_unequal_length_are_refused():

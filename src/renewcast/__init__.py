@@ -16,9 +16,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "corpus": ("CapacitySeries", "Constant", "constant", "dump_series", "get_constant",
-               "load_bundled", "load_capacity_series", "make_series", "reduced_primary"),
-    "genconvert": ("TechnologyProfile", "generation_capability", "power_required",
-                   "series_to_generation"),
+               "load_capacity_series", "make_series"),
+    "genconvert": ("TechnologyProfile", "generation_capability"),
     "growthfit": ("ExponentialFit", "PiecewiseExponentialFit", "PolynomialFit",
                   "detect_changepoint", "doubling_time", "extrapolate", "fit_exponential",
                   "fit_polynomial", "past_horizon"),
@@ -29,9 +28,8 @@ _EXPORTS = {
     "reportmodel": ("ScenarioReport", "run_scenario"),
     "artifacts": ("emit_discrepancies", "write_outputs"),
     "figures": ("emit_figure",),
-    "resourcebudget": ("AreaBudget", "appendix_discrepancies", "desert_fraction",
-                       "offshore_depth_extrapolation", "potential_fraction",
-                       "pv_area_required"),
+    "resourcebudget": ("AreaBudget", "appendix_discrepancies", "offshore_depth_extrapolation",
+                       "potential_fraction", "pv_area_required"),
     "scenario": ("CombinedProjection", "combine", "crossing_year", "mix_at_year",
                  "pv_wind_generation_crossover"),
 }

@@ -85,8 +85,11 @@ def make_series(technology, quantity_kind, unit, samples, provenance="") -> Capa
     header = [f"# technology: {technology}", f"# kind: {quantity_kind}", f"# unit: {unit}"]
     if provenance:
         header = [f"# {provenance}"] + header
-    return _assemble(technology, quantity_kind, unit, [float(y) for y, _ in samples],
-                     [float(v) for _, v in samples], provenance, header, ())
+    years, values = [float(y) for y, _ in samples], [float(v) for _, v in samples]
+    for y, v in zip(years, values):
+        if not (math.isfinite(y) and math.isfinite(v)):
+            raise DataError(f"series {technology!r}: non-finite sample ({y!r}, {v!r})")
+    return _assemble(technology, quantity_kind, unit, years, values, provenance, header, ())
 
 
 def _assemble(technology, kind, unit, years, values, provenance, header_lines, row_text):

@@ -411,7 +411,10 @@ def extrapolate(model, year: float) -> float:
         raise ModelError(
             f"year {year:g} precedes fit window start {lo:g}"
         )
-    return model.value_at(year)
+    value = model.value_at(year)
+    if not math.isfinite(value):
+        raise ModelError(f"the fit at {year:g} exceeds the float range")
+    return value
 
 
 def past_horizon(model, year: float) -> bool:

@@ -76,6 +76,8 @@ class LearningCurveFit(NamedTuple):
     cost_unit: str
 
     def cost_at(self, x: float) -> float:
+        if not x > 0:
+            raise ModelError(f"cumulative generation must be > 0, got {x!r}")
         try:
             return 10.0 ** (self.log10_intercept + self.log10_slope * math.log10(x))
         except OverflowError:
@@ -144,8 +146,6 @@ def learning_rate(fit: LearningCurveFit) -> float:
 
 def cost_at(fit: LearningCurveFit, x: float) -> float:
     """Model cost at cumulative generation x > 0."""
-    if not x > 0:
-        raise ModelError(f"cumulative generation must be > 0, got {x!r}")
     return fit.cost_at(x)
 
 
@@ -158,8 +158,8 @@ def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, flo
     log_x = (b.log10_intercept - a.log10_intercept) / (a.log10_slope - b.log10_slope)
     try:
         x = 10.0 ** log_x
-        cost = a.cost_at(x)     # ValueError from log10 when x underflowed to 0
-    except (OverflowError, ValueError, ModelError):
+        cost = a.cost_at(x)     # ModelError when x underflowed to 0
+    except (OverflowError, ModelError):
         cost = 0.0
     if cost == 0.0:             # 0.0 also when the cost itself underflowed
         raise ModelError(f"the lines meet at x = 10**{log_x:g}, where x or "

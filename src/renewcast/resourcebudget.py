@@ -36,7 +36,11 @@ def pv_area_required(demand_twh: float, density_mw_km2: float,
     if not density_mw_km2 > 0:
         raise ModelError(f"density must be > 0, got {density_mw_km2!r}")
     _check_cf(capacity_factor)
-    return demand_twh * 1e6 / (density_mw_km2 * capacity_factor * HOURS_PER_YEAR)
+    mwh_km2 = density_mw_km2 * capacity_factor * HOURS_PER_YEAR
+    area = demand_twh * 1e6 / mwh_km2 if mwh_km2 > 0 else math.inf
+    if not area < math.inf:
+        raise ModelError(f"the area of {demand_twh!r} TWh/yr at {mwh_km2!r} MWh/km2 overflows")
+    return area
 
 
 def area_budget(demand_twh: float, density_mw_km2: float,
@@ -54,12 +58,14 @@ def desert_fraction(area_km2: float) -> float:
 
 def potential_fraction(demand_twh: float, potential_twh: float):
     """(demand/potential, potential/demand); times_over is inf at zero demand."""
-    if not potential_twh > 0:
-        raise DataError(f"potential must be > 0, got {potential_twh!r}")
-    if not demand_twh >= 0:
-        raise ModelError(f"demand must be >= 0, got {demand_twh!r}")
+    if not 0 < potential_twh < math.inf:
+        raise DataError(f"potential must be finite and > 0, got {potential_twh!r}")
+    if not 0 <= demand_twh < math.inf:
+        raise ModelError(f"demand must be finite and >= 0, got {demand_twh!r}")
     fraction = demand_twh / potential_twh
     times_over = math.inf if demand_twh == 0 else potential_twh / demand_twh
+    if fraction == math.inf or times_over == math.inf and demand_twh:
+        raise ModelError(f"demand {demand_twh!r} against potential {potential_twh!r} overflows")
     return fraction, times_over
 
 
@@ -70,13 +76,16 @@ def offshore_depth_extrapolation(points, target_area) -> float:
     if len(points) < 2:
         raise ModelError(f"depth extrapolation needs >= 2 points, got {len(points)}")
     for x, p in points:
-        if x <= 0 or p <= 0:
-            raise DataError(f"area and potential must be > 0, got ({x!r}, {p!r})")
+        if not (0 < x < math.inf and 0 < p < math.inf):
+            raise DataError(f"area and potential must be finite and > 0, got ({x!r}, {p!r})")
     if not math.isfinite(target_area):
         raise DataError(f"target area must be finite, got {target_area!r}")
     slope, xm, ym, _, _ = ols([float(x) for x, _ in points],
                               [float(p) for _, p in points])
-    return (ym - slope * xm) + slope * float(target_area)
+    potential = (ym - slope * xm) + slope * float(target_area)
+    if not math.isfinite(potential):
+        raise ModelError(f"the extrapolation to area {target_area:g} exceeds the float range")
+    return potential
 
 
 def load_offshore_depth_fixture():

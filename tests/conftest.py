@@ -3,26 +3,27 @@
 import pytest
 
 import renewcast as rc
+from renewcast.corpus import load_bundled
 
 
 @pytest.fixture(scope="session")
 def pv_series():
-    return rc.load_bundled("pv")
+    return load_bundled("pv")
 
 
 @pytest.fixture(scope="session")
 def wind_series():
-    return rc.load_bundled("wind")
+    return load_bundled("wind")
 
 
 @pytest.fixture(scope="session")
 def hydro_series():
-    return rc.load_bundled("hydro")
+    return load_bundled("hydro")
 
 
 @pytest.fixture(scope="session")
 def offshore_series():
-    return rc.load_bundled("offshore_wind")
+    return load_bundled("offshore_wind")
 
 
 @pytest.fixture(scope="session")

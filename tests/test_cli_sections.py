@@ -22,7 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewcast
-from renewcast import artifacts, corpus, errors, growthfit, learncurve, report, scenario
+from renewcast import (artifacts, corpus, errors, genconvert, growthfit, learncurve, report,
+                       resourcebudget, scenario)
 from renewcast.cli import main
 from renewcast.report import FIGURE_IDS, MAX_HYDRO_DEGREE, THRESHOLD_NAMES, WIND_TREATMENTS
 
@@ -600,6 +601,11 @@ def test_every_raise_names_an_exit_code_class():
 _NAN, _INF = math.nan, math.inf
 _LEARNING_FIT = learncurve.LearningCurveFit("toy", 2.0, -0.5, 1.0, 0.0, (1.0, 10.0), "USD_per_MWh")
 _DEPTH_POINTS = [(1.0, 10.0), (2.0, 20.0)]
+_LINE = growthfit.PolynomialFit(2000.0, (1.0, 2.0), 1, 0.0, (2000.0, 2010.0))
+# helpers that keep their checks but are no public name of renewcast
+_MODULE_HELPERS = {"reduced_primary": corpus.reduced_primary,
+                   "power_required": genconvert.power_required,
+                   "desert_fraction": resourcebudget.desert_fraction}
 
 
 # arguments no public function can compute with: each is refused with the
@@ -607,7 +613,8 @@ _DEPTH_POINTS = [(1.0, 10.0), (2.0, 20.0)]
 @pytest.mark.parametrize("name, args, cls, message", [
     ("pv_area_required", (_NAN, 42.8, 0.2), errors.ModelError, "demand must be >= 0, got nan"),
     ("pv_area_required", (1.0, _NAN, 0.2), errors.ModelError, "density must be > 0, got nan"),
-    ("potential_fraction", (_NAN, 1.0), errors.ModelError, "demand must be >= 0, got nan"),
+    ("potential_fraction", (_NAN, 1.0), errors.ModelError,
+     "demand must be finite and >= 0, got nan"),
     ("reduced_primary", (_NAN,), errors.ModelError, "demand must be >= 0, got nan"),
     ("power_required", (_NAN, 0.2), errors.ModelError, "generation must be >= 0, got nan"),
     ("cost_at", (_LEARNING_FIT, _NAN), errors.ModelError,
@@ -620,11 +627,130 @@ _DEPTH_POINTS = [(1.0, 10.0), (2.0, 20.0)]
      "target area must be finite, got inf"),
     ("offshore_depth_extrapolation", (_DEPTH_POINTS, -_INF), errors.DataError,
      "target area must be finite, got -inf"),
+    ("pv_area_required", (1000.0, 5e-324, 0.2), errors.ModelError,
+     "the area of 1000.0 TWh/yr at 0.0 MWh/km2 overflows"),
+    ("pv_area_required", (_INF, 42.8, 0.2), errors.ModelError,
+     "the area of inf TWh/yr at 74985.6 MWh/km2 overflows"),
+    ("potential_fraction", (_INF, 1.0), errors.ModelError,
+     "demand must be finite and >= 0, got inf"),
+    ("potential_fraction", (5e-324, 1.0), errors.ModelError,
+     "demand 5e-324 against potential 1.0 overflows"),
+    ("offshore_depth_extrapolation", (_DEPTH_POINTS, 1e308), errors.ModelError,
+     "the extrapolation to area 1e+308 exceeds the float range"),
+    ("extrapolate", (_LINE, 1e308), errors.ModelError,
+     "the fit at 1e+308 exceeds the float range"),
 ])
 def test_library_refuses_what_it_cannot_compute(name, args, cls, message):
     with pytest.raises(cls) as got:
-        getattr(renewcast, name)(*args)
+        (_MODULE_HELPERS.get(name) or getattr(renewcast, name))(*args)
     assert (type(got.value), str(got.value)) == (cls, message)
+
+
+_PROBES = (_NAN, _INF, -_INF, 0.0, -0.0, -1.0, 1e308, 5e-324)
+
+
+def _probed(value, path=""):
+    """(path, probe, copy) for each float in value, those in plain tuples and
+    lists included, with that float set in turn to each probe; records
+    (NamedTuples and objects) are passed whole."""
+    if isinstance(value, float):
+        for probe in _PROBES:
+            yield path, probe, probe
+    elif isinstance(value, (tuple, list)) and not hasattr(value, "_fields"):
+        for i, item in enumerate(value):
+            for where, probe, copy in _probed(item, f"{path}[{i}]"):
+                yield where, probe, type(value)((*value[:i], copy, *value[i + 1:]))
+
+
+def _finite(value) -> bool:
+    """Whether every float in value, or in its tuples and lists, is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return True
+
+
+def test_every_public_name_keeps_the_exit_code_contract(
+        tmp_path, pv_series, hydro_series, pv_profile, wind_profile, hydro_profile,
+        default_report):
+    # a library call keeps the command line's contract: it returns finite
+    # floats or no floats, or raises the class of an exit code. One valid
+    # call per public callable is replayed with each float argument set in
+    # turn to each probe. A record class returns its arguments as given, so
+    # only what the functions compute is checked
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("horizon = 2050\n", encoding="utf-8")
+    pv_lcoe = corpus.load_series("pv_lcoe")
+    exp_fit, poly_fit = pv_profile.model, hydro_profile.model
+    window = (2000.0, 2019.0)
+    other_curve = learncurve.LearningCurveFit("b", 1.0, -0.2, 1.0, 0.0, (1.0, 10.0), "USD_per_MWh")
+    projection = scenario.CombinedProjection((pv_profile, wind_profile, hydro_profile))
+    calls = {
+        "CapacitySeries": ("toy", "installed_power", "GW", (2000.0, 2001.0), (1.0, 2.0)),
+        "Constant": (1.0, "GW", "a note"),
+        "constant": ("cf_pv",),
+        "dump_series": (pv_series,),
+        "get_constant": ("cf_pv",),
+        "load_capacity_series": (renewcast.dump_series(pv_series),),
+        "make_series": ("pv", "installed_power", "GW", [(2000.0, 1.0), (2001.0, 2.0)]),
+        "TechnologyProfile": ("pv", 0.2, exp_fit),
+        "generation_capability": (100.0, 0.2),
+        "ExponentialFit": (2000.0, 0.0, 0.3, 1.0, 0.0, window),
+        "PiecewiseExponentialFit": (2010.0, exp_fit, exp_fit, 0.0, 1.0, 1.0, window),
+        "PolynomialFit": (2000.0, (1.0, 2.0), 1, 0.0, window),
+        "detect_changepoint": (pv_series, 3, window),
+        "doubling_time": (exp_fit,),
+        "extrapolate": (poly_fit, 2030.0),
+        "fit_exponential": (pv_series, window),
+        "fit_polynomial": (hydro_series, 2, (1990.0, 2019.0)),
+        "past_horizon": (exp_fit, 2030.0),
+        "CostSeries": ("toy", (1.0, 2.0), (3.0, 2.0), "USD_per_MWh"),
+        "LearningCurveFit": ("toy", 2.0, -0.5, 1.0, 0.0, (1.0, 10.0), "USD_per_MWh"),
+        "TimeDecayFit": ("toy", 2010.0, 100.0, 0.9, 1.0, (2010.0, 2019.0), "USD_per_MWh"),
+        "cost_at": (_LEARNING_FIT, 5.0),
+        "cost_series": (pv_lcoe,),
+        "curve_crossing": (_LEARNING_FIT, other_curve),
+        "fit_learning_curve": (learncurve.CostSeries("toy", (1.0, 2.0), (3.0, 2.0), "USD_per_MWh"),),
+        "fit_time_decay": (pv_lcoe,),
+        "join_cost_to_generation": (pv_lcoe, pv_series, 0.256),
+        "learning_rate": (_LEARNING_FIT,),
+        "ScenarioConfig": (None, str(tmp_path), 2050.0),
+        "parse_config": (str(config_file),),
+        "ScenarioReport": (default_report.config, default_report.series),
+        "run_scenario": (renewcast.ScenarioConfig(),),
+        "emit_discrepancies": (renewcast.appendix_discrepancies(),),
+        "write_outputs": (default_report, str(tmp_path / "out")),
+        "emit_figure": (default_report, "fig1"),
+        "AreaBudget": (1.0, 2.0, 3.0),
+        "appendix_discrepancies": (),
+        "offshore_depth_extrapolation": (_DEPTH_POINTS, 3.0),
+        "potential_fraction": (35000.0, 690000.0),
+        "pv_area_required": (35000.0, 42.8, 0.256),
+        "CombinedProjection": ((pv_profile,),),
+        "combine": ([pv_profile, wind_profile],),
+        "crossing_year": (projection, 33000.0, 2050.0),
+        "mix_at_year": (projection, 2030.0),
+        "pv_wind_generation_crossover": (pv_profile, wind_profile),
+    }
+    assert set(calls) == set(renewcast.__all__) - {"__version__"}
+    broken = []
+    for name, args in calls.items():
+        call = getattr(renewcast, name)
+        assert _finite(call(*args)), name
+        for where, probe, probed in _probed(args):
+            try:
+                result = call(*probed)
+            except (errors.ConfigError, errors.DataError, errors.ModelError):
+                continue
+            except Exception as exc:
+                broken.append(f"{name}: args{where} = {probe!r} raises {exc!r}")
+                continue
+            if name == "potential_fraction" and probed[0] == 0:
+                result = result[0]      # times_over is inf at zero demand, as documented
+            if not (isinstance(call, type) or _finite(result)):
+                broken.append(f"{name}: args{where} = {probe!r} returns {result!r}")
+    assert broken == []
 
 
 # the classes that are neither a NamedTuple nor an exception: objects with
@@ -749,13 +875,13 @@ _PUBLIC_NAMES = """
     AreaBudget CapacitySeries CombinedProjection Constant CostSeries ExponentialFit
     LearningCurveFit PiecewiseExponentialFit PolynomialFit ScenarioConfig ScenarioReport
     TechnologyProfile TimeDecayFit appendix_discrepancies combine constant
-    cost_at cost_series crossing_year curve_crossing desert_fraction detect_changepoint
+    cost_at cost_series crossing_year curve_crossing detect_changepoint
     doubling_time dump_series emit_discrepancies emit_figure extrapolate fit_exponential
     fit_learning_curve fit_polynomial fit_time_decay generation_capability get_constant
-    join_cost_to_generation learning_rate load_bundled load_capacity_series make_series
+    join_cost_to_generation learning_rate load_capacity_series make_series
     mix_at_year offshore_depth_extrapolation parse_config past_horizon potential_fraction
-    power_required pv_area_required pv_wind_generation_crossover reduced_primary
-    run_scenario series_to_generation write_outputs __version__
+    pv_area_required pv_wind_generation_crossover
+    run_scenario write_outputs __version__
 """.split()
 
 

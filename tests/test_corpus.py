@@ -48,6 +48,28 @@ def test_made_series_holds_floats():
     assert all(type(x) is float for sample in s.samples for x in sample)
 
 
+@pytest.mark.parametrize("probe", [math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324])
+@pytest.mark.parametrize("column", ["year", "value"])
+def test_made_series_loads_back_from_its_dump(probe, column):
+    # make_series refuses what load_capacity_series refuses in the rows
+    # dump_series writes, so every series it returns loads back
+    samples = [(2000.0, 1.0), (2001.0, 2.0), (2002.0, 4.0)]
+    samples[1] = (probe, 2.0) if column == "year" else (2001.0, probe)
+    rows = "".join(f"{y!r},{v!r}\n" for y, v in samples)
+    try:
+        series = rc.make_series("pv", "installed_power", "GW", samples)
+    except DataError as made:
+        with pytest.raises(DataError) as loaded:
+            rc.load_capacity_series("# kind: installed_power\n# unit: GW\n" + rows)
+        if not math.isfinite(probe):
+            assert str(made) == f"series 'pv': non-finite sample {samples[1]!r}"
+            assert str(loaded.value) == f"line 4: non-finite entry in {rows.split()[1]!r}"
+        return
+    loaded = rc.load_capacity_series(rc.dump_series(series))
+    assert (loaded.years, loaded.values) == (series.years, series.values)
+    assert rc.dump_series(loaded) == rc.dump_series(series)
+
+
 def test_fractional_years_parse():
     text = "# kind: installed_power\n# unit: GW\n2020.5,1\n2021,2\n"
     s = rc.load_capacity_series(text)
@@ -356,23 +378,23 @@ def test_registry_is_read_only():
 # -- reduced primary demand --------------------------------------------------
 
 def test_reduced_primary_registered_value_exact():
-    assert rc.reduced_primary(186000.0) == 106950.0
+    assert corpus.reduced_primary(186000.0) == 106950.0
 
 
 def test_reduced_primary_examples():
-    assert rc.reduced_primary(0.0) == 0.0
-    assert rc.reduced_primary(1000.0) == 575.0
+    assert corpus.reduced_primary(0.0) == 0.0
+    assert corpus.reduced_primary(1000.0) == 575.0
 
 
 def test_reduced_primary_rejects_negative():
     with pytest.raises(ModelError, match=r"^demand must be >= 0, got -1\.0$"):
-        rc.reduced_primary(-1.0)
+        corpus.reduced_primary(-1.0)
 
 
 def test_reduced_primary_is_linear():
     rng = np.random.default_rng(20210610)
     for _ in range(200):
         a, b = rng.uniform(0.0, 1e6, size=2)
-        lhs = rc.reduced_primary(a + b)
-        rhs = rc.reduced_primary(a) + rc.reduced_primary(b)
+        lhs = corpus.reduced_primary(a + b)
+        rhs = corpus.reduced_primary(a) + corpus.reduced_primary(b)
         assert math.isclose(lhs, rhs, rel_tol=1e-12)

@@ -7,6 +7,7 @@ import pytest
 
 import renewcast as rc
 from renewcast.errors import ModelError
+from renewcast.genconvert import power_required, series_to_generation
 
 
 def test_full_utilization():
@@ -24,20 +25,20 @@ def test_zero_power():
 
 def test_single_sample_profile():
     s = rc.make_series("pv", "installed_power", "GW", [(2019, 630.0)])
-    gen = rc.series_to_generation(s, 0.256)
+    gen = series_to_generation(s, 0.256)
     assert gen.samples == ((2019.0, pytest.approx(630.0 * 0.256 * 8.76,
                                                   rel=1e-12)),)
 
 
 def test_shape_preserved():
     s = rc.make_series("toy", "installed_power", "GW", [(2000, 1.0), (2001, 2.0)])
-    gen = rc.series_to_generation(s, 0.5)
+    gen = series_to_generation(s, 0.5)
     assert gen == rc.CapacitySeries("toy", "annual_generation", "TWh_per_year",
                                     (2000.0, 2001.0), (4.38, 8.76))
 
 
 def test_bundled_hydro_capability_at_last_year(hydro_series):
-    gen = rc.series_to_generation(hydro_series, rc.constant("cf_hydro"))
+    gen = series_to_generation(hydro_series, rc.constant("cf_hydro"))
     assert 4200.0 <= gen.values[-1] <= 4800.0
 
 
@@ -49,7 +50,7 @@ def test_capacity_factor_bounds(cf):
     with pytest.raises(ModelError, match=out_of_range):
         rc.TechnologyProfile("x", cf, None)
     with pytest.raises(ModelError, match=out_of_range):
-        rc.series_to_generation(rc.make_series("x", "installed_power", "GW", [(2000, 1.0)]), cf)
+        series_to_generation(rc.make_series("x", "installed_power", "GW", [(2000, 1.0)]), cf)
     with pytest.raises(ModelError, match=out_of_range):
         rc.pv_area_required(1.0, 42.8, cf)
 
@@ -61,7 +62,7 @@ def test_negative_power_rejected():
 
 def test_negative_generation_rejected():
     with pytest.raises(ModelError, match=r"^generation must be >= 0, got -1\.0$"):
-        rc.power_required(-1.0, 0.5)
+        power_required(-1.0, 0.5)
 
 
 def test_linearity():
@@ -79,7 +80,7 @@ def test_round_trip_with_power_required():
     for _ in range(100):
         p = rng.uniform(1e-6, 1e5)
         cf = rng.uniform(0.01, 1.0)
-        back = rc.power_required(rc.generation_capability(p, cf), cf)
+        back = power_required(rc.generation_capability(p, cf), cf)
         assert back == pytest.approx(p, rel=1e-12)
 
 

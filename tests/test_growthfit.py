@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import renewcast as rc
 from renewcast import growthfit
 from renewcast.errors import DataError, ModelError
+from renewcast.genconvert import series_to_generation
 
 
 def _series(samples, kind="installed_power", unit="GW", tech="toy"):
@@ -142,7 +143,7 @@ def test_polynomial_errors():
 
 
 def test_bundled_hydro_quadratic_extrapolation(hydro_series):
-    fit = rc.fit_polynomial(rc.series_to_generation(hydro_series, rc.constant("cf_hydro")), 2)
+    fit = rc.fit_polynomial(series_to_generation(hydro_series, rc.constant("cf_hydro")), 2)
     value_2030 = float(rc.extrapolate(fit, 2030.0))
     assert 6000.0 <= value_2030 <= 7200.0
 

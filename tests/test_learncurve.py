@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import renewcast as rc
+from renewcast.corpus import load_bundled
 from renewcast.errors import DataError, ModelError, RenewcastError
 from renewcast.learncurve import CostSeries
 
@@ -20,14 +21,14 @@ def _year_cost(samples, tech="toy", unit="USD_per_MWh"):
 
 @pytest.fixture(scope="module")
 def pv_learning(pv_series):
-    cost = rc.cost_series(rc.load_bundled("pv_lcoe"))
+    cost = rc.cost_series(load_bundled("pv_lcoe"))
     joined = rc.join_cost_to_generation(cost, pv_series, rc.constant("cf_pv"))
     return rc.fit_learning_curve(joined)
 
 
 @pytest.fixture(scope="module")
 def wind_learning(wind_series):
-    cost = rc.cost_series(rc.load_bundled("wind_lcoe"))
+    cost = rc.cost_series(load_bundled("wind_lcoe"))
     joined = rc.join_cost_to_generation(cost, wind_series, rc.constant("cf_wind"))
     return rc.fit_learning_curve(joined)
 
@@ -81,13 +82,13 @@ def test_join_is_a_stable_sort_by_generation():
 
 
 def test_cost_series_is_the_checked_unit_cost_series():
-    cost = rc.load_bundled("pv_lcoe")
+    cost = load_bundled("pv_lcoe")
     assert rc.cost_series(cost) is cost
     wrong_kind = r"^pv: expected a unit_cost series, got 'installed_power'$"
     with pytest.raises(DataError, match=wrong_kind):
-        rc.cost_series(rc.load_bundled("pv"))
+        rc.cost_series(load_bundled("pv"))
     with pytest.raises(DataError, match=wrong_kind):
-        rc.join_cost_to_generation(rc.load_bundled("pv"), rc.load_bundled("pv"), 0.2)
+        rc.join_cost_to_generation(load_bundled("pv"), load_bundled("pv"), 0.2)
 
 
 def test_twenty_percent_per_doubling_slope():
@@ -119,6 +120,13 @@ def test_doubling_x_multiplies_cost_by_two_to_slope(pv_learning):
 def test_cost_at_rejects_nonpositive(pv_learning):
     with pytest.raises(ModelError, match=r"^cumulative generation must be > 0, got 0\.0$"):
         rc.cost_at(pv_learning, 0.0)
+
+
+@pytest.mark.parametrize("x, shown", [(0.0, r"0\.0"), (-1.0, r"-1\.0"), (math.nan, "nan")])
+def test_cost_at_method_rejects_nonpositive(pv_learning, x, shown):
+    # the method, as fig8 and curve_crossing call it, refuses what the function does
+    with pytest.raises(ModelError, match=rf"^cumulative generation must be > 0, got {shown}$"):
+        pv_learning.cost_at(x)
 
 
 # -- crossing ------------------------------------------------------------------
@@ -177,7 +185,7 @@ def test_axis_rescaling_invariance():
 
 
 def test_learning_rate_invariant_under_rescaling(pv_series):
-    cost = rc.cost_series(rc.load_bundled("pv_lcoe"))
+    cost = rc.cost_series(load_bundled("pv_lcoe"))
     joined = rc.join_cost_to_generation(cost, pv_series, rc.constant("cf_pv"))
     base_rate = rc.learning_rate(rc.fit_learning_curve(joined))
     for k in (0.5, 42.0):
@@ -246,15 +254,15 @@ def test_bundled_pv_cost_at_stated_2030_generation(pv_learning):
 
 
 def test_bundled_time_decays():
-    pv = rc.fit_time_decay(rc.cost_series(rc.load_bundled("pv_lcoe")))
-    wind = rc.fit_time_decay(rc.cost_series(rc.load_bundled("wind_lcoe")))
+    pv = rc.fit_time_decay(rc.cost_series(load_bundled("pv_lcoe")))
+    wind = rc.fit_time_decay(rc.cost_series(load_bundled("wind_lcoe")))
     assert 0.75 <= pv.decay <= 0.85
     # PV's cost falls faster over time than wind's
     assert pv.decay < wind.decay
 
 
 def test_bundled_battery_2030_band():
-    battery = rc.fit_time_decay(rc.cost_series(rc.load_bundled("battery")))
+    battery = rc.fit_time_decay(rc.cost_series(load_bundled("battery")))
     assert 7.0 <= battery.cost_at_year(2030.0) <= 13.0
     assert battery.cost_unit == "USD_per_kWh"
 

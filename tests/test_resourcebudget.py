@@ -44,18 +44,18 @@ def test_area_errors():
 
 
 def test_desert_fraction_examples():
-    assert rc.desert_fraction(34.93e6) == pytest.approx(1.0, rel=1e-12)
-    assert rc.desert_fraction(0.0) == 0.0
+    assert resourcebudget.desert_fraction(34.93e6) == pytest.approx(1.0, rel=1e-12)
+    assert resourcebudget.desert_fraction(0.0) == 0.0
     # the stated area itself occupies 1.024%, not the stated 1.21%
-    assert rc.desert_fraction(357667.0) == pytest.approx(0.01024, abs=5e-6)
+    assert resourcebudget.desert_fraction(357667.0) == pytest.approx(0.01024, abs=5e-6)
 
 
 def test_desert_fraction_linear():
     rng = np.random.default_rng(23)
     for _ in range(50):
         a, b = rng.uniform(0.0, 1e7, size=2)
-        assert rc.desert_fraction(a + b) == pytest.approx(
-            rc.desert_fraction(a) + rc.desert_fraction(b), rel=1e-12)
+        assert resourcebudget.desert_fraction(a + b) == pytest.approx(
+            resourcebudget.desert_fraction(a) + resourcebudget.desert_fraction(b), rel=1e-12)
 
 
 def test_potential_fraction_examples():
@@ -75,15 +75,15 @@ def test_potential_fraction_zero_demand():
     assert times == math.inf
 
 
-@pytest.mark.parametrize("potential", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("potential", [0.0, -1.0, math.nan, math.inf])
 def test_potential_must_be_positive(potential):
     # a nan potential would otherwise give (nan, nan)
-    with pytest.raises(DataError, match=r"^potential must be > 0, got "):
+    with pytest.raises(DataError, match=r"^potential must be finite and > 0, got "):
         rc.potential_fraction(1.0, potential)
 
 
 def test_potential_fraction_refuses_negative_demand():
-    with pytest.raises(ModelError, match=r"^demand must be >= 0, got -1\.0$"):
+    with pytest.raises(ModelError, match=r"^demand must be finite and >= 0, got -1\.0$"):
         rc.potential_fraction(-1.0, 10.0)
 
 
@@ -135,9 +135,13 @@ def test_depth_extrapolation_needs_points():
 @pytest.mark.parametrize("points, shown", [
     ([(1.0, 10.0), (0.0, 20.0)], r"\(0\.0, 20\.0\)"),
     ([(1.0, 10.0), (2.0, -5.0)], r"\(2\.0, -5\.0\)"),
+    ([(math.nan, 10.0), (2.0, 20.0)], r"\(nan, 10\.0\)"),
+    ([(1.0, 10.0), (2.0, math.inf)], r"\(2\.0, inf\)"),
+    ([(math.inf, 10.0), (2.0, 20.0)], r"\(inf, 10\.0\)"),
 ])
 def test_depth_extrapolation_refuses_nonpositive_points(points, shown):
-    with pytest.raises(DataError, match=rf"^area and potential must be > 0, got {shown}$"):
+    with pytest.raises(DataError,
+                       match=rf"^area and potential must be finite and > 0, got {shown}$"):
         rc.offshore_depth_extrapolation(points, 3.0)
 
 

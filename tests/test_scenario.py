@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import renewcast as rc
 from renewcast import scenario
 from renewcast.config import MAX_HORIZON
+from renewcast.corpus import load_bundled
 from renewcast.errors import ModelError
 from renewcast.growthfit import ExponentialFit, PolynomialFit
 
@@ -146,7 +147,7 @@ def test_step_projection_never_meets_level():
 
 def _quartic_hydro_profile():
     # a quartic hydro fit turns negative inside the default horizon
-    series = rc.load_bundled("hydro")
+    series = load_bundled("hydro")
     return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), rc.fit_polynomial(series, 4))
 
 
@@ -270,7 +271,7 @@ def test_proven_path_equals_lattice_scan(case, pick, scale, at):
 
 
 def _cubic_hydro_profile():
-    series = rc.load_bundled("hydro")
+    series = load_bundled("hydro")
     return rc.TechnologyProfile("hydro", rc.constant("cf_hydro"), rc.fit_polynomial(series, 3))
 
 

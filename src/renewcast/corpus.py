@@ -28,8 +28,6 @@ from typing import NamedTuple
 
 from .errors import DataError, ModelError
 
-HOURS_PER_YEAR = 8760.0
-
 # Units accepted for each quantity kind. installed_power and unit_cost series
 # feed log-space fits, so their values must be strictly positive at load.
 _KIND_UNITS = {
@@ -198,7 +196,6 @@ BUNDLED_DATASETS = {
     "pv_lcoe": "pv_lcoe_usd_mwh.csv",
     "wind_lcoe": "wind_lcoe_usd_mwh.csv",
     "battery": "battery_pack_cost_usd_kwh.csv",
-    "offshore_depth": "offshore_depth_potential.csv",
 }
 
 # series dataset -> the (quantity kind, unit) its file must declare
@@ -258,6 +255,9 @@ class Constant(NamedTuple):
     citation: str
 
 
+_AREA_NOTE = (": a stand-in, calibrated once against the registered <1000 m offshore "
+              "potential, because no source tabulates the areas")
+
 # Fixed input numbers of the bundled reference scenario. Values are registered
 # verbatim and never recomputed; the discrepancy checker re-derives whatever
 # can be re-derived and reports deviations instead of reconciling them.
@@ -304,6 +304,10 @@ _CONSTANTS: dict[str, Constant] = {
     "offshore_1000m": Constant(301085.0, "TWh_per_year",
         "offshore wind potential extrapolated to 1000 m water depth for "
         "floating turbines (after Kausche et al. 2018)"),
+    "offshore_area_20m": Constant(2.75, "million_km2", "sea area < 20 m deep" + _AREA_NOTE),
+    "offshore_area_50m": Constant(6.2, "million_km2", "sea area < 50 m deep" + _AREA_NOTE),
+    "offshore_area_200m": Constant(12.8, "million_km2", "sea area < 200 m deep" + _AREA_NOTE),
+    "offshore_area_1000m": Constant(20.07, "million_km2", "sea area < 1000 m deep" + _AREA_NOTE),
     "wind_total_potential_as_stated": Constant(301775.0, "TWh_per_year",
         "combined onshore+offshore wind potential as stated in the reference "
         "scenario (inconsistent with its own addends; reported, not fixed)"),
@@ -392,6 +396,7 @@ _CONSTANTS: dict[str, Constant] = {
         "reference scenario: 2030 PV generation cost stated as far below "
         "this value"),
 }
+HOURS_PER_YEAR = _CONSTANTS["hours_per_year"].value
 
 
 def get_constant(name: str) -> Constant:

@@ -1,7 +1,7 @@
 """Installed power to annual generation capability via capacity factors.
 
 One global average capacity factor per technology, applied uniformly;
-8760 h/yr with no leap correction. The regional spread behind the averages
+HOURS_PER_YEAR h/yr, no leap correction. The regional spread behind the averages
 is deliberately out of scope. TechnologyProfile(name, capacity_factor, model)
 and series_to_generation(series, capacity_factor) check the capacity factor.
 """

@@ -79,10 +79,12 @@ class LearningCurveFit(NamedTuple):
         if not x > 0:
             raise ModelError(f"cumulative generation must be > 0, got {x!r}")
         try:
-            return 10.0 ** (self.log10_intercept + self.log10_slope * math.log10(x))
+            cost = 10.0 ** (self.log10_intercept + self.log10_slope * math.log10(x))
         except OverflowError:
-            raise ModelError(f"the {self.technology} learning curve overflows at x = "
-                             f"{x:g}") from None
+            cost = math.inf
+        if not cost < math.inf:
+            raise ModelError(f"the {self.technology} learning curve overflows at x = {x:g}")
+        return cost
 
 
 class TimeDecayFit(NamedTuple):

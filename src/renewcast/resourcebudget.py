@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .corpus import HOURS_PER_YEAR, constant, get_constant, read_dataset, reduced_primary
+from .corpus import HOURS_PER_YEAR, constant, get_constant, reduced_primary
 from .errors import DataError, ModelError
 from .genconvert import _check_cf
 from .growthfit import ols
@@ -28,7 +28,7 @@ def pv_area_required(demand_twh: float, density_mw_km2: float,
                      capacity_factor: float) -> float:
     """km2 of PV plants needed to generate demand_twh per year.
 
-    area = demand * 1e6 / (density * cf * 8760): the denominator is the
+    area = demand * 1e6 / (density * cf * HOURS_PER_YEAR): the denominator is the
     annual MWh yield of one km2.
     """
     if not demand_twh >= 0:
@@ -78,8 +78,8 @@ def offshore_depth_extrapolation(points, target_area) -> float:
     for x, p in points:
         if not (0 < x < math.inf and 0 < p < math.inf):
             raise DataError(f"area and potential must be finite and > 0, got ({x!r}, {p!r})")
-    if not math.isfinite(target_area):
-        raise DataError(f"target area must be finite, got {target_area!r}")
+    if not 0 <= target_area < math.inf:
+        raise DataError(f"target area must be finite and >= 0, got {target_area!r}")
     slope, xm, ym, _, _ = ols([float(x) for x, _ in points],
                               [float(p) for _, p in points])
     potential = (ym - slope * xm) + slope * float(target_area)
@@ -89,23 +89,9 @@ def offshore_depth_extrapolation(points, target_area) -> float:
 
 
 def load_offshore_depth_fixture():
-    """Bundled (depth, area, potential) table -> ((area, potential) points,
-    target area for the deepest row)."""
-    points, target = [], None
-    for n, line in enumerate(read_dataset("offshore_depth").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"line {n}: expected depth,area,potential")
-        area = float(parts[1])
-        if parts[2].strip() == "":
-            target = area
-        else:
-            points.append((area, float(parts[2])))
-    if target is None:
-        raise DataError("fixture has no extrapolation-target row")
-    return points, target
+    """Registered (area, potential) points to 200 m deep, and the target area to 1000 m."""
+    return ([(constant(f"offshore_area_{d}m"), constant(f"offshore_{d}m")) for d in (20, 50, 200)],
+            constant("offshore_area_1000m"))
 
 
 def reference_budget(cf_pv: float) -> dict:

@@ -270,8 +270,7 @@ def test_negative_hydro_generation_fails_only_what_reads_it(tmp_path, capsys):
 def _copy_bundled_data(data):
     data.mkdir()
     for name, fname in corpus.BUNDLED_DATASETS.items():
-        if name != "offshore_depth":
-            (data / fname).write_text(corpus.read_dataset(name), encoding="utf-8")
+        (data / fname).write_text(corpus.read_dataset(name), encoding="utf-8")
 
 
 @pytest.mark.parametrize("unreadable", ["not utf-8", "a directory"])
@@ -622,11 +621,11 @@ _MODULE_HELPERS = {"reduced_primary": corpus.reduced_primary,
     ("desert_fraction", (-1.0,), errors.ModelError, "area must be >= 0, got -1.0"),
     ("desert_fraction", (_NAN,), errors.ModelError, "area must be >= 0, got nan"),
     ("offshore_depth_extrapolation", (_DEPTH_POINTS, _NAN), errors.DataError,
-     "target area must be finite, got nan"),
+     "target area must be finite and >= 0, got nan"),
     ("offshore_depth_extrapolation", (_DEPTH_POINTS, _INF), errors.DataError,
-     "target area must be finite, got inf"),
+     "target area must be finite and >= 0, got inf"),
     ("offshore_depth_extrapolation", (_DEPTH_POINTS, -_INF), errors.DataError,
-     "target area must be finite, got -inf"),
+     "target area must be finite and >= 0, got -inf"),
     ("pv_area_required", (1000.0, 5e-324, 0.2), errors.ModelError,
      "the area of 1000.0 TWh/yr at 0.0 MWh/km2 overflows"),
     ("pv_area_required", (_INF, 42.8, 0.2), errors.ModelError,
@@ -639,6 +638,12 @@ _MODULE_HELPERS = {"reduced_primary": corpus.reduced_primary,
      "the extrapolation to area 1e+308 exceeds the float range"),
     ("extrapolate", (_LINE, 1e308), errors.ModelError,
      "the fit at 1e+308 exceeds the float range"),
+    ("cost_at", (_LEARNING_FIT._replace(log10_slope=0.5), _INF), errors.ModelError,
+     "the toy learning curve overflows at x = inf"),
+    ("cost_at", (_LEARNING_FIT._replace(log10_slope=0.0), _INF), errors.ModelError,
+     "the toy learning curve overflows at x = inf"),
+    ("offshore_depth_extrapolation", (_DEPTH_POINTS, -1.0), errors.DataError,
+     "target area must be finite and >= 0, got -1.0"),
 ])
 def test_library_refuses_what_it_cannot_compute(name, args, cls, message):
     with pytest.raises(cls) as got:

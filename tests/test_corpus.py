@@ -290,6 +290,13 @@ def test_every_bundled_dataset_is_a_plain_file():
         assert os.path.isfile(corpus.bundled_path(name)), name
 
 
+def test_the_package_ships_only_its_listed_datasets():
+    # every bundled dataset is a series; fixed numbers live in the registry
+    assert corpus.BUNDLED_DATASETS.keys() == corpus.SERIES_SCHEMAS.keys()
+    data_dir = os.path.dirname(corpus.bundled_path("pv"))
+    assert sorted(os.listdir(data_dir)) == sorted(corpus.BUNDLED_DATASETS.values())
+
+
 # -- constants registry ------------------------------------------------------
 
 # Checked-in citation table: every registered input constant with its value
@@ -311,6 +318,10 @@ CORE_CONSTANTS = {
     "offshore_50m": (92500.0, "TWh_per_year"),
     "offshore_200m": (192000.0, "TWh_per_year"),
     "offshore_1000m": (301085.0, "TWh_per_year"),
+    "offshore_area_20m": (2.75, "million_km2"),
+    "offshore_area_50m": (6.2, "million_km2"),
+    "offshore_area_200m": (12.8, "million_km2"),
+    "offshore_area_1000m": (20.07, "million_km2"),
     "wind_total_potential_as_stated": (301775.0, "TWh_per_year"),
     "hours_per_year": (8760.0, "h"),
     "swanson_learning_rate": (0.20, "fraction_per_doubling"),

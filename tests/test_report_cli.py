@@ -202,8 +202,6 @@ def test_below_floor_cost_warning(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     for name, fname in corpus.BUNDLED_DATASETS.items():
-        if name == "offshore_depth":
-            continue
         (data / fname).write_text(corpus.read_dataset(name), encoding="utf-8")
     (data / "pv_lcoe_usd_mwh.csv").write_text(
         "# fictional steep decline\n"

@@ -7,6 +7,7 @@ artifacts are deterministic for a given config and dataset set.
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -283,5 +284,25 @@ def main(argv=None) -> int:
         return _error(2, f"config error: cannot write to standard output: {exc}")
 
 
+def run():
+    """The process entry (python -m renewcast.cli, the renewcast script): main(),
+    then the exit of a finished process without the interpreter's teardown,
+    which frees every object only for the process to end. The atexit hooks
+    run and stdout and stderr are flushed first; a failed flush exits 120, as
+    CPython's own finalization does. Any exception but SystemExit propagates."""
+    try:
+        code = main()
+    except SystemExit as exc:  # -h and usage errors, with int codes
+        code = exc.code
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when started with it closed
+                stream.flush()
+        except OSError:
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

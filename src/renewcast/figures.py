@@ -72,16 +72,18 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
 
     if figure_id in _CAPACITY_FIGURES:
         name, title, drawn = _CAPACITY_FIGURES[figure_id]
-        fits = [(report.profiles[p].model, color, label) for p, color, label in drawn]
         xs, ys = series[name].years, series[name].values
         x_hi = math.ceil(xs[-1]) + 1
+        lines = []  # each fit evaluated once, for both charts
+        for profile, color, label in drawn:
+            model = report.profiles[profile].model
+            lines.append((*_line_points(model, model.window[0], x_hi - 1), color, label))
         charts = _lin_log_pair(title, Axis("year", "linear", math.floor(xs[0]), x_hi),
                                "installed power [GW]", max(ys) * 1.15,
                                *_decades(min(ys), max(ys)))
         for chart in charts:
             chart.add_points(xs, ys, "#222222", "data")
-            for model, color, label in fits:
-                lx, ly = _line_points(model, model.window[0], x_hi - 1)
+            for lx, ly, color, label in lines:
                 chart.add_line(lx, ly, color, label, dashed=True)
         return render(charts, title)
 

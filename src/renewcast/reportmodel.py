@@ -279,6 +279,7 @@ class ScenarioReport:
         """Appendix recomputations plus the scenario-level rows, sorted by
         |relative deviation| descending."""
         from . import resourcebudget
+        from .scenario import plain_sum
         rows = list(resourcebudget.appendix_discrepancies())
         for year_key in ("2025", "2030"):
             if year_key not in self.mixes:
@@ -292,7 +293,7 @@ class ScenarioReport:
             if year_key == "2025":
                 rows.append(resourcebudget.discrepancy_row(
                     "mix_2025_total_twh", "stated_mix_2025_total",
-                    sum(generation.values())))
+                    plain_sum(generation.values())))
         rows.append(resourcebudget.discrepancy_row(
             "battery_cost_2030_usd_per_kwh", "stated_battery_cost_2030",
             self.battery_cost_2030))

@@ -32,6 +32,16 @@ CROSSED = "crossed"
 NOT_REACHED = "not_reached"
 
 
+def plain_sum(values) -> float:
+    """values added left to right, as builtins.sum adds floats before Python
+    3.12; from 3.12 it compensates, which can change the last bit of a total
+    and so the bytes of an artifact."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class CombinedProjection:
     """Sum of per-technology generation extrapolations."""
 
@@ -59,7 +69,7 @@ class CombinedProjection:
         return [(p.name, v) for p, v in zip(self.components, self._generation(year))]
 
     def value(self, year: float) -> float:
-        return sum(self._generation(year))
+        return plain_sum(self._generation(year))
 
 
 def combine(profiles) -> CombinedProjection:
@@ -141,7 +151,7 @@ class MixEntry(NamedTuple):
 def mix_at_year(projection: CombinedProjection, year: float) -> list[MixEntry]:
     """Per-technology generation and percentage shares at one year."""
     parts = projection.component_values(year)
-    total = sum(v for _, v in parts)
+    total = plain_sum(v for _, v in parts)
     if not 0.0 < total < math.inf:
         raise ModelError(f"total generation at {year:g} is {total!r} TWh/yr; "
                          "the shares are not finite")

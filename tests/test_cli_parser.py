@@ -1,6 +1,7 @@
 """The command line reads argv, and prints usage, help and errors, as the
-argparse parser it replaced did: pinned texts, an argparse oracle, and the
-exit code of a failed write to standard output."""
+argparse parser it replaced did: pinned texts, an argparse oracle, the
+exit code of a failed write to standard output, and a process that ends as
+main() returns."""
 
 import argparse
 import contextlib
@@ -282,3 +283,47 @@ def test_an_error_exit_keeps_its_code_when_stderr_cannot_be_written(tmp_path, ar
                               stdout=full if stdout_full else subprocess.PIPE, stderr=full,
                               cwd=tmp_path, env=_src_env(**unbuffered), timeout=60)
     assert done.returncode == code
+
+
+def _run_process(args, tmp_path):
+    """(exit code, stdout, stderr) of a python process with args, stdout and
+    stderr to pipes, PYTHONUNBUFFERED unset."""
+    done = subprocess.run([sys.executable, *args], capture_output=True, cwd=tmp_path,
+                          env=_src_env(), timeout=60)
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "pv"], ["project", "wind", "--year", "2030"],
+    ["cross", "--threshold", "electric_fig5"], ["mix", "--year", "2025"], ["learn"],
+    ["budget"], ["report"], ["figures", "--id", "fig1"], ["-h"], ["fit", "bogus"],
+], ids=" ".join)
+def test_a_process_prints_and_exits_as_main_does(tmp_path, argv):
+    # the process ends with os._exit once its output is flushed, so nothing
+    # buffered may be lost on the way
+    argv = ["--out", str(tmp_path / "out"), *argv]
+    assert _run_process(["-m", "renewcast.cli", *argv], tmp_path) == _call(argv)
+
+
+@pytest.mark.parametrize("argv", [["fit", "pv"], ["fit", "bogus"]], ids=" ".join)
+def test_atexit_hooks_run_before_the_process_ends(tmp_path, argv):
+    # the hook writes to a block-buffered pipe after main() has flushed it
+    hooked = ("import atexit, runpy; atexit.register(print, 'hook ran'); "
+              "runpy.run_module('renewcast.cli', run_name='__main__')")
+    argv = ["--out", str(tmp_path / "out"), *argv]
+    code, stdout, stderr = _call(argv)
+    assert _run_process(["-c", hooked, *argv], tmp_path) == (code, stdout + "hook ran\n",
+                                                             stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_flush_that_fails_after_the_hooks_exits_120_as_python_does(tmp_path):
+    hooked = "import atexit, runpy; atexit.register(print, 'hook ran'); "
+    codes = []
+    for ending in ("runpy.run_module('renewcast.cli', run_name='__main__')",
+                   "raise SystemExit(2)"):
+        with open("/dev/full", "w") as full:
+            codes.append(subprocess.run([sys.executable, "-c", hooked + ending, "fit", "bogus"],
+                                        stdout=full, stderr=subprocess.DEVNULL,
+                                        env=_src_env(), timeout=60).returncode)
+    assert codes == [120, 120]

@@ -391,6 +391,35 @@ def test_mix_shares_sum_to_100(pv_profile, wind_profile, hydro_profile):
                                                                   abs=1e-9)
 
 
+class _Flat:
+    """A growth model whose installed power is gw in every year."""
+
+    def __init__(self, gw):
+        self.window, self.gw = (2000.0, 2010.0), gw
+
+    def value_at(self, year):
+        return self.gw
+
+
+def test_totals_are_added_left_to_right_on_every_python():
+    # builtins.sum compensates from Python 3.12; these generations have
+    # different plain and compensated totals
+    gens = [0.1, 0.2, 0.3]
+    plain = 0.1 + 0.2 + 0.3
+    assert plain != math.fsum(gens)
+    proj = rc.combine([rc.TechnologyProfile(name, 1.0, _Flat(twh * 1000.0 / 8760))
+                       for name, twh in zip(("pv", "wind", "hydro"), gens)])
+    assert [v for _, v in proj.component_values(2005.0)] == gens
+    assert proj.value(2005.0) == plain
+    assert [e.share_pct for e in rc.mix_at_year(proj, 2005.0)] == [
+        100.0 * g / plain for g in gens]
+    report = rc.run_scenario(rc.ScenarioConfig())
+    report.__dict__["mixes"] = {"2025": [scenario.MixEntry(name, twh, 0.0) for name, twh in
+                                         zip(("pv", "wind", "hydro"), gens)]}
+    (total,) = (d.computed for d in report.discrepancies if d.name == "mix_2025_total_twh")
+    assert total == plain
+
+
 def test_bundled_mix_ordering_2030(pv_profile, wind_profile, hydro_profile):
     proj = rc.combine([pv_profile, wind_profile, hydro_profile])
     by_name = {e.technology: e.generation_twh_per_year

@@ -11,8 +11,9 @@ from .errors import ConfigError
 
 # Latest accepted horizon or evaluation year; it bounds the crossing grid.
 MAX_HORIZON = 2200.0
-# Highest accepted hydro_degree: on the bundled hydro series the fit's and
-# numpy polyfit's coefficients agree to 3e-14 up to degree 5, 1.3e-12 at 6.
+# Highest accepted hydro_degree: on the bundled hydro series the fit's
+# coefficients are within 7.0e-14 of the exact least-squares solution
+# (relative) up to degree 5, and 5.7e-13 at 6.
 MAX_HYDRO_DEGREE = 5
 
 WIND_TREATMENTS = ("trend", "piecewise", "rebound")

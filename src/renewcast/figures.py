@@ -160,8 +160,8 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
         while x <= x_hi * 1.0001:
             xs.append(x)
             x *= 1.2589254117941673  # 10**0.1
-        lines = [(xs, [report.learning[f"{tech}_learning_curve"].cost_at(x) for x in xs])
-                 for tech, _ in _PV_WIND]
+        curves = [report.learning[f"{tech}_learning_curve"] for tech, _ in _PV_WIND]
+        lines = [(xs, [curve.cost_at(x) for x in xs]) for curve in curves]
         chart = Chart("learning curves vs cumulative generation capability",
                       Axis("cumulative generation capability [TWh/yr]", "log", 10.0, x_hi),
                       Axis("LCOE [USD/MWh]", "log", 1.0, 1000.0),

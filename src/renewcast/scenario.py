@@ -124,7 +124,8 @@ def crossing_year(projection: CombinedProjection, level: float,
         hit = bisect_left(range(n), True, 1, n,
                           key=lambda i: projection.value(year_of(i)) >= level)
     else:
-        hit = next(i for i, v in enumerate(values) if v >= level)
+        # no lattice value meets the level only when values[n] is nan
+        hit = next((i for i, v in enumerate(values) if v >= level), n)
     lo, hi = year_of(hit - 1), year_of(hit)
     while hi - lo > YEAR_TOLERANCE:
         mid = 0.5 * (lo + hi)
@@ -134,6 +135,8 @@ def crossing_year(projection: CombinedProjection, level: float,
             hi = mid
     year = 0.5 * (lo + hi)
     value = projection.value(year)
+    if not math.isfinite(value):
+        raise ModelError(f"the projection is not finite ({value!r} at {year:g})")
     if abs(value - level) > LEVEL_TOLERANCE * level:
         raise ModelError(
             f"projection jumps past {level:g} at {year:g} (value {value:g}); "

@@ -15,8 +15,9 @@ expected to stay red on the bundled data (see README, "Known deviations"):
 """
 
 import math
+import random
+from itertools import accumulate
 
-import numpy as np
 import pytest
 
 import renewcast as rc
@@ -168,23 +169,22 @@ def test_c11_discrepancy_recomputations(rep):
 
 
 def test_c12_fit_recovery_property():
-    rng = np.random.default_rng(20260810)
+    rng = random.Random(20260810)
     worst_param = 0.0
     worst_doubling = 0.0
     for _ in range(1000):
         t0 = rng.uniform(1950.0, 2030.0)
         a = rng.uniform(-4.0, 4.0)
         b = rng.uniform(0.01, 1.0)
-        n = int(rng.integers(3, 25))
-        years = t0 + np.sort(rng.choice(np.arange(0.0, 60.0), size=n,
-                                        replace=False))
-        samples = [(float(y), math.exp(a + b * (y - t0))) for y in years]
+        n = rng.randint(3, 24)
+        years = [t0 + k for k in sorted(rng.sample(range(60), n))]
+        samples = [(y, math.exp(a + b * (y - t0))) for y in years]
         series = rc.make_series("r", "installed_power", "GW", samples)
         fit = rc.fit_exponential(series)
         worst_param = max(worst_param, abs(fit.ln_slope - b) / b,
                           abs(fit.value_at(t0) - math.exp(a)) / math.exp(a))
         td = rc.doubling_time(fit)
-        t_probe = float(years[-1]) + rng.uniform(0.0, 20.0)
+        t_probe = years[-1] + rng.uniform(0.0, 20.0)
         lhs = float(rc.extrapolate(fit, t_probe + td))
         rhs = 2.0 * float(rc.extrapolate(fit, t_probe))
         worst_doubling = max(worst_doubling, abs(lhs - rhs) / rhs)
@@ -194,7 +194,7 @@ def test_c12_fit_recovery_property():
 
 
 def test_c13_bisection_equals_closed_form():
-    rng = np.random.default_rng(987654)
+    rng = random.Random(987654)
     worst = 0.0
     checked = 0
     while checked < 200:
@@ -220,7 +220,7 @@ def test_c13_bisection_equals_closed_form():
 
 
 def test_c14_identity_properties(rep):
-    rng = np.random.default_rng(31415)
+    rng = random.Random(31415)
 
     worst_area = 0.0
     for _ in range(200):
@@ -240,20 +240,17 @@ def test_c14_identity_properties(rep):
 
     sse_ok = True
     for _ in range(50):
-        n = int(rng.integers(8, 24))
-        values = np.exp(np.cumsum(rng.normal(0.0, 0.4, size=n)) + 1.0)
+        n = rng.randint(8, 23)
+        walk = accumulate(rng.gauss(0.0, 0.4) for _ in range(n))
         series = rc.make_series("r", "installed_power", "GW",
-                                [(2000.0 + k, float(v))
-                                 for k, v in enumerate(values)])
+                                [(2000.0 + k, math.exp(z + 1.0))
+                                 for k, z in enumerate(walk)])
         piecewise = rc.detect_changepoint(series, 3)
         sse_ok &= piecewise.sse_piecewise <= piecewise.sse_single * (1 + 1e-12)
 
     worst_slope = 0.0
-    base_samples = [(float(x), float(c)) for x, c in
-                    zip(np.cumsum(rng.uniform(10, 50, size=9)),
-                        np.exp(rng.normal(3.0, 0.5, size=9)))]
-    base_x = tuple(x for x, _ in base_samples)
-    base_costs = tuple(c for _, c in base_samples)
+    base_x = tuple(accumulate(rng.uniform(10, 50) for _ in range(9)))
+    base_costs = tuple(math.exp(rng.gauss(3.0, 0.5)) for _ in range(9))
     base = rc.fit_learning_curve(CostSeries("r", base_x, base_costs, "USD_per_MWh"))
     for k in (1e-3, 0.25, 7.0, 1e5):
         scaled = rc.fit_learning_curve(CostSeries(

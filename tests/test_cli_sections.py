@@ -919,17 +919,23 @@ def test_package_exports_unchanged():
 
 def test_no_subcommand_imports_numpy(tmp_path):
     # every subcommand, all figures included, in one process; the last
-    # stdout line reports the exit codes and whether numpy was imported
+    # stdout line reports the exit codes and the modules the calls added to
+    # sys.modules. Each must be renewcast's own or the standard library's,
+    # so numpy is refused whether or not it is installed. Taking the
+    # difference leaves out what site imported before the probe ran, such
+    # as the imports of a .pth file.
     argvs = [*(["fit", tech] for tech in _TECHS), ["project", "hydro", "--year", "2040"],
              ["cross", "--threshold", "electric_fig5"], ["mix", "--year", "2030"],
              ["learn"], ["budget"], ["report"], ["figures"]]
-    probe = ("import json, sys; from renewcast.cli import main; "
+    probe = ("import json, sys; before = set(sys.modules); from renewcast.cli import main; "
              "codes = [main(['--out', sys.argv[1], *a]) for a in json.loads(sys.argv[2])]; "
-             "print(json.dumps([codes, 'numpy' in sys.modules]))")
+             "print(json.dumps([codes, sorted(set(sys.modules) - before)]))")
     done = _run_python("-c", probe, str(tmp_path), json.dumps(argvs))
-    codes, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    codes, added = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
-    assert not numpy_loaded
+    assert "renewcast.figures" in added
+    allowed = {"renewcast", *sys.stdlib_module_names}
+    assert [name for name in added if name.partition(".")[0] not in allowed] == []
 
 
 _YEARS = st.floats(2021.0, 2200.0)

@@ -2,13 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
+from itertools import accumulate
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renewcast as rc
+from exactfit import U, ols_reference
 from renewcast import growthfit
 from renewcast.errors import DataError, ModelError
 from renewcast.genconvert import series_to_generation
@@ -83,22 +85,21 @@ def test_fit_is_deterministic(pv_series):
 
 
 def test_fit_recovery_random_noiseless():
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     for _ in range(50):
         t0 = rng.uniform(1980, 2020)
         a = rng.uniform(-3, 3)
         b = rng.uniform(0.02, 0.9)
-        years = t0 + np.sort(rng.choice(np.arange(0, 40), size=8, replace=False))
-        samples = [(float(y), math.exp(a + b * (y - t0))) for y in years]
+        years = [t0 + k for k in sorted(rng.sample(range(40), 8))]
+        samples = [(y, math.exp(a + b * (y - t0))) for y in years]
         fit = rc.fit_exponential(_series(samples))
         assert fit.ln_slope == pytest.approx(b, rel=1e-9)
         assert fit.value_at(t0) == pytest.approx(math.exp(a), rel=1e-9)
 
 
 def test_scale_equivariance():
-    rng = np.random.default_rng(7)
-    samples = [(2000.0 + k, float(v))
-               for k, v in enumerate(rng.uniform(0.5, 20.0, size=12))]
+    rng = random.Random(7)
+    samples = [(2000.0 + k, rng.uniform(0.5, 20.0)) for k in range(12)]
     base = rc.fit_exponential(_series(samples))
     for c in (0.001, 3.7, 1e6):
         scaled = rc.fit_exponential(_series([(y, c * v) for y, v in samples]))
@@ -108,9 +109,8 @@ def test_scale_equivariance():
 
 
 def test_time_shift_equivariance():
-    rng = np.random.default_rng(8)
-    samples = [(2000.0 + k, float(v))
-               for k, v in enumerate(rng.uniform(0.5, 20.0, size=12))]
+    rng = random.Random(8)
+    samples = [(2000.0 + k, rng.uniform(0.5, 20.0)) for k in range(12)]
     base = rc.fit_exponential(_series(samples))
     for delta in (-250.0, 13.5, 1000.0):
         shifted = rc.fit_exponential(_series([(y + delta, v) for y, v in samples]))
@@ -159,30 +159,26 @@ def _synthetic_regime_series():
     return _series(samples)
 
 
-def _ols_sse(t, v):
-    t = np.asarray(t, float)
-    v = np.asarray(v, float)
-    tm, vm = t.mean(), v.mean()
-    slope = ((t - tm) * (v - vm)).sum() / ((t - tm) ** 2).sum()
-    resid = v - (vm + slope * (t - tm))
-    return float((resid * resid).sum())
-
-
 def test_synthetic_changepoint_location_and_oracle():
     s = _synthetic_regime_series()
     piecewise = rc.detect_changepoint(s, min_segment=3)
     assert piecewise.changepoint_year in (2009.0, 2010.0)
     assert piecewise.improvement_ratio >= 0.5
 
-    # independent exhaustive enumeration of every split
-    t = np.array(s.years)
-    lnv = np.log(s.values)
+    # independent exhaustive enumeration of every split, each side's sse
+    # exact and with the bound on ols's rounding of it
+    t = s.years
+    lnv = [math.log(v) for v in s.values]
     totals = {}
     for k in range(3, len(t) - 2):
-        totals[float(t[k])] = _ols_sse(t[:k], lnv[:k]) + _ols_sse(t[k:], lnv[k:])
-    best_year = min(totals, key=lambda y: (totals[y], y))
+        (left, left_bound), (right, right_bound) = (ols_reference(t[:k], lnv[:k]),
+                                                    ols_reference(t[k:], lnv[k:]))
+        totals[t[k]] = left[3] + right[3], left_bound[3] + right_bound[3]
+    best_year = min(totals, key=lambda y: (totals[y][0], y))
     assert piecewise.changepoint_year == best_year
-    assert piecewise.sse_piecewise == pytest.approx(totals[best_year], rel=1e-9)
+    # the two sses, each within its bound, and their sum rounded once
+    exact, bound = totals[best_year]
+    assert abs(Fraction(piecewise.sse_piecewise) - exact) <= bound + U * piecewise.sse_piecewise
 
 
 def test_exact_exponential_has_no_regime_change():
@@ -211,11 +207,11 @@ def test_changepoint_min_segment_must_be_two():
 
 
 def test_sse_piecewise_never_exceeds_sse_single():
-    rng = np.random.default_rng(2021)
+    rng = random.Random(2021)
     for _ in range(60):
-        n = int(rng.integers(8, 30))
-        values = np.exp(rng.normal(0.0, 1.0, size=n).cumsum() * 0.3 + 2.0)
-        s = _series([(2000.0 + k, float(v)) for k, v in enumerate(values)])
+        n = rng.randint(8, 29)
+        walk = accumulate(rng.gauss(0.0, 1.0) for _ in range(n))
+        s = _series([(2000.0 + k, math.exp(z * 0.3 + 2.0)) for k, z in enumerate(walk)])
         piecewise = rc.detect_changepoint(s, min_segment=3)
         assert piecewise.sse_piecewise <= piecewise.sse_single * (1 + 1e-12)
 
@@ -407,7 +403,7 @@ def test_doubling_time_examples():
 
 
 def test_doubling_identity():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(30):
         b = rng.uniform(0.05, 0.8)
         samples = [(2000.0 + k, math.exp(0.4 + b * k)) for k in range(9)]

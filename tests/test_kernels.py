@@ -1,18 +1,22 @@
-"""The pure-Python fit kernels against numpy references, and the series and
-fit round trips they serve. numpy comes from the test extra only."""
+"""The pure-Python fit kernels against exact rational least-squares
+solutions of their float inputs (tests/exactfit.py), each within a bound
+derived from the kernel's rounding, and the series and fit round trips they
+serve."""
 
 import math
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewcast as rc
+from exactfit import (PolynomialReference, ols_reference, polyfit_coefficient_bounds,
+                      polyfit_fitted_bound)
 from renewcast import growthfit
+from renewcast.config import MAX_HYDRO_DEGREE
 from renewcast.errors import ModelError
-from renewcast.report import MAX_HYDRO_DEGREE
 
 
 def _close(got, ref, scale, rtol=1e-12):
@@ -20,16 +24,6 @@ def _close(got, ref, scale, rtol=1e-12):
     natural scale, so a value that happens to be near zero is judged
     against the size of the numbers it came from."""
     return abs(got - ref) <= rtol * max(abs(ref), scale)
-
-
-def _numpy_ols(x, y):
-    """The numpy form of the centred least-squares line."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
-    slope = (dx * (y - ym)).sum() / (dx * dx).sum()
-    resid = y - (ym + slope * dx)
-    return slope, xm, ym, (resid * resid).sum(), ((y - ym) ** 2).sum()
 
 
 @st.composite
@@ -48,20 +42,29 @@ def _lines(draw):
     return x, y
 
 
+def _pure_noise(seed, n=20_000):
+    """n unit-spaced points of standard normal noise. The line through them
+    is nearly flat, so the residuals' rounding is no larger than their own
+    and sse's bound is a few ulps of it: there a running sum of the n
+    squares errs by more than the bound, where fsum stays inside it."""
+    rng = random.Random(seed)
+    return [float(i) for i in range(n)], [rng.gauss(0.0, 1.0) for _ in range(n)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_lines())
-def test_ols_matches_numpy(case):
+@example(case=_pure_noise(0))
+@example(case=_pure_noise(1))
+@example(case=_pure_noise(2))
+def test_ols_matches_the_exact_line(case):
+    # each of slope, mean x, mean y, sse and sst within its rounding bound
+    # of the exact value; a plain running sum in place of any of ols's fsums
+    # breaks a bound on long lines
     x, y = case
-    slope, xm, ym, sse, sst = growthfit.ols(x, y)
-    r_slope, r_xm, r_ym, r_sse, r_sst = _numpy_ols(x, y)
-    sxx = math.fsum((v - xm) ** 2 for v in x)
-    assert _close(xm, r_xm, max(map(abs, x)))
-    assert _close(ym, r_ym, max(map(abs, y)))
-    assert _close(sst, r_sst, 0.0)
-    # slope and sse against their natural sizes: the spread of y per unit
-    # spread of x, and sst (sse <= sst)
-    assert _close(slope, r_slope, math.sqrt(sst / sxx))
-    assert _close(sse, r_sse, sst)
+    exact, bounds = ols_reference(x, y)
+    for name, got, want, bound in zip(("slope", "xm", "ym", "sse", "sst"),
+                                      growthfit.ols(x, y), exact, bounds):
+        assert abs(Fraction(got) - want) <= bound, name
 
 
 def test_ols_rejects_a_single_distinct_x():
@@ -101,30 +104,29 @@ def _polynomial_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(case=_polynomial_cases())
-def test_fit_polynomial_matches_numpy_polyfit(case):
-    # The coefficients of a degree-5 fit are ill-conditioned (they part by
-    # up to 1e-10 between two stable solvers), so the fitted polynomials are
-    # compared on the sample points, against the largest |value|.
+def test_fit_polynomial_matches_the_exact_fit(case):
+    # The coefficients of a degree-5 fit are ill-conditioned, so the fit is
+    # judged by its fitted values on the sample points: their distance from
+    # the exact fitted values is sqrt(excess sse), exactly.
     x, v, degree = case
     series = rc.make_series("toy", "annual_generation", "TWh_per_year",
                             [(2000.0 + xi, vi) for xi, vi in zip(x, v)])
     fit = rc.fit_polynomial(series, degree)
     # the offsets the fit sees: 2000 + x rounds x to an ulp of 2000
-    x = np.array(series.years) - 2000.0
-    ref_values = np.polynomial.polynomial.polyval(
-        x, np.polynomial.polynomial.polyfit(x, np.array(v), degree))
-    scale = max(map(abs, v))
-    for year, r in zip(series.years, ref_values):
-        assert _close(fit.value_at(year), float(r), scale)
+    exact = PolynomialReference([year - 2000.0 for year in series.years],
+                                series.values, degree)
+    bound = polyfit_fitted_bound(exact)
+    assert exact.excess_sse(fit.coefficients) <= bound * bound
 
 
 @pytest.mark.parametrize("degree", range(1, MAX_HYDRO_DEGREE + 1))
 def test_hydro_coefficients_match_polyfit_for_every_allowed_degree(hydro_series, degree):
     fit = rc.fit_polynomial(hydro_series, degree)
-    x = np.array(hydro_series.years) - hydro_series.years[0]
-    ref = np.polynomial.polynomial.polyfit(x, np.array(hydro_series.values), degree)
-    for got, want in zip(fit.coefficients, ref):
-        assert abs(got - want) <= 1e-12 * abs(want)
+    exact = PolynomialReference([year - hydro_series.years[0] for year in hydro_series.years],
+                                hydro_series.values, degree)
+    bounds = polyfit_coefficient_bounds(exact)
+    for got, want, bound in zip(fit.coefficients, exact.coefficients, bounds):
+        assert abs(Fraction(got) - want) <= bound
 
 
 _SAMPLES = st.lists(

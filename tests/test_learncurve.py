@@ -1,8 +1,9 @@
 """Learning curves, cost decays and their crossing."""
 
 import math
+import random
+from itertools import accumulate
 
-import numpy as np
 import pytest
 
 import renewcast as rc
@@ -170,10 +171,9 @@ def test_steeper_and_higher_crosses_later():
 # -- invariances ---------------------------------------------------------------
 
 def test_axis_rescaling_invariance():
-    rng = np.random.default_rng(17)
-    base_samples = [(float(x), float(c)) for x, c in
-                    zip(np.cumsum(rng.uniform(5, 50, size=8)),
-                        np.exp(rng.normal(3.0, 0.4, size=8)))]
+    rng = random.Random(17)
+    xs = list(accumulate(rng.uniform(5, 50) for _ in range(8)))
+    base_samples = [(x, math.exp(rng.gauss(3.0, 0.4))) for x in xs]
     base = rc.fit_learning_curve(_gen_cost(base_samples))
     for k in (0.01, 2.0, 1e4):
         sx = rc.fit_learning_curve(_gen_cost([(k * x, c) for x, c in base_samples]))
@@ -204,7 +204,7 @@ def test_halving_cost_decay():
 
 
 def test_geometric_recovery_randomized():
-    rng = np.random.default_rng(19)
+    rng = random.Random(19)
     for _ in range(40):
         r = rng.uniform(0.3, 1.5)
         c0 = rng.uniform(1.0, 500.0)
@@ -237,8 +237,8 @@ def test_bundled_capability_domain_geometry(pv_learning, wind_learning):
     assert wind_learning.log10_slope < pv_learning.log10_slope < 0.0
     lo = max(pv_learning.x_range[0], wind_learning.x_range[0])
     hi = min(pv_learning.x_range[1], wind_learning.x_range[1])
-    for x in np.linspace(lo, hi, 7):
-        assert pv_learning.cost_at(float(x)) < wind_learning.cost_at(float(x))
+    for x in (lo + (hi - lo) * k / 6 for k in range(7)):
+        assert pv_learning.cost_at(x) < wind_learning.cost_at(x)
 
 
 def test_bundled_crossing_beyond_observed(pv_learning, wind_learning):

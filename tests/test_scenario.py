@@ -1,8 +1,8 @@
 """Combined projections, crossings, mixes and the PV/wind crossover."""
 
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,9 +56,9 @@ def test_combined_at_least_each_component(pv_profile, wind_profile, hydro_profil
 
 def test_additivity_of_components(pv_profile, wind_profile, hydro_profile):
     proj = rc.combine([pv_profile, wind_profile, hydro_profile])
-    for t in np.linspace(2000.0, 2045.0, 40):
-        total = proj.value(float(t))
-        parts = sum(v for _, v in proj.component_values(float(t)))
+    for t in (2000.0 + 45.0 * k / 39 for k in range(40)):
+        total = proj.value(t)
+        parts = sum(v for _, v in proj.component_values(t))
         assert total == pytest.approx(parts, rel=1e-12)
 
 
@@ -143,6 +143,16 @@ def test_step_projection_never_meets_level():
     with pytest.raises(ModelError, match=r"^projection jumps past 100 at ") as err:
         rc.crossing_year(rc.combine([_step_profile()]), 100.0, 2020.0)
     assert "2005.03" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["ln_intercept", "reference_year", "ln_slope"])
+def test_a_projection_that_is_not_finite_is_refused(field):
+    # a nan intercept or reference year keeps the proven path, where every
+    # comparison with the level is false; a nan slope takes the lattice
+    # scan, where no lattice value meets the level
+    fit = _exponential(0.0, 0.3, 2000.0)._replace(**{field: math.nan})
+    with pytest.raises(ModelError, match=r"^the projection is not finite \(nan at "):
+        rc.crossing_year(rc.combine([_profile(fit)]), 100.0, 2050.0)
 
 
 def _quartic_hydro_profile():
@@ -344,7 +354,7 @@ def test_adding_component_never_delays(pv_profile, wind_profile, hydro_profile):
 
 
 def test_bisection_equals_closed_form_randomized():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     for _ in range(40):
         v0 = rng.uniform(0.5, 50.0)
         growth = rng.uniform(1.05, 2.0)

@@ -43,11 +43,15 @@ class ExponentialFit(NamedTuple):
 
     def year_at(self, value: float) -> float:
         """Inverse of value_at: the year the fit reaches value."""
+        check_fields(self)
         if not 0 < value < math.inf:
             raise ModelError(f"value must be finite and > 0, got {value!r}")
         if self.ln_slope == 0:
             raise ModelError(f"a flat fit (ln_slope {self.ln_slope!r}) reaches no single year")
-        return (math.log(value) - self.ln_intercept) / self.ln_slope + self.reference_year
+        year = (math.log(value) - self.ln_intercept) / self.ln_slope + self.reference_year
+        if not math.isfinite(year):
+            raise ModelError(f"the year the fit reaches {value!r} exceeds the float range")
+        return year
 
 
 class PolynomialFit(NamedTuple):
@@ -81,6 +85,24 @@ class PiecewiseExponentialFit(NamedTuple):
     def value_at(self, year: float) -> float:
         seg = self.left if year < self.changepoint_year else self.right
         return seg.value_at(year)
+
+
+def check_fields(fit, prefix: str = "") -> None:
+    """ModelError naming the first float of a fit record that is not finite:
+    a field, an item of a tuple field or a field of a nested record. A model
+    that is no record passes unchecked."""
+    if not hasattr(fit, "_fields"):
+        return
+    for field, value in zip(fit._fields, fit):
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ModelError(f"fit field {prefix}{field} must be finite, got {value!r}")
+        elif hasattr(value, "_fields"):
+            check_fields(value, f"{prefix}{field}.")
+        elif isinstance(value, tuple):
+            for i, v in enumerate(value):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ModelError(f"fit field {prefix}{field}[{i}] must be finite, got {v!r}")
 
 
 def _windowed(series: CapacitySeries, window):
@@ -404,6 +426,7 @@ def _near_minimal_splits(t: list, y: list, min_segment: int, split_sse) -> list:
 
 def extrapolate(model, year: float) -> float:
     """Closed-form model evaluation at any year >= window start."""
+    check_fields(model)
     if not math.isfinite(year):
         raise ModelError(f"year must be finite, got {year!r}")
     lo = model.window[0]
@@ -419,16 +442,21 @@ def extrapolate(model, year: float) -> float:
 
 def past_horizon(model, year: float) -> bool:
     """True when year lies more than HORIZON_WARNING_YEARS past the fit window."""
+    check_fields(model)
     return year > model.window[1] + HORIZON_WARNING_YEARS
 
 
 def doubling_time(fit: ExponentialFit) -> float:
     """Years for the fitted quantity to double: ln 2 / ln_slope."""
+    check_fields(fit)
     if fit.ln_slope <= 0:
         raise ModelError(
             f"doubling time undefined for ln_slope {fit.ln_slope!r} <= 0"
         )
-    return math.log(2.0) / fit.ln_slope
+    years = math.log(2.0) / fit.ln_slope
+    if years == math.inf:
+        raise ModelError(f"the doubling time at ln_slope {fit.ln_slope!r} exceeds the float range")
+    return years
 
 
 def residual_signs(series: CapacitySeries, fit: ExponentialFit) -> str:

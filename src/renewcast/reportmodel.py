@@ -242,25 +242,25 @@ class ScenarioReport:
         from . import resourcebudget
         return resourcebudget.reference_budget(self.capacity_factors["pv"])
 
-    @property
+    @cached_property
     def regime_change(self) -> bool:
         return (self.fits["wind_piecewise"].improvement_ratio
                 >= self.config.changepoint_threshold)
 
-    @property
+    @cached_property
     def curve_crossing(self) -> tuple[float, float]:
         """(x, cost) where the PV and wind learning curves meet."""
         from . import learncurve
         return learncurve.curve_crossing(self.learning["pv_learning_curve"],
                                          self.learning["wind_learning_curve"])
 
-    @property
+    @cached_property
     def pv_cost_at_stated_2030(self) -> float:
         from . import learncurve
         return learncurve.cost_at(self.learning["pv_learning_curve"],
                                   constant("stated_mix_2030_pv"))
 
-    @property
+    @cached_property
     def battery_cost_2030(self) -> float:
         return self.learning["battery_time_decay"].cost_at_year(2030.0)
 

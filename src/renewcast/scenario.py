@@ -21,7 +21,7 @@ from .config import MAX_HORIZON
 from .errors import ModelError
 from .corpus import HOURS_PER_YEAR
 from .genconvert import TechnologyProfile
-from .growthfit import ExponentialFit, PolynomialFit
+from .growthfit import ExponentialFit, PolynomialFit, check_fields
 
 GRID_STEP_YEARS = 0.1
 YEAR_TOLERANCE = 1e-9           # bisection stops below this bracket width
@@ -73,7 +73,11 @@ class CombinedProjection:
 
 
 def combine(profiles) -> CombinedProjection:
-    return CombinedProjection(components=tuple(profiles))
+    """The projection of profiles, each of whose fits has finite fields."""
+    profiles = tuple(profiles)
+    for p in profiles:
+        check_fields(p.model)
+    return CombinedProjection(components=profiles)
 
 
 def _non_decreasing(model, start: float, horizon: float) -> bool:
@@ -172,6 +176,7 @@ def pv_wind_generation_crossover(pv: TechnologyProfile,
     the intersection is linear in t; equal growth rates have none.
     """
     for p in (pv, wind):
+        check_fields(p.model)
         if not isinstance(p.model, ExponentialFit):
             raise ModelError(
                 f"{p.name}: crossover needs an exponential fit, got "

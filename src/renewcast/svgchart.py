@@ -1,8 +1,9 @@
 """Small deterministic SVG chart writer (linear and log10 axes).
 
 Hand-rolled on purpose: output must be byte-identical across runs, so no
-plotting library with embedded ids or timestamps. Coordinates are formatted
-to fixed precision; text is XML-escaped.
+plotting library with embedded ids or timestamps. Every element is one
+%-template filled from one tuple: %.2f for each coordinate, %s for
+XML-escaped text and for colours.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from typing import NamedTuple
 def escape(text: str) -> str:
     """Escape &, < and > for SVG text content."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def _nice_ticks(lo: float, hi: float):
@@ -83,9 +80,11 @@ class Axis(NamedTuple):
         lo, span = float(self.lo), float(self.hi - self.lo)
         return [a + ((v - lo) / span) * width for v in values]
 
-    def ticks(self):
-        return _decade_ticks(self.lo, self.hi) if self.kind == "log" \
+    def ticks(self) -> list:
+        """The decade or nice ticks that lie inside [lo, hi]."""
+        ticks = _decade_ticks(self.lo, self.hi) if self.kind == "log" \
             else _nice_ticks(self.lo, self.hi)
+        return [t for t in ticks if self.lo <= t <= self.hi]
 
 
 class Chart:
@@ -126,58 +125,55 @@ class Chart:
         flat[1::2] = self.y.scale(ys, y0, y1)
         return tuple(flat)
 
-    def render_group(self, dx) -> str:
+    def render_group(self, dx) -> list:
+        """The SVG element strings of this chart, shifted right by dx pixels."""
         top, right, bottom, left = 46, 16, 40, 78       # margins
         x0, x1, y0, y1 = left, self.width - right, self.height - bottom, top  # y0 is the bottom
-        parts = [f'<g transform="translate({_fmt(dx)},0)" font-family="sans-serif">']
-        parts.append(
-            f'<text x="{_fmt((x0 + x1) / 2)}" y="20" text-anchor="middle" '
-            f'font-size="13" font-weight="bold">{escape(self.title)}</text>'
-        )
-        # frame
-        parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" width="{_fmt(x1 - x0)}" '
-            f'height="{_fmt(y0 - y1)}" fill="none" stroke="#222222" stroke-width="1"/>'
-        )
+        x_mid, y_mid = (x0 + x1) / 2, (y0 + y1) / 2
+        parts = ['<g transform="translate(%.2f,0)" font-family="sans-serif">' % (dx,),
+                 '<text x="%.2f" y="20" text-anchor="middle" font-size="13" '
+                 'font-weight="bold">%s</text>' % (x_mid, escape(self.title)),
+                 # frame
+                 '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="none" '
+                 'stroke="#222222" stroke-width="1"/>' % (x0, y1, x1 - x0, y0 - y1)]
         # ticks + grid
-        ticks = [t for t in self.x.ticks() if self.x.lo <= t <= self.x.hi]
+        tick = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="1"/>'
+        ticks = self.x.ticks()
         for t, px in zip(ticks, self.x.scale(ticks, x0, x1)):
-            parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
-                         f'y2="{_fmt(y0 + 4)}" stroke="#222222" stroke-width="1"/>')
-            parts.append(f'<text x="{_fmt(px)}" y="{_fmt(y0 + 16)}" text-anchor="middle" '
-                         f'font-size="10">{escape(_tick_label(t))}</text>')
-        ticks = [t for t in self.y.ticks() if self.y.lo <= t <= self.y.hi]
+            parts.append(tick % (px, y0, px, y0 + 4, "#222222"))
+            parts.append('<text x="%.2f" y="%.2f" text-anchor="middle" font-size="10">%s</text>'
+                         % (px, y0 + 16, escape(_tick_label(t))))
+        ticks = self.y.ticks()
         for t, py in zip(ticks, self.y.scale(ticks, y0, y1)):
-            parts.append(f'<line x1="{_fmt(x0 - 4)}" y1="{_fmt(py)}" x2="{_fmt(x0)}" '
-                         f'y2="{_fmt(py)}" stroke="#222222" stroke-width="1"/>')
-            parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
-                         f'y2="{_fmt(py)}" stroke="#eeeeee" stroke-width="1"/>')
-            parts.append(f'<text x="{_fmt(x0 - 7)}" y="{_fmt(py + 3)}" text-anchor="end" '
-                         f'font-size="10">{escape(_tick_label(t))}</text>')
+            parts.append(tick % (x0 - 4, py, x0, py, "#222222"))
+            parts.append(tick % (x0, py, x1, py, "#eeeeee"))
+            parts.append('<text x="%.2f" y="%.2f" text-anchor="end" font-size="10">%s</text>'
+                         % (x0 - 7, py + 3, escape(_tick_label(t))))
         # axis labels
-        parts.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(self.height - 8)}" '
-                     f'text-anchor="middle" font-size="11">{escape(self.x.label)}</text>')
-        parts.append(f'<text x="14" y="{_fmt((y0 + y1) / 2)}" text-anchor="middle" '
-                     f'font-size="11" transform="rotate(-90 14 {_fmt((y0 + y1) / 2)})">'
-                     f'{escape(self.y.label)}</text>')
+        parts.append('<text x="%.2f" y="%.2f" text-anchor="middle" font-size="11">%s</text>'
+                     % (x_mid, self.height - 8, escape(self.x.label)))
+        parts.append('<text x="14" y="%.2f" text-anchor="middle" font-size="11" '
+                     'transform="rotate(-90 14 %.2f)">%s</text>'
+                     % (y_mid, y_mid, escape(self.y.label)))
 
         legend_y = y1 + 12
         for el in self.elements:
             kind = el[0]
             if kind == "points":
                 _, xs, ys, color, label = el
-                # the hottest path: one %-format call per element, _fmt's spec inlined
-                circle = f'<circle cx="%.2f" cy="%.2f" r="3.00" fill="{color}"/>'
+                # the hottest path: the template of one circle, repeated,
+                # takes the whole flat coordinate tuple in one call
+                circle = '<circle cx="%%.2f" cy="%%.2f" r="3.00" fill="%s"/>' % (color,)
                 flat = self._clip(xs, ys, x0, x1, y0, y1)
                 if flat:
                     parts.append("\n".join([circle] * (len(flat) // 2)) % flat)
             elif kind == "line":
                 _, xs, ys, color, label, dashed = el
                 flat = self._clip(xs, ys, x0, x1, y0, y1)
-                pts = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % flat
-                dash = ' stroke-dasharray="6 4"' if dashed else ""
-                parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="{color}" stroke-width="1.60"{dash}/>')
+                points = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % flat
+                parts.append('<polyline points="%s" fill="none" stroke="%s" '
+                             'stroke-width="1.60"%s/>'
+                             % (points, color, ' stroke-dasharray="6 4"' if dashed else ""))
             elif kind in ("hline", "vline"):
                 _, value, label = el
                 if kind == "hline":
@@ -188,25 +184,25 @@ class Chart:
                     ends, at = (px, y0, px, y1), (px + 4, y1 + 12)
                 parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#777777" '
                              'stroke-width="1.2" stroke-dasharray="3 3"/>' % ends)
-                parts.append('<text x="%.2f" y="%.2f" font-size="10" fill="#777777">' % at
-                             + f'{escape(label)}</text>')
+                parts.append('<text x="%.2f" y="%.2f" font-size="10" fill="#777777">%s</text>'
+                             % (*at, escape(label)))
             elif kind == "marker":
                 _, vx, vy, label = el
                 (px,), (py,) = self.x.scale((vx,), x0, x1), self.y.scale((vy,), y0, y1)
-                parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
-                             f'fill="none" stroke="#c53030" stroke-width="2"/>')
-                parts.append(f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 6)}" '
-                             f'font-size="10" fill="#c53030">{escape(label)}</text>')
+                parts.append('<circle cx="%.2f" cy="%.2f" r="5" fill="none" stroke="#c53030" '
+                             'stroke-width="2"/>' % (px, py))
+                parts.append('<text x="%.2f" y="%.2f" font-size="10" fill="#c53030">%s</text>'
+                             % (px + 8, py - 6, escape(label)))
         # legend for labelled series
         for el in self.elements:
             if el[0] in ("points", "line") and el[4]:
-                parts.append(f'<rect x="{_fmt(x1 - 150)}" y="{_fmt(legend_y - 8)}" '
-                             f'width="10" height="10" fill="{el[3]}"/>')
-                parts.append(f'<text x="{_fmt(x1 - 136)}" y="{_fmt(legend_y + 1)}" '
-                             f'font-size="10">{escape(el[4])}</text>')
+                parts.append('<rect x="%.2f" y="%.2f" width="10" height="10" fill="%s"/>'
+                             % (x1 - 150, legend_y - 8, el[3]))
+                parts.append('<text x="%.2f" y="%.2f" font-size="10">%s</text>'
+                             % (x1 - 136, legend_y + 1, escape(el[4])))
                 legend_y += 14
         parts.append("</g>")
-        return "\n".join(parts)
+        return parts
 
 
 def render(charts, title) -> str:
@@ -214,16 +210,14 @@ def render(charts, title) -> str:
     charts = list(charts)
     width = sum(c.width for c in charts)
     height = max(c.height for c in charts)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<desc>{escape(title)}</desc>',
-        '<rect width="100%" height="100%" fill="#ffffff"/>',
-    ]
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
+             'viewBox="0 0 %s %s">' % (width, height, width, height),
+             '<desc>%s</desc>' % (escape(title),),
+             '<rect width="100%" height="100%" fill="#ffffff"/>']
     dx = 0.0
     for c in charts:
-        parts.append(c.render_group(dx))
+        parts += c.render_group(dx)
         dx += c.width
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

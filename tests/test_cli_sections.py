@@ -654,13 +654,23 @@ def test_library_refuses_what_it_cannot_compute(name, args, cls, message):
 _PROBES = (_NAN, _INF, -_INF, 0.0, -0.0, -1.0, 1e308, 5e-324)
 
 
+# the fit records, whose float fields are probed one at a time
+_FIT_RECORDS = (growthfit.ExponentialFit, growthfit.PolynomialFit,
+                growthfit.PiecewiseExponentialFit)
+
+
 def _probed(value, path=""):
     """(path, probe, copy) for each float in value, those in plain tuples and
-    lists included, with that float set in turn to each probe; records
-    (NamedTuples and objects) are passed whole."""
+    lists and in the fields of fit records (nested ones included) too, with
+    that float set in turn to each probe; other records (NamedTuples and
+    objects) are passed whole."""
     if isinstance(value, float):
         for probe in _PROBES:
             yield path, probe, probe
+    elif isinstance(value, _FIT_RECORDS):
+        for field in value._fields:
+            for where, probe, copy in _probed(getattr(value, field), f"{path}.{field}"):
+                yield where, probe, value._replace(**{field: copy})
     elif isinstance(value, (tuple, list)) and not hasattr(value, "_fields"):
         for i, item in enumerate(value):
             for where, probe, copy in _probed(item, f"{path}[{i}]"):
@@ -795,14 +805,18 @@ def test_cli_import_leaves_out_xml_and_urllib():
 
 
 def _loaded_after(*argv):
-    """The renewcast modules and the named standard-library modules a fresh
-    interpreter holds after ``import renewcast`` and, given argv, one CLI call."""
-    probe = ("import sys, renewcast\n"
+    """The renewcast modules and the named standard-library modules that
+    ``import renewcast`` and, given argv, one CLI call add to the modules of
+    a fresh interpreter with site loaded, as a user's call runs."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import renewcast\n"
              "if sys.argv[1:]:\n"
              "    from renewcast.cli import main\n"
              "    assert main(sys.argv[1:]) == 0\n"
-             "print(' '.join(sorted(m for m in sys.modules\n"
-             "                      if m.startswith('renewcast') or m in ('json', 'html'))))")
+             "print(' '.join(sorted(m for m in set(sys.modules) - before\n"
+             "                      if m.startswith('renewcast')\n"
+             "                      or m in ('json', 'html', 'argparse'))))")
     return set(_run_python("-c", probe, *argv).stdout.splitlines()[-1].split())
 
 
@@ -845,7 +859,7 @@ _LATER_LAYERS = {f"renewcast.{m}" for m in (
 def test_fit_and_project_load_only_their_layers(tmp_path, argv, allowed):
     loaded = _loaded_after("--out", str(tmp_path), *argv)
     assert {"renewcast.cli", "renewcast.config", "renewcast.reportmodel"} <= loaded
-    forbidden = _LATER_LAYERS | {"renewcast.genconvert", "json", "html"}
+    forbidden = _LATER_LAYERS | {"renewcast.genconvert", "json", "html", "argparse"}
     assert not loaded & (forbidden - allowed)
 
 

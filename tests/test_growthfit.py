@@ -402,6 +402,54 @@ def test_doubling_time_examples():
         rc.doubling_time(decaying)
 
 
+_RECORD = rc.ExponentialFit(2000.0, 1.0, 0.2, 1.0, 0.0, (2000.0, 2020.0))
+
+
+def _crossing(fit):
+    return rc.crossing_year(rc.combine([rc.TechnologyProfile("x", 0.5, fit)]), 100.0, 2050.0)
+
+
+# each call returned nan, a wrong number or an error about something else
+# before a fit's fields were checked where the fit comes in
+@pytest.mark.parametrize("call, fit, field", [
+    (rc.doubling_time, _RECORD._replace(ln_slope=math.nan), "ln_slope = nan"),
+    (lambda fit: fit.year_at(100.0), _RECORD._replace(ln_intercept=math.nan),
+     "ln_intercept = nan"),
+    (lambda fit: fit.year_at(100.0), _RECORD._replace(ln_slope=math.nan), "ln_slope = nan"),
+    (lambda fit: fit.year_at(100.0), _RECORD._replace(reference_year=math.nan),
+     "reference_year = nan"),
+    (lambda fit: rc.extrapolate(fit, 2030.0), _RECORD._replace(window=(math.nan, 2020.0)),
+     "window[0] = nan"),
+    (lambda fit: rc.extrapolate(fit, 2030.0), _RECORD._replace(ln_slope=math.nan),
+     "ln_slope = nan"),
+    (lambda fit: rc.past_horizon(fit, 2100.0), _RECORD._replace(window=(2000.0, math.nan)),
+     "window[1] = nan"),
+    (_crossing, _RECORD._replace(window=(math.nan, 2020.0)), "window[0] = nan"),
+    (lambda fit: rc.pv_wind_generation_crossover(rc.TechnologyProfile("pv", 0.2, fit),
+                                                 rc.TechnologyProfile("wind", 0.3, _RECORD)),
+     _RECORD._replace(ln_slope=math.nan), "ln_slope = nan"),
+    (lambda fit: rc.extrapolate(fit, 2030.0),
+     rc.PiecewiseExponentialFit(2010.0, _RECORD, _RECORD._replace(rmse_logspace=math.inf),
+                                0.0, 1.0, 1.0, (2000.0, 2020.0)), "right.rmse_logspace = inf"),
+    (lambda fit: rc.extrapolate(fit, 2030.0),
+     rc.PolynomialFit(2000.0, (1.0, -math.inf), 1, 0.0, (2000.0, 2010.0)),
+     "coefficients[1] = -inf"),
+])
+def test_a_fit_with_a_field_that_is_not_finite_is_refused(call, fit, field):
+    name, value = field.split(" = ")
+    with pytest.raises(ModelError) as got:
+        call(fit)
+    assert str(got.value) == f"fit field {name} must be finite, got {value}"
+
+
+def test_a_slope_too_small_for_the_float_range_is_refused():
+    fit = _RECORD._replace(ln_slope=5e-324)
+    with pytest.raises(ModelError, match=r"^the doubling time at ln_slope 5e-324 exceeds "):
+        rc.doubling_time(fit)
+    with pytest.raises(ModelError, match=r"^the year the fit reaches 100\.0 exceeds "):
+        fit.year_at(100.0)
+
+
 def test_doubling_identity():
     rng = random.Random(11)
     for _ in range(30):

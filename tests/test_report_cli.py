@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renewcast as rc
-from renewcast import corpus
+from renewcast import corpus, learncurve
 from renewcast import report as report_mod
 from renewcast import reportmodel
 from renewcast.artifacts import json_text
@@ -307,6 +307,24 @@ def test_outputs_byte_identical_across_runs(tmp_path, default_report):
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_every_report_value_is_computed_once(tmp_path, monkeypatch):
+    # every section is kept once computed: one write_outputs of a fresh
+    # report reads the learning-curve crossing in learning_dict, a warning
+    # and fig8, and the PV cost at the stated 2030 generation in two places,
+    # yet solves each once
+    calls = []
+    for name in ("curve_crossing", "cost_at"):
+        real = getattr(learncurve, name)
+        monkeypatch.setattr(learncurve, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name)
+                            or _real(*args))
+    rep = rc.run_scenario(rc.ScenarioConfig())
+    rc.write_outputs(rep, tmp_path)
+    assert sorted(calls) == ["cost_at", "curve_crossing"]
+    assert {"curve_crossing", "pv_cost_at_stated_2030", "battery_cost_2030",
+            "regime_change"} <= vars(rep).keys()
 
 
 def test_path_objects_give_what_their_strings_give(tmp_path):

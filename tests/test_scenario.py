@@ -89,9 +89,47 @@ def test_not_reached_by_horizon():
 
 
 def test_nonmonotone_projection_rejected():
-    p = _exp_profile("a", 4.0, 0.5)    # decaying
-    with pytest.raises(ModelError, match=r"^projection decreases between 2000 "):
-        rc.crossing_year(rc.combine([p]), 1e3, 2050.0)
+    proj = rc.combine([_exp_profile("a", 4.0, 0.5)])    # decaying
+    with pytest.raises(ModelError) as got:
+        rc.crossing_year(proj, 1e3, 2050.0)
+    # the message names the two lattice years around the decrease
+    assert str(got.value) == (f"projection decreases between 2000 ({proj.value(2000.0):g}) "
+                              f"and 2000.1 ({proj.value(2000.1):g})")
+
+
+class _Dip:
+    """A flat growth model whose installed power falls by the fraction drop
+    from 2005 on."""
+
+    window = (2000.0, 2010.0)
+
+    def __init__(self, drop):
+        self.drop = drop
+
+    def value_at(self, year):
+        return 1000.0 if year < 2005.0 else 1000.0 * (1.0 - self.drop)
+
+
+def test_the_lattice_scan_forgives_a_decrease_of_float_noise_only():
+    # a lattice value may fall below the one before by 1e-9 of its size
+    # (8.76e-6 TWh/yr at 8760 TWh/yr), not more
+    noise = rc.combine([rc.TechnologyProfile("dip", 1.0, _Dip(1e-10))])
+    assert rc.crossing_year(noise, 1e4, 2010.0) == ("not_reached", None)
+    fall = rc.combine([rc.TechnologyProfile("dip", 1.0, _Dip(1e-8))])
+    with pytest.raises(ModelError, match=r"^projection decreases between 2004\.9 "):
+        rc.crossing_year(fall, 1e4, 2010.0)
+
+
+def test_a_lattice_point_exactly_at_the_level_ends_the_bracket():
+    # the scan brackets the root between the lattice point before the first
+    # one at or above the level and that point, so the year lies below it
+    proj = rc.combine([_cubic_profile()])
+    assert not _proven(proj, 2050.0)
+    level = proj.value(2000.0 + 50 * 0.1)
+    status, year = rc.crossing_year(proj, level, 2050.0)
+    assert status == "crossed"
+    assert 2004.9 < year < 2005.0
+    assert (status, year) == _lattice_scan(proj, level, 2050.0)
 
 
 @pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
@@ -108,10 +146,12 @@ def _cubic_profile():
     return _profile(PolynomialFit(2000.0, (1.0, 1.0, 1.0, 1.0), 3, 0.0, (2000.0, 2010.0)))
 
 
-@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, MAX_HORIZON + 1.0])
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, MAX_HORIZON + 1.0,
+                                     2000.0])
 def test_horizon_must_be_after_start_and_within_max(horizon):
     # checked before the lattice is sized: a nan or infinite horizon cannot
-    # size it, and a finite one past MAX_HORIZON would sample every step
+    # size it, a finite one past MAX_HORIZON would sample every step, and
+    # one at the start leaves no step at all
     proj = rc.combine([_cubic_profile()])
     assert not _proven(proj, 2050.0)
     with pytest.raises(ModelError, match=rf"^horizon {horizon!r} must be in \(2000, 2200\]$"):
@@ -147,12 +187,13 @@ def test_step_projection_never_meets_level():
 
 @pytest.mark.parametrize("field", ["ln_intercept", "reference_year", "ln_slope"])
 def test_a_projection_that_is_not_finite_is_refused(field):
-    # a nan intercept or reference year keeps the proven path, where every
+    # combine refuses such a fit, so the projection is built without it. A
+    # nan intercept or reference year keeps the proven path, where every
     # comparison with the level is false; a nan slope takes the lattice
     # scan, where no lattice value meets the level
     fit = _exponential(0.0, 0.3, 2000.0)._replace(**{field: math.nan})
     with pytest.raises(ModelError, match=r"^the projection is not finite \(nan at "):
-        rc.crossing_year(rc.combine([_profile(fit)]), 100.0, 2050.0)
+        rc.crossing_year(scenario.CombinedProjection((_profile(fit),)), 100.0, 2050.0)
 
 
 def _quartic_hydro_profile():
@@ -428,6 +469,14 @@ def test_totals_are_added_left_to_right_on_every_python():
                                          zip(("pv", "wind", "hydro"), gens)]}
     (total,) = (d.computed for d in report.discrepancies if d.name == "mix_2025_total_twh")
     assert total == plain
+
+
+def test_a_mix_with_no_generation_is_refused():
+    # every share would divide by a total of 0
+    proj = rc.combine([rc.TechnologyProfile("pv", 1.0, _Flat(0.0)),
+                       rc.TechnologyProfile("wind", 1.0, _Flat(0.0))])
+    with pytest.raises(ModelError, match=r"^total generation at 2005 is 0\.0 TWh/yr; "):
+        rc.mix_at_year(proj, 2005.0)
 
 
 def test_bundled_mix_ordering_2030(pv_profile, wind_profile, hydro_profile):

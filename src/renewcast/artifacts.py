@@ -82,46 +82,44 @@ def report_json(report: ScenarioReport) -> str:
     return json_text(report.to_dict()) + "\n"
 
 
-def json_text(obj, indent: str = "", quote=None) -> str:
-    """json.dumps(obj, indent=2, allow_nan=False), byte for byte, one join
-    per container instead of json's pure-Python indenting encoder. Finite
-    floats (v - v == 0.0) and strs are written inline. indent and quote
-    belong to the recursion; json is imported on the first call only."""
-    if quote is None:
-        from json.encoder import encode_basestring_ascii as quote
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [quote(k if isinstance(k, str) else _json_key(k, quote)) + ": "
-                 + (float.__repr__(v) if type(v) is float and v - v == 0.0
-                    else quote(v) if type(v) is str else json_text(v, inner, quote))
-                 for k, v in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [float.__repr__(v) if type(v) is float and v - v == 0.0
-                 else json_text(v, inner, quote) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(obj, str):
-        return quote(obj)
-    if isinstance(obj, float):
-        if obj - obj == 0.0:
-            return float.__repr__(obj)
-        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-    if obj is None or obj is True or obj is False:      # bools before ints
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte, for what
+    ScenarioReport.to_dict holds: dicts with str keys, lists, str, finite
+    float, int, bool and None. A tuple, a key that is no str or any other
+    type raises TypeError, and a nan or infinite float ValueError. One join
+    per container instead of json's pure-Python indenting encoder; json is
+    imported on the first call only."""
+    from json.encoder import encode_basestring_ascii as quote     # TypeError on a non-str
 
+    def text(obj, indent):
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = [quote(k) + ": "
+                     + (float.__repr__(v) if type(v) is float and v - v == 0.0
+                        else quote(v) if type(v) is str else text(v, inner))
+                     for k, v in obj.items()]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        if isinstance(obj, list):
+            if not obj:
+                return "[]"
+            items = [float.__repr__(v) if type(v) is float and v - v == 0.0
+                     else text(v, inner) for v in obj]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        if isinstance(obj, str):
+            return quote(obj)
+        if isinstance(obj, float):
+            if obj - obj == 0.0:
+                return float.__repr__(obj)
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        if obj is None or obj is True or obj is False:      # bools before ints
+            return "null" if obj is None else "true" if obj else "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-def _json_key(key, quote) -> str:
-    # json writes a float, int, bool or None key as the text of its value
-    if key is None or isinstance(key, (int, float)):
-        return json_text(key, "", quote)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return text(obj, "")
 
 
 def write_artifacts(out_dir, artifacts) -> list:

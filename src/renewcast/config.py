@@ -11,9 +11,10 @@ from .errors import ConfigError
 
 # Latest accepted horizon or evaluation year; it bounds the crossing grid.
 MAX_HORIZON = 2200.0
-# Highest accepted hydro_degree: on the bundled hydro series the fit's
-# coefficients are within 7.0e-14 of the exact least-squares solution
-# (relative) up to degree 5, and 5.7e-13 at 6.
+# Highest accepted hydro_degree: a chosen bound, not a precision limit. On
+# the bundled hydro series the fit's coefficients stay within 1e-12 of the
+# exact least-squares solution (relative) up to degree 7; the cap stays at 5
+# until crossings at every degree have a monotonicity proof.
 MAX_HYDRO_DEGREE = 5
 
 WIND_TREATMENTS = ("trend", "piecewise", "rebound")

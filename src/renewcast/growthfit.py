@@ -443,6 +443,8 @@ def extrapolate(model, year: float) -> float:
 def past_horizon(model, year: float) -> bool:
     """True when year lies more than HORIZON_WARNING_YEARS past the fit window."""
     check_fields(model)
+    if not math.isfinite(year):
+        raise ModelError(f"year must be finite, got {year!r}")
     return year > model.window[1] + HORIZON_WARNING_YEARS
 
 

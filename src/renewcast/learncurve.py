@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .corpus import CapacitySeries
 from .errors import DataError, ModelError
 from .genconvert import generation_capability
-from .growthfit import _exponential, _log_line, ols, r_squared
+from .growthfit import _exponential, _log_line, check_fields, ols, r_squared
 
 
 class CostSeries(NamedTuple):
@@ -138,6 +138,7 @@ def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
 
 def learning_rate(fit: LearningCurveFit) -> float:
     """Fractional cost decline per doubling of cumulative quantity: 1 - 2**slope."""
+    check_fields(fit)
     if fit.log10_slope > 0:
         raise ModelError(
             f"{fit.technology}: cost rises with scale (slope "
@@ -148,11 +149,14 @@ def learning_rate(fit: LearningCurveFit) -> float:
 
 def cost_at(fit: LearningCurveFit, x: float) -> float:
     """Model cost at cumulative generation x > 0."""
+    check_fields(fit)
     return fit.cost_at(x)
 
 
 def curve_crossing(a: LearningCurveFit, b: LearningCurveFit) -> tuple[float, float]:
     """Intersection of two bi-log lines: (x, cost) where the curves meet."""
+    check_fields(a)
+    check_fields(b)
     if a.log10_slope == b.log10_slope:
         raise ModelError(
             f"slopes are equal ({a.log10_slope!r}); the lines never cross"

@@ -654,9 +654,10 @@ def test_library_refuses_what_it_cannot_compute(name, args, cls, message):
 _PROBES = (_NAN, _INF, -_INF, 0.0, -0.0, -1.0, 1e308, 5e-324)
 
 
-# the fit records, whose float fields are probed one at a time
+# the fit and learning-curve records, whose float fields are probed one at a time
 _FIT_RECORDS = (growthfit.ExponentialFit, growthfit.PolynomialFit,
-                growthfit.PiecewiseExponentialFit)
+                growthfit.PiecewiseExponentialFit, learncurve.LearningCurveFit,
+                learncurve.CostSeries)
 
 
 def _probed(value, path=""):

@@ -378,6 +378,14 @@ def test_horizon_warning_flag():
     assert rc.past_horizon(fit, 2017.1) is True
 
 
+@pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf])
+def test_horizon_warning_refuses_a_year_that_is_not_finite(year):
+    # a nan year passed as "within the horizon" and inf as "past it"
+    fit = rc.ExponentialFit(2000.0, 1.0, 0.2, 1.0, 0.0, (2000.0, 2020.0))
+    with pytest.raises(ModelError, match=rf"^year must be finite, got {year!r}$"):
+        rc.past_horizon(fit, year)
+
+
 def test_piecewise_extrapolation_uses_right_segment():
     s = _synthetic_regime_series()
     piecewise = rc.detect_changepoint(s, min_segment=3)

@@ -47,6 +47,14 @@ def test_flat_cost_means_zero_learning():
     assert rc.learning_rate(fit) == 0.0
 
 
+def test_rmse_is_the_root_mean_square_log10_residual():
+    # log10 costs 1, 0, 1 over log10 x 0, 1, 2: a flat line at 2/3 with
+    # residuals 1/3, -2/3 and 1/3
+    fit = rc.fit_learning_curve(_gen_cost([(1.0, 10.0), (10.0, 1.0), (100.0, 10.0)]))
+    assert fit.log10_slope == pytest.approx(0.0, abs=1e-15)
+    assert fit.rmse_log10 == pytest.approx(math.sqrt(2.0 / 9.0), rel=1e-12)
+
+
 def test_learning_curve_needs_generation_axis():
     with pytest.raises(DataError, match=r"^learning curves need a generation-indexed CostSeries; "):
         rc.fit_learning_curve(_year_cost([(2009.0, 100.0), (2010.0, 90.0)]))
@@ -168,6 +176,25 @@ def test_steeper_and_higher_crosses_later():
     assert x > x0
 
 
+_CURVE = rc.LearningCurveFit("pv", 3.0, -0.5, 0.9, 0.1, (10.0, 1000.0), "USD_per_MWh")
+_OTHER = rc.LearningCurveFit("wind", 2.0, -0.2, 0.9, 0.1, (10.0, 1000.0), "USD_per_MWh")
+
+
+# learning_rate returned nan, and the others blamed an overflow at x = 100 or
+# a meeting point at 10**nan, before a curve's fields were checked
+@pytest.mark.parametrize("call", [
+    rc.learning_rate,
+    lambda fit: rc.cost_at(fit, 100.0),
+    lambda fit: rc.curve_crossing(fit, _OTHER),
+    lambda fit: rc.curve_crossing(_OTHER, fit),
+], ids=["learning_rate", "cost_at", "curve_crossing_a", "curve_crossing_b"])
+@pytest.mark.parametrize("field", ["log10_intercept", "log10_slope"])
+def test_a_curve_with_a_field_that_is_not_finite_is_refused(call, field):
+    with pytest.raises(ModelError) as got:
+        call(_CURVE._replace(**{field: math.nan}))
+    assert str(got.value) == f"fit field {field} must be finite, got nan"
+
+
 # -- invariances ---------------------------------------------------------------
 
 def test_axis_rescaling_invariance():
@@ -197,6 +224,9 @@ def test_learning_rate_invariant_under_rescaling(pv_series):
 # -- time decay -----------------------------------------------------------------
 
 def test_halving_cost_decay():
+    # two samples are enough for a fit
+    two = rc.fit_time_decay(_year_cost([(2000.0, 8.0), (2001.0, 4.0)]))
+    assert two.decay == pytest.approx(0.5, rel=1e-12)
     fit = rc.fit_time_decay(_year_cost([(2000.0, 8.0), (2001.0, 4.0),
                                         (2002.0, 2.0)]))
     assert fit.decay == pytest.approx(0.5, rel=1e-12)

@@ -113,11 +113,10 @@ _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.sampled_from((2 ** 64, -(10 ** 30))),
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from((-0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308)), _JSON_TEXT)
-_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(),
-                       st.floats(allow_nan=False, allow_infinity=False))
+# what ScenarioReport.to_dict holds: str keys and lists, no tuple
 _JSON_VALUES = st.recursive(_JSON_SCALARS, lambda kids: st.one_of(
-    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
-    st.dictionaries(_JSON_KEYS, kids, max_size=4)), max_leaves=24)
+    st.lists(kids, max_size=4), st.dictionaries(_JSON_TEXT, kids, max_size=4)),
+    max_leaves=24)
 
 
 @settings(max_examples=400, deadline=None)
@@ -126,12 +125,19 @@ def test_json_text_equals_indented_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, allow_nan=False)
 
 
-@pytest.mark.parametrize("obj", [math.nan, [math.inf], {"a": -math.inf}, {math.nan: 1},
-                                 ({1.0: [0.5, (math.inf,)]},)])
+@pytest.mark.parametrize("obj", [math.nan, [math.inf], {"a": -math.inf}])
 def test_json_text_refuses_what_dumps_refuses(obj):
     with pytest.raises(ValueError):
         json.dumps(obj, indent=2, allow_nan=False)
     with pytest.raises(ValueError):
+        json_text(obj)
+
+
+@pytest.mark.parametrize("obj", [{math.nan: 1}, ({1.0: [0.5, (math.inf,)]},), {1: "a"},
+                                 ["a", (1,)], {"a": (1.0,)}])
+def test_json_text_refuses_a_tuple_and_a_key_that_is_no_str(obj):
+    # json.dumps writes these, but no report holds them
+    with pytest.raises(TypeError):
         json_text(obj)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import renewcast as rc
 from renewcast import scenario
 from renewcast.config import MAX_HORIZON
-from renewcast.corpus import load_bundled
+from renewcast.corpus import HOURS_PER_YEAR, load_bundled
 from renewcast.errors import ModelError
 from renewcast.growthfit import ExponentialFit, PolynomialFit
 
@@ -115,6 +115,9 @@ def test_the_lattice_scan_forgives_a_decrease_of_float_noise_only():
     # (8.76e-6 TWh/yr at 8760 TWh/yr), not more
     noise = rc.combine([rc.TechnologyProfile("dip", 1.0, _Dip(1e-10))])
     assert rc.crossing_year(noise, 1e4, 2010.0) == ("not_reached", None)
+    edge = rc.combine([rc.TechnologyProfile("dip", 1.0, _Dip(1e-9))])
+    assert edge.value(2005.0) == 8760.0 - 1e-9 * 8760.0     # exactly the tolerance
+    assert rc.crossing_year(edge, 1e4, 2010.0) == ("not_reached", None)
     fall = rc.combine([rc.TechnologyProfile("dip", 1.0, _Dip(1e-8))])
     with pytest.raises(ModelError, match=r"^projection decreases between 2004\.9 "):
         rc.crossing_year(fall, 1e4, 2010.0)
@@ -165,12 +168,15 @@ def test_max_horizon_still_solves():
 
 
 class _StepModel:
-    """1 GW before 2005.03 and 1000 GW from then on."""
+    """low GW before 2005.03 and high GW from then on."""
 
     window = (2000.0, 2010.0)
 
+    def __init__(self, low=1.0, high=1000.0):
+        self.low, self.high = low, high
+
     def value_at(self, year):
-        return 1.0 if year < 2005.03 else 1000.0
+        return self.low if year < 2005.03 else self.high
 
 
 def _step_profile():
@@ -183,6 +189,52 @@ def test_step_projection_never_meets_level():
     with pytest.raises(ModelError, match=r"^projection jumps past 100 at ") as err:
         rc.crossing_year(rc.combine([_step_profile()]), 100.0, 2020.0)
     assert "2005.03" in str(err.value)
+
+
+def _power_for(twh):
+    """The installed power whose generation at capacity factor 1 is exactly twh."""
+    power = twh * 1000.0 / HOURS_PER_YEAR
+    for _ in range(8):
+        generation = rc.combine([rc.TechnologyProfile("x", 1.0, _Flat(power))]).value(2005.0)
+        if generation == twh:
+            return power
+        power = math.nextafter(power, math.inf if generation < twh else -math.inf)
+    raise AssertionError(f"no power gives {twh!r} TWh/yr")
+
+
+def test_a_root_exactly_at_the_level_tolerance_is_a_crossing():
+    # the projection steps from level - tol to level + tol, tol =
+    # LEVEL_TOLERANCE * level exactly (2**-6 at 15625), so the value at the
+    # bisected year lies tol from the level on either side of the step
+    level = 15625.0
+    tol = scenario.LEVEL_TOLERANCE * level
+    assert tol == 2.0 ** -6
+    model = _StepModel(_power_for(level - tol), _power_for(level + tol))
+    status, year = rc.crossing_year(
+        rc.combine([rc.TechnologyProfile("two", 1.0, model)]), level, 2010.0)
+    assert status == "crossed"
+    assert abs(year - 2005.03) < scenario.YEAR_TOLERANCE
+
+
+class _PlateauModel:
+    """Rising by 1 GW a year to 100 GW at 2003.02, flat at 100 GW up to
+    2003.07 and 1000 GW from then on."""
+
+    window = (2000.0, 2010.0)
+
+    def value_at(self, year):
+        return min(100.0, 100.0 - (2003.02 - year)) if year < 2003.07 else 1000.0
+
+
+def test_a_projection_at_the_level_over_an_interval_crosses_at_its_start():
+    # the plateau lies inside the lattice step (2003.0, 2003.1]; bisection
+    # keeps the lower end only below the level, so it closes in on the year
+    # the level is first met, not on the year the plateau ends
+    proj = rc.combine([rc.TechnologyProfile("plateau", 1.0, _PlateauModel())])
+    level = proj.value(2003.05)
+    status, year = rc.crossing_year(proj, level, 2010.0)
+    assert status == "crossed"
+    assert abs(year - 2003.02) < scenario.YEAR_TOLERANCE
 
 
 @pytest.mark.parametrize("field", ["ln_intercept", "reference_year", "ln_slope"])

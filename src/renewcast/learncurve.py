@@ -71,7 +71,6 @@ class LearningCurveFit(NamedTuple):
     log10_intercept: float
     log10_slope: float
     r_squared: float
-    rmse_log10: float
     x_range: tuple[float, float]
     cost_unit: str
 
@@ -119,9 +118,9 @@ def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
     if len(series.x) < 2:
         raise ModelError("learning-curve fit needs >= 2 samples")
     for x, c in zip(series.x, series.costs):
-        if x <= 0 or c <= 0:
+        if not (0 < x < math.inf and 0 < c < math.inf):
             raise DataError(f"{series.technology}: x {x!r} and cost {c!r} "
-                            "must be > 0")
+                            "must be finite and > 0")
     lx = list(map(math.log10, series.x))
     lc = list(map(math.log10, series.costs))
     slope, xm, ym, sse, sst = ols(lx, lc)
@@ -130,7 +129,6 @@ def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
         log10_intercept=ym - slope * xm,
         log10_slope=slope,
         r_squared=r_squared(sse, sst),
-        rmse_log10=math.sqrt(sse / len(lx)),
         x_range=series.x_range,
         cost_unit=series.cost_unit,
     )

@@ -598,7 +598,7 @@ def test_every_raise_names_an_exit_code_class():
 
 
 _NAN, _INF = math.nan, math.inf
-_LEARNING_FIT = learncurve.LearningCurveFit("toy", 2.0, -0.5, 1.0, 0.0, (1.0, 10.0), "USD_per_MWh")
+_LEARNING_FIT = learncurve.LearningCurveFit("toy", 2.0, -0.5, 1.0, (1.0, 10.0), "USD_per_MWh")
 _DEPTH_POINTS = [(1.0, 10.0), (2.0, 20.0)]
 _LINE = growthfit.PolynomialFit(2000.0, (1.0, 2.0), 1, 0.0, (2000.0, 2010.0))
 # helpers that keep their checks but are no public name of renewcast
@@ -700,7 +700,7 @@ def test_every_public_name_keeps_the_exit_code_contract(
     pv_lcoe = corpus.load_series("pv_lcoe")
     exp_fit, poly_fit = pv_profile.model, hydro_profile.model
     window = (2000.0, 2019.0)
-    other_curve = learncurve.LearningCurveFit("b", 1.0, -0.2, 1.0, 0.0, (1.0, 10.0), "USD_per_MWh")
+    other_curve = learncurve.LearningCurveFit("b", 1.0, -0.2, 1.0, (1.0, 10.0), "USD_per_MWh")
     projection = scenario.CombinedProjection((pv_profile, wind_profile, hydro_profile))
     calls = {
         "CapacitySeries": ("toy", "installed_power", "GW", (2000.0, 2001.0), (1.0, 2.0)),
@@ -722,7 +722,7 @@ def test_every_public_name_keeps_the_exit_code_contract(
         "fit_polynomial": (hydro_series, 2, (1990.0, 2019.0)),
         "past_horizon": (exp_fit, 2030.0),
         "CostSeries": ("toy", (1.0, 2.0), (3.0, 2.0), "USD_per_MWh"),
-        "LearningCurveFit": ("toy", 2.0, -0.5, 1.0, 0.0, (1.0, 10.0), "USD_per_MWh"),
+        "LearningCurveFit": ("toy", 2.0, -0.5, 1.0, (1.0, 10.0), "USD_per_MWh"),
         "TimeDecayFit": ("toy", 2010.0, 100.0, 0.9, 1.0, (2010.0, 2019.0), "USD_per_MWh"),
         "cost_at": (_LEARNING_FIT, 5.0),
         "cost_series": (pv_lcoe,),

@@ -380,7 +380,6 @@ def test_horizon_warning_flag():
 
 @pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf])
 def test_horizon_warning_refuses_a_year_that_is_not_finite(year):
-    # a nan year passed as "within the horizon" and inf as "past it"
     fit = rc.ExponentialFit(2000.0, 1.0, 0.2, 1.0, 0.0, (2000.0, 2020.0))
     with pytest.raises(ModelError, match=rf"^year must be finite, got {year!r}$"):
         rc.past_horizon(fit, year)

@@ -47,14 +47,6 @@ def test_flat_cost_means_zero_learning():
     assert rc.learning_rate(fit) == 0.0
 
 
-def test_rmse_is_the_root_mean_square_log10_residual():
-    # log10 costs 1, 0, 1 over log10 x 0, 1, 2: a flat line at 2/3 with
-    # residuals 1/3, -2/3 and 1/3
-    fit = rc.fit_learning_curve(_gen_cost([(1.0, 10.0), (10.0, 1.0), (100.0, 10.0)]))
-    assert fit.log10_slope == pytest.approx(0.0, abs=1e-15)
-    assert fit.rmse_log10 == pytest.approx(math.sqrt(2.0 / 9.0), rel=1e-12)
-
-
 def test_learning_curve_needs_generation_axis():
     with pytest.raises(DataError, match=r"^learning curves need a generation-indexed CostSeries; "):
         rc.fit_learning_curve(_year_cost([(2009.0, 100.0), (2010.0, 90.0)]))
@@ -70,8 +62,16 @@ def test_learning_curve_too_few_points():
                                      [(-10.0, 100.0), (20.0, 90.0)],
                                      [(10.0, 100.0), (20.0, -90.0)]])
 def test_learning_curve_refuses_nonpositive_x_or_cost(samples):
-    with pytest.raises(DataError, match=r"^toy: x -?[0-9.]+ and cost -?[0-9.]+ must be > 0$"):
+    with pytest.raises(DataError,
+                       match=r"^toy: x -?[0-9.]+ and cost -?[0-9.]+ must be finite and > 0$"):
         rc.fit_learning_curve(_gen_cost(samples))
+
+
+@pytest.mark.parametrize("x, cost", [(math.nan, 2.0), (math.inf, 2.0),
+                                     (3.0, math.nan), (3.0, math.inf)])
+def test_learning_curve_refuses_a_sample_that_is_not_finite(x, cost):
+    with pytest.raises(DataError, match=rf"^toy: x {x!r} and cost {cost!r} must be finite and > 0$"):
+        rc.fit_learning_curve(_gen_cost([(1.0, 4.0), (x, cost)]))
 
 
 def test_learning_curve_refuses_columns_of_unequal_length():
@@ -141,8 +141,8 @@ def test_cost_at_method_rejects_nonpositive(pv_learning, x, shown):
 # -- crossing ------------------------------------------------------------------
 
 def test_crossing_analytic_example():
-    a = rc.LearningCurveFit("a", 3.0, -0.5, 1.0, 0.0, (1.0, 100.0), "USD_per_MWh")
-    b = rc.LearningCurveFit("b", 2.0, -0.2, 1.0, 0.0, (1.0, 100.0), "USD_per_MWh")
+    a = rc.LearningCurveFit("a", 3.0, -0.5, 1.0, (1.0, 100.0), "USD_per_MWh")
+    b = rc.LearningCurveFit("b", 2.0, -0.2, 1.0, (1.0, 100.0), "USD_per_MWh")
     x, cost = rc.curve_crossing(a, b)
     assert math.log10(x) == pytest.approx(10.0 / 3.0, rel=1e-12)
     assert x == pytest.approx(10.0 ** (10.0 / 3.0), rel=1e-9)
@@ -150,14 +150,14 @@ def test_crossing_analytic_example():
 
 
 def test_crossing_satisfies_both_lines():
-    a = rc.LearningCurveFit("a", 3.1, -0.62, 1.0, 0.0, (1.0, 100.0), "USD_per_MWh")
-    b = rc.LearningCurveFit("b", 2.4, -0.31, 1.0, 0.0, (1.0, 100.0), "USD_per_MWh")
+    a = rc.LearningCurveFit("a", 3.1, -0.62, 1.0, (1.0, 100.0), "USD_per_MWh")
+    b = rc.LearningCurveFit("b", 2.4, -0.31, 1.0, (1.0, 100.0), "USD_per_MWh")
     x, _ = rc.curve_crossing(a, b)
     assert a.cost_at(x) == pytest.approx(b.cost_at(x), rel=1e-9)
 
 
 def test_identical_lines_never_cross():
-    a = rc.LearningCurveFit("a", 3.0, -0.5, 1.0, 0.0, (1.0, 100.0), "USD_per_MWh")
+    a = rc.LearningCurveFit("a", 3.0, -0.5, 1.0, (1.0, 100.0), "USD_per_MWh")
     with pytest.raises(ModelError, match=r"^slopes are equal \(-0\.5\); the lines never cross$"):
         rc.curve_crossing(a, a)
 
@@ -167,21 +167,19 @@ def test_steeper_and_higher_crosses_later():
     # imply the crossing lies beyond that x
     x0 = 50.0
     a = rc.LearningCurveFit("a", math.log10(30.0) + 0.9 * math.log10(x0),
-                            -0.9, 1.0, 0.0, (x0, 500.0), "USD_per_MWh")
+                            -0.9, 1.0, (x0, 500.0), "USD_per_MWh")
     b = rc.LearningCurveFit("b", math.log10(20.0) + 0.3 * math.log10(x0),
-                            -0.3, 1.0, 0.0, (x0, 500.0), "USD_per_MWh")
+                            -0.3, 1.0, (x0, 500.0), "USD_per_MWh")
     assert a.cost_at(x0) > b.cost_at(x0)
     assert a.log10_slope < b.log10_slope
     x, _ = rc.curve_crossing(a, b)
     assert x > x0
 
 
-_CURVE = rc.LearningCurveFit("pv", 3.0, -0.5, 0.9, 0.1, (10.0, 1000.0), "USD_per_MWh")
-_OTHER = rc.LearningCurveFit("wind", 2.0, -0.2, 0.9, 0.1, (10.0, 1000.0), "USD_per_MWh")
+_CURVE = rc.LearningCurveFit("pv", 3.0, -0.5, 0.9, (10.0, 1000.0), "USD_per_MWh")
+_OTHER = rc.LearningCurveFit("wind", 2.0, -0.2, 0.9, (10.0, 1000.0), "USD_per_MWh")
 
 
-# learning_rate returned nan, and the others blamed an overflow at x = 100 or
-# a meeting point at 10**nan, before a curve's fields were checked
 @pytest.mark.parametrize("call", [
     rc.learning_rate,
     lambda fit: rc.cost_at(fit, 100.0),

@@ -3,22 +3,24 @@
 Each mutant changes one comparison (< <= > >= == !=), one arithmetic
 operator (+ - * /, also in an augmented assignment) or one and/or in a
 module of src/renewcast, in a copy of the tree; src/ itself is never
-written. The module's mapped test files then run on that copy under a
-per-mutant timeout, and a mutant that passes them survived. Survivors
+written. The module's mapped test files then run on that copy, and a
+mutant that passes them survived. Survivors
 known to be equivalent (no input tells them from the original) are listed
 in EQUIVALENT with the reason, and are counted apart.
 
     python tools/mutate.py scenario.py learncurve.py artifacts.py
-    python tools/mutate.py --list scenario.py        # the mutants, none run
 
-It prints each survivor as module:line:column, the mutation and the source line,
-and one kill-rate line per module. One mutant runs at a time. It is no
-test: neither the test suite nor CI runs it.
+Each mutant is the module's tree with one operator flipped, written back
+with ast.unparse; the unmutated module, unparsed alike, must pass its tests
+first. It prints each survivor as module:line (the line the operator's
+left operand ends on), the mutation and the source line, and one kill-rate
+line per module. One mutant runs at a time, and a test run that takes
+longer than TIMEOUT seconds (a mutant may loop forever) kills its mutant.
+It is no test: neither the test suite nor CI runs it.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -28,6 +30,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "renewcast")
+TIMEOUT = 60.0
 
 # module -> the test files that pin it; known-red criteria are deselected
 TESTS = {
@@ -68,25 +71,23 @@ _TEXT = {
 
 
 def _sites(tree) -> list:
-    """(node, field, index, gaps) per operator that can flip, in source
+    """(node, field, index, line) per operator that can flip, in source
     order: the node holds the operator in node.field (node.field[index] for
-    a comparison), and its text lies in each gap, between a pair of
-    operands."""
+    a comparison), and its left operand ends on line."""
     sites = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
-            for i, (op, left, right) in enumerate(
-                    zip(node.ops, [node.left, *node.comparators], node.comparators)):
+            for i, (op, left) in enumerate(zip(node.ops, [node.left, *node.comparators])):
                 if type(op) in _SWAPS:
-                    sites.append((node, "ops", i, [(left, right)]))
+                    sites.append((node, "ops", i, left))
         elif isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
-            sites.append((node, "op", None, [(node.left, node.right)]))
+            sites.append((node, "op", None, node.left))
         elif isinstance(node, ast.AugAssign) and type(node.op) in _SWAPS:
-            sites.append((node, "op", None, [(node.target, node.value)]))
+            sites.append((node, "op", None, node.target))
         elif isinstance(node, ast.BoolOp):
-            sites.append((node, "op", None, list(zip(node.values, node.values[1:]))))
-    return sorted(sites, key=lambda site: (site[3][0][0].end_lineno,
-                                           site[3][0][0].end_col_offset))
+            sites.append((node, "op", None, node.values[0]))
+    sites.sort(key=lambda site: (site[3].end_lineno, site[3].end_col_offset))
+    return [(node, field, index, left.end_lineno) for node, field, index, left in sites]
 
 
 def _flip(node, field, index):
@@ -101,62 +102,22 @@ def _flip(node, field, index):
     return old, ops[index]
 
 
-def _rewrite(data: bytes, starts, gaps, old: str, new: str):
-    """(data with old replaced by new in each gap, and the line and column
-    of the first replaced operator); the operator is the first whole token
-    old in a gap outside a comment."""
-    for left, right in reversed(gaps):
-        lo = starts[left.end_lineno - 1] + left.end_col_offset
-        hi = starts[right.lineno - 1] + right.col_offset
-        gap = data[lo:hi].decode()
-        at = _find(gap, old)
-        line = left.end_lineno + gap.count("\n", 0, at)
-        col = lo + len(gap[:at].encode()) - starts[line - 1]
-        gap = gap[:at] + new + gap[at + len(old):]
-        data = data[:lo] + gap.encode() + data[hi:]
-    return data, line, col
-
-
-def _find(gap: str, token: str) -> int:
-    offset = 0
-    for line in gap.splitlines(keepends=True):
-        code = line.split("#", 1)[0]
-        at = code.find(token)
-        while at >= 0:
-            before, after = code[at - 1:at], code[at + len(token):at + len(token) + 1]
-            if token.isalpha():
-                whole = not (before.isalnum() or after.isalnum() or "_" in (before, after))
-            else:       # not a part of <=, ==, !=, ** or //
-                whole = before not in set("<>=!*/") and after not in set("<>=*/")
-            if whole:
-                return offset + at
-            at = code.find(token, at + 1)
-        offset += len(line)
-    raise ValueError(f"no {token!r} between the operands")
+def _source(module: str) -> str:
+    with open(os.path.join(ROOT, PACKAGE, module), encoding="utf-8") as f:
+        return f.read()
 
 
 def mutants(module: str):
-    """(line, column, mutation, source line, mutated bytes) per mutant of
-    module, in source order."""
-    path = os.path.join(ROOT, PACKAGE, module)
-    with open(path, "rb") as f:
-        data = f.read()
-    lines = data.decode().splitlines()
-    starts, at = [], 0
-    for line in data.splitlines(keepends=True):
-        starts.append(at)
-        at += len(line)
-    for k in range(len(_sites(ast.parse(data)))):
-        tree = ast.parse(data)      # a fresh tree per mutant, flipped in place
-        node, field, index, gaps = _sites(tree)[k]
+    """(line, mutation, source line, mutated module text) per mutant of
+    module, in source order; the text is ast.unparse of the flipped tree."""
+    source = _source(module)
+    lines = source.splitlines()
+    for k in range(len(_sites(ast.parse(source)))):
+        tree = ast.parse(source)        # a fresh tree per mutant, flipped in place
+        node, field, index, line = _sites(tree)[k]
         old, new = _flip(node, field, index)
-        suffix = "=" if isinstance(node, ast.AugAssign) else ""
-        mutated, line, col = _rewrite(data, starts, gaps, _TEXT[type(old)] + suffix,
-                                      _TEXT[type(new)] + suffix)
-        if ast.dump(ast.parse(mutated)) != ast.dump(tree):
-            raise ValueError(f"{module}:{line}:{col}: the rewrite is not the flipped tree")
-        yield (line, col, f"{_TEXT[type(old)]} -> {_TEXT[type(new)]}",
-               lines[line - 1].strip(), mutated)
+        yield (line, f"{_TEXT[type(old)]} -> {_TEXT[type(new)]}", lines[line - 1].strip(),
+               ast.unparse(tree))
 
 
 def _copy_tree(dest: str):
@@ -166,68 +127,57 @@ def _copy_tree(dest: str):
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def _passes(tree: str, module: str, timeout: float) -> bool:
-    """Whether the module's tests pass on tree within timeout seconds."""
+def _passes(tree: str, module: str) -> bool:
+    """Whether the module's tests pass on tree within TIMEOUT seconds."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             "-m", "not known_red", *(os.path.join("tests", t) for t in TESTS[module])]
     try:
         proc = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
 
 
-def probe(module: str, tree: str, timeout: float) -> tuple[int, int, int]:
+def probe(module: str, tree: str) -> tuple[int, int, int]:
     """Run every mutant of module on tree; print the survivors and return
     (mutants, killed, equivalent)."""
-    if not _passes(tree, module, timeout):
-        raise SystemExit(f"{module}: the mapped tests fail on the unmutated tree")
     path = os.path.join(tree, PACKAGE, module)
-    with open(path, "rb") as f:
-        original = f.read()
     total = killed = equivalent = 0
     try:
-        for line, col, mutation, source, mutated in mutants(module):
+        # the unmutated module, unparsed as the mutants are, must pass first
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(ast.unparse(ast.parse(_source(module))))
+        if not _passes(tree, module):
+            raise SystemExit(f"{module}: the mapped tests fail on the unparsed module")
+        for line, mutation, source, mutated in mutants(module):
             total += 1
-            with open(path, "wb") as f:
+            with open(path, "w", encoding="utf-8") as f:
                 f.write(mutated)
-            if not _passes(tree, module, timeout):
+            if not _passes(tree, module):
                 killed += 1
                 continue
             reason = EQUIVALENT.get((module, source, mutation))
             equivalent += bool(reason)
-            print(f"{'equivalent' if reason else 'survived  '} {module}:{line}:{col}: "
+            print(f"{'equivalent' if reason else 'survived  '} {module}:{line}: "
                   f"{mutation}  | {source}" + (f"  ({reason})" if reason else ""), flush=True)
     finally:
-        with open(path, "wb") as f:
-            f.write(original)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(_source(module))
     return total, killed, equivalent
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", default=sorted(TESTS),
-                        help="modules of src/renewcast with a test map")
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="seconds per mutant's test run (a mutant may loop forever)")
-    parser.add_argument("--list", action="store_true", help="list the mutants, run none")
-    args = parser.parse_args(argv)
-    for module in args.modules:
+def main(modules) -> int:
+    for module in modules:
         if module not in TESTS:
-            parser.error(f"no test map for {module}; known: {', '.join(sorted(TESTS))}")
-    if args.list:
-        for module in args.modules:
-            for line, col, mutation, source, _ in mutants(module):
-                print(f"{module}:{line}:{col}: {mutation}  | {source}")
-        return 0
+            raise SystemExit(f"no test map for {module}; known: {', '.join(sorted(TESTS))}")
     survived = 0
     with tempfile.TemporaryDirectory(prefix="mutate-") as tree:
         _copy_tree(tree)
-        for module in args.modules:
-            total, killed, equivalent = probe(module, tree, args.timeout)
+        for module in modules:
+            total, killed, equivalent = probe(module, tree)
             left = total - killed - equivalent
             survived += left
             print(f"{module}: killed {killed} of {total} "
@@ -237,4 +187,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:] or sorted(TESTS)))

@@ -41,15 +41,15 @@ def mixes_csv(report: ScenarioReport) -> str:
 
 def budget_csv(report: ScenarioReport) -> str:
     rows = []
-    for name, area in report.budget["areas"].items():
+    for name, area in report.budget.areas.items():
         rows.append((f"area_{name}", area.required_area_km2, "km2"))
         rows.append((f"desert_fraction_{name}", area.desert_fraction, "fraction"))
-    for name, entry in report.budget["potential_fractions"].items():
-        rows.append((f"fraction_{name}", entry["fraction"], "fraction"))
-        rows.append((f"times_over_{name}", entry["times_over"], "ratio"))
-    ode = report.budget["offshore_depth_extrapolation"]
+    for name, entry in report.budget.potential_fractions.items():
+        rows.append((f"fraction_{name}", entry.fraction, "fraction"))
+        rows.append((f"times_over_{name}", entry.times_over, "ratio"))
+    ode = report.budget.offshore_depth_extrapolation
     rows.append(("offshore_depth_extrapolated_potential",
-                 ode["extrapolated_potential_twh_per_year"], "TWh_per_year"))
+                 ode.extrapolated_potential_twh_per_year, "TWh_per_year"))
     return _csv(("name", "value", "unit"), rows)
 
 

@@ -231,12 +231,11 @@ def _run(args) -> int:
 
     if args.command == "budget":
         from .artifacts import emit_discrepancies
-        for name, area in rep.budget["areas"].items():
+        for name, area in rep.budget.areas.items():
             print(f"area_{name}_km2 = {area.required_area_km2!r}")
             print(f"desert_fraction_{name} = {area.desert_fraction!r}")
-        ode = rep.budget["offshore_depth_extrapolation"]
-        print("offshore_depth_extrapolated_twh = "
-              f"{ode['extrapolated_potential_twh_per_year']!r}")
+        ode = rep.budget.offshore_depth_extrapolation
+        print(f"offshore_depth_extrapolated_twh = {ode.extrapolated_potential_twh_per_year!r}")
         print()
         print(emit_discrepancies(rep.discrepancies), end="")
         return 0

@@ -174,15 +174,11 @@ def emit_figure(report: ScenarioReport, figure_id: str) -> str:
 
     if figure_id == "appfig1":
         from . import resourcebudget
-        ode = report.budget["offshore_depth_extrapolation"]
-        pts = ode["points_area_mkm2_potential_twh"]
-        target = ode["target_area_mkm2"]
-        value = ode["extrapolated_potential_twh_per_year"]
+        pts, target, value = report.budget.offshore_depth_extrapolation
         chart = Chart("offshore potential vs available sea area",
                       Axis("available sea area [million km2]", "linear", 0.0, target * 1.15),
                       Axis("potential [TWh/yr]", "linear", 0.0, value * 1.2))
-        chart.add_points([p[0] for p in pts], [p[1] for p in pts],
-                         "#2b6cb0", "published potentials")
+        chart.add_points(*zip(*pts), "#2b6cb0", "published potentials")
         xs = [0.0, target * 1.1]
         chart.add_line(xs, [resourcebudget.offshore_depth_extrapolation(pts, x) for x in xs],
                        "#2b6cb0", dashed=True)

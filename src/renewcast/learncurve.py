@@ -34,10 +34,13 @@ class CostSeries(NamedTuple):
 
 
 def cost_series(series: CapacitySeries) -> CapacitySeries:
-    """The series itself, once it is checked to be a year-indexed unit_cost series."""
+    """The series itself, once checked to be a year-indexed unit_cost series of finite samples."""
     kind = getattr(series, "quantity_kind", None)
     if kind != "unit_cost":
         raise DataError(f"{series.technology}: expected a unit_cost series, got {kind!r}")
+    for y, v in zip(series.years, series.values):
+        if not (math.isfinite(y) and math.isfinite(v)):
+            raise DataError(f"series {series.technology!r}: non-finite sample ({y!r}, {v!r})")
     return series
 
 

@@ -44,9 +44,10 @@ class ScenarioReport:
     """One scenario over its loaded series. Every other section is computed
     from these two attributes when it is first read, then kept, and is held
     as the typed objects that computed it. Each published row (CrossingEntry,
-    scenario.MixEntry, resourcebudget.AreaBudget, DiscrepancyRow, ClaimRow)
-    is a NamedTuple whose fields name the report.json keys and the CSV
-    columns; to_dict shares no container with the report."""
+    scenario.MixEntry, DiscrepancyRow, ClaimRow, and the budget's
+    resourcebudget.ReferenceBudget, AreaBudget, PotentialFraction and
+    DepthExtrapolation) is a NamedTuple whose fields name the report.json
+    keys and the CSV columns; to_dict shares no container with the report."""
 
     def __init__(self, config: ScenarioConfig, series: dict):
         self.config = config
@@ -56,24 +57,23 @@ class ScenarioReport:
         # the config as given, with the capacity factors as resolved; out_dir
         # is not echoed: artifacts must not depend on where they are written
         cfg = {}
-        for name in ScenarioConfig._fields:
-            value = getattr(self.config, name)
+        for name, value in self.config._asdict().items():
             if name == "cf_pv":
-                cfg["capacity_factors"] = dict(self.capacity_factors)
+                cfg["capacity_factors"] = self.capacity_factors
             elif name not in ("out_dir", "cf_wind", "cf_hydro"):
-                cfg[name] = (list(value) if isinstance(value, tuple) else
-                             fspath(value) if isinstance(value, PathLike) else value)
+                cfg[name] = fspath(value) if isinstance(value, PathLike) else value
         return {
             "schema_version": SCHEMA_VERSION,
-            "config": cfg,
+            "config": _json(cfg),
             "fits": {name: self.fit_dict(name) for name in self.fits},
-            "crossings": _row_dicts(self.crossings),
-            "mixes": {year: _row_dicts(entries) for year, entries in self.mixes.items()},
+            # a flat row is one dict of scalars, which _json would copy again
+            "crossings": [row._asdict() for row in self.crossings],
+            "mixes": {year: [e._asdict() for e in rows] for year, rows in self.mixes.items()},
             "learning": self.learning_dict(),
-            "budget": _budget_dict(self.budget),
-            "discrepancies": _row_dicts(self.discrepancies),
-            "claims": _row_dicts(self.claims),
-            "warnings": list(self.warnings),
+            "budget": _json(self.budget),
+            "discrepancies": [row._asdict() for row in self.discrepancies],
+            "claims": [row._asdict() for row in self.claims],
+            "warnings": _json(self.warnings),
         }
 
     def fit_dict(self, name: str) -> dict:
@@ -92,8 +92,7 @@ class ScenarioReport:
                 "window": list(fit.window),
             }
         if name == "hydro":
-            return {"kind": "polynomial", **fit._asdict(),
-                    "coefficients": list(fit.coefficients), "window": list(fit.window)}
+            return {"kind": "polynomial", **_json(fit)}
         out = _exp_fit_dict(fit)
         if name == "pv":
             out["residual_signs"] = growthfit.residual_signs(self.series["pv"], fit)
@@ -237,8 +236,8 @@ class ScenarioReport:
         })
 
     @cached_property
-    def budget(self) -> dict:
-        """The reference budgets at the scenario's PV capacity factor."""
+    def budget(self):
+        """The resourcebudget.ReferenceBudget at the scenario's PV capacity factor."""
         from . import resourcebudget
         return resourcebudget.reference_budget(self.capacity_factors["pv"])
 
@@ -391,9 +390,14 @@ class _LazyMap(Mapping):
         return len(self._makers)
 
 
-def _row_dicts(rows) -> list:
-    """A copy of each row's fields: editing the result leaves the rows as they are."""
-    return [row._asdict() for row in rows]
+def _json(value):
+    """A fresh JSON container of a record (its fields by name), dict, tuple or
+    list, every record, dict, tuple and list in it converted alike: editing
+    the result leaves the report as it is."""
+    if isinstance(value, dict) or hasattr(value, "_fields"):
+        items = value.items() if isinstance(value, dict) else zip(value._fields, value)
+        return {k: _json(v) if isinstance(v, (dict, tuple, list)) else v for k, v in items}
+    return [_json(v) if isinstance(v, (dict, tuple, list)) else v for v in value]
 
 
 def _exp_fit_dict(fit: growthfit.ExponentialFit) -> dict:
@@ -434,17 +438,6 @@ def _decay_dict(fit) -> dict:
         "window": list(fit.window),
         "cost_unit": fit.cost_unit,
     }
-
-
-def _budget_dict(budget: dict) -> dict:
-    """JSON form of a report's budget that shares no container with it."""
-    ode = budget["offshore_depth_extrapolation"]
-    return {**budget,
-            "areas": {name: area._asdict() for name, area in budget["areas"].items()},
-            "potential_fractions": {name: dict(entry) for name, entry
-                                    in budget["potential_fractions"].items()},
-            "offshore_depth_extrapolation": {**ode, "points_area_mkm2_potential_twh": [
-                list(p) for p in ode["points_area_mkm2_potential_twh"]]}}
 
 
 def load_series(config: ScenarioConfig) -> dict:

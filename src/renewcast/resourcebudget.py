@@ -56,8 +56,27 @@ def desert_fraction(area_km2: float) -> float:
     return area_km2 / constant("desert_area")
 
 
-def potential_fraction(demand_twh: float, potential_twh: float):
-    """(demand/potential, potential/demand); times_over is inf at zero demand."""
+class PotentialFraction(NamedTuple):
+    fraction: float              # demand / potential
+    times_over: float            # potential / demand, inf at zero demand
+
+
+class DepthExtrapolation(NamedTuple):
+    points_area_mkm2_potential_twh: tuple[tuple[float, float], ...]
+    target_area_mkm2: float
+    extrapolated_potential_twh_per_year: float
+
+
+class ReferenceBudget(NamedTuple):
+    pv_density_mw_per_km2: float
+    desert_area_km2: float
+    areas: dict                  # demand name -> AreaBudget
+    potential_fractions: dict    # "<demand>_vs_<potential>" -> PotentialFraction
+    offshore_depth_extrapolation: DepthExtrapolation
+
+
+def potential_fraction(demand_twh: float, potential_twh: float) -> PotentialFraction:
+    """demand/potential and potential/demand; times_over is inf at zero demand."""
     if not 0 < potential_twh < math.inf:
         raise DataError(f"potential must be finite and > 0, got {potential_twh!r}")
     if not 0 <= demand_twh < math.inf:
@@ -66,7 +85,7 @@ def potential_fraction(demand_twh: float, potential_twh: float):
     times_over = math.inf if demand_twh == 0 else potential_twh / demand_twh
     if fraction == math.inf or times_over == math.inf and demand_twh:
         raise ModelError(f"demand {demand_twh!r} against potential {potential_twh!r} overflows")
-    return fraction, times_over
+    return PotentialFraction(fraction, times_over)
 
 
 def offshore_depth_extrapolation(points, target_area) -> float:
@@ -94,7 +113,7 @@ def load_offshore_depth_fixture():
             constant("offshore_area_1000m"))
 
 
-def reference_budget(cf_pv: float) -> dict:
+def reference_budget(cf_pv: float) -> ReferenceBudget:
     """Areas, potential fractions and the offshore depth extrapolation of
     the reference scenario's demands, for PV at capacity factor cf_pv."""
     density = constant("pv_density")
@@ -105,33 +124,22 @@ def reference_budget(cf_pv: float) -> dict:
         "primary_fig5": constant("primary_threshold_fig5"),
         "reduced_primary_2030": reduced_primary(constant("primary_demand_2030")),
     }
-    budget_areas = {name: area_budget(demand, density, cf_pv)
-                    for name, demand in demands.items()}
-    potentials = {name: constant(const) for name, const in (
-        ("onshore", "onshore_wind_potential"),
-        ("offshore_50m", "offshore_50m"),
-        ("offshore_1000m", "offshore_1000m"),
-        ("wind_total_as_stated", "wind_total_potential_as_stated"),
-    )}
-    budget_fractions = {}
-    for pot_name, pot in potentials.items():
-        for dem_name in ("electric_2030", "primary_2030", "reduced_primary_2030"):
-            frac, times = potential_fraction(demands[dem_name], pot)
-            budget_fractions[f"{dem_name}_vs_{pot_name}"] = {"fraction": frac,
-                                                             "times_over": times}
-    fixture_points, fixture_target = load_offshore_depth_fixture()
-    offshore_extrapolated = offshore_depth_extrapolation(fixture_points, fixture_target)
-    return {
-        "pv_density_mw_per_km2": density,
-        "desert_area_km2": constant("desert_area"),
-        "areas": budget_areas,
-        "potential_fractions": budget_fractions,
-        "offshore_depth_extrapolation": {
-            "points_area_mkm2_potential_twh": [list(p) for p in fixture_points],
-            "target_area_mkm2": fixture_target,
-            "extrapolated_potential_twh_per_year": offshore_extrapolated,
-        },
-    }
+    potentials = {"onshore": constant("onshore_wind_potential"),
+                  "offshore_50m": constant("offshore_50m"),
+                  "offshore_1000m": constant("offshore_1000m"),
+                  "wind_total_as_stated": constant("wind_total_potential_as_stated")}
+    points, target = load_offshore_depth_fixture()
+    return ReferenceBudget(
+        pv_density_mw_per_km2=density,
+        desert_area_km2=constant("desert_area"),
+        areas={name: area_budget(demand, density, cf_pv) for name, demand in demands.items()},
+        potential_fractions={
+            f"{dem_name}_vs_{pot_name}": potential_fraction(demands[dem_name], pot)
+            for pot_name, pot in potentials.items()
+            for dem_name in ("electric_2030", "primary_2030", "reduced_primary_2030")},
+        offshore_depth_extrapolation=DepthExtrapolation(
+            tuple(points), target, offshore_depth_extrapolation(points, target)),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -168,7 +176,7 @@ def appendix_discrepancies() -> list[DiscrepancyRow]:
     """Every stated budget figure against its recomputation, read from the
     reference budget at the registered PV capacity factor."""
     budget = reference_budget(constant("cf_pv"))
-    areas, fractions = budget["areas"], budget["potential_fractions"]
+    areas, fractions = budget.areas, budget.potential_fractions
 
     rows = [
         ("pv_area_electric_2030_km2", "stated_pv_area_electric_km2",
@@ -185,25 +193,25 @@ def appendix_discrepancies() -> list[DiscrepancyRow]:
         ("desert_fraction_reduced", "stated_desert_fraction_reduced",
          areas["reduced_primary_2030"].desert_fraction),
         ("wind_fraction_electric", "stated_wind_fraction_electric",
-         fractions["electric_2030_vs_wind_total_as_stated"]["fraction"]),
+         fractions["electric_2030_vs_wind_total_as_stated"].fraction),
         ("wind_fraction_primary", "stated_wind_fraction_primary",
-         fractions["primary_2030_vs_wind_total_as_stated"]["fraction"]),
+         fractions["primary_2030_vs_wind_total_as_stated"].fraction),
         ("wind_fraction_reduced", "stated_wind_fraction_reduced",
-         fractions["reduced_primary_2030_vs_wind_total_as_stated"]["fraction"]),
+         fractions["reduced_primary_2030_vs_wind_total_as_stated"].fraction),
         ("onshore_times_primary", "stated_onshore_times_primary",
-         fractions["primary_2030_vs_onshore"]["times_over"]),
+         fractions["primary_2030_vs_onshore"].times_over),
         ("onshore_times_electric", "stated_onshore_times_electric",
-         fractions["electric_2030_vs_onshore"]["times_over"]),
+         fractions["electric_2030_vs_onshore"].times_over),
         ("offshore50_times_electric", "stated_offshore50_times_electric",
-         fractions["electric_2030_vs_offshore_50m"]["times_over"]),
+         fractions["electric_2030_vs_offshore_50m"].times_over),
         ("offshore1000_times_primary", "stated_offshore1000_times_primary",
-         fractions["primary_2030_vs_offshore_1000m"]["times_over"]),
+         fractions["primary_2030_vs_offshore_1000m"].times_over),
         ("wind_total_potential_twh", "wind_total_potential_as_stated",
          constant("onshore_wind_potential") + constant("offshore_1000m")),
         ("reduced_primary_2030_twh", "reduced_primary_2030",
          areas["reduced_primary_2030"].demand_twh_per_year),
         ("offshore_1000m_extrapolated_twh", "offshore_1000m",
-         budget["offshore_depth_extrapolation"]["extrapolated_potential_twh_per_year"]),
+         budget.offshore_depth_extrapolation.extrapolated_potential_twh_per_year),
         # Which demand the stated electric-demand area used is unstated;
         # neither candidate reproduces it, so both recomputations are reported.
         ("pv_area_electric_fig5_km2", "stated_pv_area_electric_km2",

@@ -654,25 +654,18 @@ def test_library_refuses_what_it_cannot_compute(name, args, cls, message):
 _PROBES = (_NAN, _INF, -_INF, 0.0, -0.0, -1.0, 1e308, 5e-324)
 
 
-# the fit and learning-curve records, whose float fields are probed one at a time
-_FIT_RECORDS = (growthfit.ExponentialFit, growthfit.PolynomialFit,
-                growthfit.PiecewiseExponentialFit, learncurve.LearningCurveFit,
-                learncurve.CostSeries)
-
-
 def _probed(value, path=""):
-    """(path, probe, copy) for each float in value, those in plain tuples and
-    lists and in the fields of fit records (nested ones included) too, with
-    that float set in turn to each probe; other records (NamedTuples and
-    objects) are passed whole."""
+    """(path, probe, copy) for each float in value, those in tuples, lists
+    and the fields of records (NamedTuples, nested ones included) too, with
+    that float set in turn to each probe; other objects are passed whole."""
     if isinstance(value, float):
         for probe in _PROBES:
             yield path, probe, probe
-    elif isinstance(value, _FIT_RECORDS):
+    elif hasattr(value, "_fields"):
         for field in value._fields:
             for where, probe, copy in _probed(getattr(value, field), f"{path}.{field}"):
                 yield where, probe, value._replace(**{field: copy})
-    elif isinstance(value, (tuple, list)) and not hasattr(value, "_fields"):
+    elif isinstance(value, (tuple, list)):
         for i, item in enumerate(value):
             for where, probe, copy in _probed(item, f"{path}[{i}]"):
                 yield where, probe, type(value)((*value[:i], copy, *value[i + 1:]))
@@ -763,7 +756,7 @@ def test_every_public_name_keeps_the_exit_code_contract(
                 broken.append(f"{name}: args{where} = {probe!r} raises {exc!r}")
                 continue
             if name == "potential_fraction" and probed[0] == 0:
-                result = result[0]      # times_over is inf at zero demand, as documented
+                result = result.fraction     # times_over is inf at zero demand, as documented
             if not (isinstance(call, type) or _finite(result)):
                 broken.append(f"{name}: args{where} = {probe!r} returns {result!r}")
     assert broken == []

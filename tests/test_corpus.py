@@ -70,6 +70,15 @@ def test_made_series_loads_back_from_its_dump(probe, column):
     assert rc.dump_series(loaded) == rc.dump_series(series)
 
 
+def test_a_made_series_dumps_its_provenance_and_its_years_as_written():
+    # a year that :g keeps exactly is written that way, any other by repr
+    series = rc.make_series("pv", "installed_power", "GW",
+                            [(2000.0, 1.0), (2000.1234567, 2.0)], provenance="a note")
+    assert series.provenance == "a note"
+    assert rc.dump_series(series) == ("# a note\n# technology: pv\n# kind: installed_power\n"
+                                      "# unit: GW\n2000,1.0\n2000.1234567,2.0\n")
+
+
 def test_fractional_years_parse():
     text = "# kind: installed_power\n# unit: GW\n2020.5,1\n2021,2\n"
     s = rc.load_capacity_series(text)
@@ -88,6 +97,10 @@ def test_generation_series_allows_zero():
     text = "# kind: annual_generation\n# unit: TWh_per_year\n2000,0\n2001,2\n"
     s = rc.load_capacity_series(text)
     assert s.values == (0.0, 2.0)
+    # a 0 is no error, so the first bad row named is the negative one after it
+    text = "# kind: annual_generation\n# unit: TWh_per_year\n2000,0\n2001,-2\n"
+    with pytest.raises(DataError, match=r"^series 'unnamed': value -2\.0 at 2001 must be >= 0$"):
+        rc.load_capacity_series(text)
 
 
 def test_duplicate_year_rejected():

@@ -140,6 +140,9 @@ def test_polynomial_errors():
         rc.fit_polynomial(_series([(2000, 1.0), (2001, 2.0)]), 0)
     with pytest.raises(ModelError, match=r"^toy: degree-2 fit needs >= 3 points, got 2$"):
         rc.fit_polynomial(_series([(2000, 1.0), (2001, 2.0)]), 2)
+    # the kernel names the distinct years a degree needs
+    with pytest.raises(ModelError, match=r"^degree-1 fit needs >= 2 distinct years$"):
+        growthfit._polyfit([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], 1)
 
 
 def test_bundled_hydro_quadratic_extrapolation(hydro_series):
@@ -325,6 +328,34 @@ def test_noiseless_changepoint_takes_the_first_split_unscanned(monkeypatch):
     assert piecewise.sse_piecewise == piecewise.sse_single == 0.0
 
 
+@pytest.mark.parametrize("single, first, changepoint, improvement", [
+    (1.0, 1.0, 3, 0.0),     # both at the floor: the first split, unscanned
+    (2.0, 1.0, 4, 1.0),     # the single line above it: the scan finds the least total
+])
+def test_an_sse_at_the_noise_floor_counts_as_an_exact_fit(monkeypatch, single, first,
+                                                         changepoint, improvement):
+    # the stubbed ols gives each SSE as a multiple of the noise floor: a line
+    # from the first year of n points gets floors[n] of them (1 if n is not
+    # listed), a right side none; an SSE of exactly one floor is an exact fit
+    years = [2000.0 + i for i in range(8)]
+    series = _series([(y, math.exp(0.3 * (y - 2000.0))) for y in years])
+    lnv = list(map(math.log, series.values))
+    floor = len(years) * (1e-12 * max(1.0, max(map(abs, lnv)))) ** 2
+    floors = {len(years): single, 3: first, 4: 0.0}
+    ols = growthfit.ols
+
+    def stub(x, y):
+        slope, xm, ym, _, sst = ols(x, y)
+        return slope, xm, ym, (floors.get(len(x), 1.0) if x[0] == years[0] else 0.0) * floor, sst
+
+    monkeypatch.setattr(growthfit, "ols", stub)
+    piecewise = rc.detect_changepoint(series, min_segment=3)
+    assert piecewise.changepoint_year == years[changepoint]
+    assert piecewise.sse_piecewise == 0.0
+    assert piecewise.sse_single == (0.0 if single == 1.0 else single * floor)
+    assert piecewise.improvement_ratio == improvement
+
+
 # -- extrapolation and doubling time -----------------------------------------
 
 def test_ten_doublings():
@@ -375,6 +406,7 @@ def test_year_at_refuses_a_flat_fit():
 def test_horizon_warning_flag():
     fit = rc.fit_exponential(_series([(2000, 1.0), (2001, 2.0), (2002, 4.0)]))
     assert rc.past_horizon(fit, 2016.9) is False
+    assert rc.past_horizon(fit, 2017.0) is False    # exactly HORIZON_WARNING_YEARS past
     assert rc.past_horizon(fit, 2017.1) is True
 
 
@@ -394,6 +426,10 @@ def test_piecewise_extrapolation_uses_right_segment():
     before = piecewise.changepoint_year - 5.0
     assert float(rc.extrapolate(piecewise, before)) == pytest.approx(
         piecewise.left.value_at(before), rel=1e-12)
+    # the changepoint year is the right segment's first year
+    year = piecewise.changepoint_year
+    right, left = piecewise.right.value_at(year), piecewise.left.value_at(year)
+    assert piecewise.value_at(year) == right != left
 
 
 def test_doubling_time_examples():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewcast as rc
-from exactfit import (PolynomialReference, ols_reference, polyfit_coefficient_bounds,
+from exactfit import (U, PolynomialReference, ols_reference, polyfit_coefficient_bounds,
                       polyfit_fitted_bound)
 from renewcast import growthfit
 from renewcast.config import MAX_HYDRO_DEGREE
@@ -127,6 +127,24 @@ def test_hydro_coefficients_match_polyfit_for_every_allowed_degree(hydro_series,
     bounds = polyfit_coefficient_bounds(exact)
     for got, want, bound in zip(fit.coefficients, exact.coefficients, bounds):
         assert abs(Fraction(got) - want) <= bound
+
+
+@pytest.mark.parametrize("k", [1, 7, 1000, 10**9])
+def test_unit_roundoff_and_gamma_match_exact_arithmetic(k):
+    # the unit roundoff and gamma(k) = ku / (1 - ku), which the changepoint
+    # scan's bound is built from, each within one rounding of exact
+    assert growthfit._U == U
+    exact = k * Fraction(U) / (1 - k * Fraction(U))
+    assert abs(Fraction(growthfit._gamma(k)) - exact) <= 2 * Fraction(U) * exact
+
+
+def test_a_reflection_of_a_head_that_starts_at_zero_takes_the_negative_norm():
+    # the second reflection of four consecutive years meets h0 == 0.0
+    # exactly and, as for h0 > 0, reflects onto -|head| e1; the other sign
+    # is as accurate but gives other bits, and the artifacts keep these
+    series = rc.make_series("toy", "annual_generation", "TWh_per_year",
+                            [(2000.0, 1.0), (2001.0, 1.0), (2002.0, 1.0), (2003.0, 2.0)])
+    assert rc.fit_polynomial(series, 1).coefficients == (0.8, 0.29999999999999993)
 
 
 _SAMPLES = st.lists(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import accumulate
 
 import pytest
@@ -98,6 +99,20 @@ def test_cost_series_is_the_checked_unit_cost_series():
         rc.cost_series(load_bundled("pv"))
     with pytest.raises(DataError, match=wrong_kind):
         rc.join_cost_to_generation(load_bundled("pv"), load_bundled("pv"), 0.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["years", "values"])
+def test_cost_series_refuses_a_sample_that_is_not_finite(column, bad):
+    # the first bad sample is named, as the loader names it
+    cost = _year_cost([(2000.0, 40.0), (2001.0, 30.0), (2002.0, 20.0)])
+    cost = cost._replace(**{column: (*getattr(cost, column)[:1], bad, bad)})
+    sample = (bad, 30.0) if column == "years" else (2001.0, bad)
+    message = f"^{re.escape(f'series {cost.technology!r}: non-finite sample {sample!r}')}$"
+    for call in (rc.cost_series, rc.fit_time_decay,
+                 lambda c: rc.join_cost_to_generation(c, load_bundled("pv"), 0.2)):
+        with pytest.raises(DataError, match=message):
+            call(cost)
 
 
 def test_twenty_percent_per_doubling_slope():

@@ -19,7 +19,8 @@ from renewcast.cli import main
 from renewcast.config import THRESHOLD_NAMES, WIND_TREATMENTS
 from renewcast.errors import ConfigError, ModelError
 from renewcast.report import ClaimRow, CrossingEntry
-from renewcast.resourcebudget import AreaBudget, DiscrepancyRow
+from renewcast.resourcebudget import (AreaBudget, DepthExtrapolation, DiscrepancyRow,
+                                     PotentialFraction, ReferenceBudget)
 from renewcast.scenario import MixEntry
 
 
@@ -69,7 +70,10 @@ def test_report_json_schema(default_report):
         (MixEntry, [e for entries in doc["mixes"].values() for e in entries]),
         (DiscrepancyRow, doc["discrepancies"]),
         (ClaimRow, doc["claims"]),
+        (ReferenceBudget, [doc["budget"]]),
         (AreaBudget, list(doc["budget"]["areas"].values())),
+        (PotentialFraction, list(doc["budget"]["potential_fractions"].values())),
+        (DepthExtrapolation, [doc["budget"]["offshore_depth_extrapolation"]]),
     ]
     for row_type, rows in published:
         assert rows
@@ -84,14 +88,17 @@ def test_report_json_schema(default_report):
     # editing to_dict's rows leaves the report's rows as they are
     crossing, mix = default_report.crossings[0], default_report.mixes["2030"][0]
     year, share = crossing.year, mix.share_pct
+    fraction = default_report.budget.potential_fractions["primary_2030_vs_onshore"]
     edited = default_report.to_dict()
     edited["crossings"][0]["year"] = -1.0
     edited["crossings"][0].pop("status")
     edited["mixes"]["2030"][0]["share_pct"] = -1.0
     edited["budget"]["areas"]["electric_2030"].clear()
+    edited["budget"]["potential_fractions"]["primary_2030_vs_onshore"]["fraction"] = -1.0
     assert default_report.crossings[0] is crossing
     assert (crossing.year, crossing.status) == (year, doc["crossings"][0]["status"])
     assert mix.share_pct == share
+    assert default_report.budget.potential_fractions["primary_2030_vs_onshore"] == fraction
     assert json.loads(report_mod.report_json(default_report)) == doc
 
 
@@ -655,7 +662,7 @@ def test_appendix_rows_keep_the_registered_capacity_factor(default_report):
     rows = [[repr(row) for row in rep.discrepancies if row.name in names]
             for rep in (report, default_report)]
     assert len(rows[0]) == 16 and rows[0] == rows[1]
-    assert report.budget["areas"] != default_report.budget["areas"]
+    assert report.budget.areas != default_report.budget.areas
 
 
 def test_discrepancy_row_type():

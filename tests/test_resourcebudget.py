@@ -138,6 +138,7 @@ def test_depth_extrapolation_needs_points():
     ([(math.nan, 10.0), (2.0, 20.0)], r"\(nan, 10\.0\)"),
     ([(1.0, 10.0), (2.0, math.inf)], r"\(2\.0, inf\)"),
     ([(math.inf, 10.0), (2.0, 20.0)], r"\(inf, 10\.0\)"),
+    ([(1.0, 10.0), (2.0, 0.0)], r"\(2\.0, 0\.0\)"),
 ])
 def test_depth_extrapolation_refuses_nonpositive_points(points, shown):
     with pytest.raises(DataError,

@@ -40,6 +40,13 @@ TESTS = {
                       "test_acceptance.py", "test_report_cli.py"],
     "artifacts.py": ["test_report_cli.py", "test_golden.py", "test_cli_sections.py",
                      "test_figures.py"],
+    "resourcebudget.py": ["test_resourcebudget.py", "test_golden.py", "test_report_cli.py",
+                          "test_cli_sections.py", "test_acceptance.py"],
+    "corpus.py": ["test_corpus.py", "test_golden.py", "test_cli_sections.py",
+                  "test_acceptance.py"],
+    "growthfit.py": ["test_growthfit.py", "test_figures.py", "test_kernels.py",
+                     "test_golden.py", "test_acceptance.py", "test_scenario.py",
+                     "test_cli_sections.py"],
 }
 
 # (module, source line stripped, mutation) -> why no input tells them apart;
@@ -49,6 +56,17 @@ EQUIVALENT = {
         "hi - lo is exact and a multiple of the smaller bracket end's ulp, and "
         "the float 1e-9 is an odd multiple of 2**-82, so the width can equal it "
         "only for a bracket within 2**-29 years of year 0",
+    ("growthfit.py", 'out.append("0" if r == 0 else ("+" if r > 0 else "-"))', "> -> >="):
+        "r == 0 is handled first, so r > 0 and r >= 0 pick alike",
+    ("corpus.py", "if not (min(values) > 0 if strict else min(values) >= 0):", ">= -> >"):
+        "the minimum only decides whether the walk of the values runs, and the "
+        "walk gives the verdict: at a minimum of exactly 0, where 0 is allowed, "
+        "it runs and finds no bad value",
+    ("corpus.py", "well_formed = well_formed and math.isfinite(sum(years) + sum(values))",
+     "+ -> -"):
+        "the sum only decides whether the walk of the lines runs, and the walk "
+        "gives the verdict: a nan or infinite entry makes a + b and a - b alike "
+        "not finite, and a walk that finds no bad line lets the rows load",
     ("artifacts.py", "+ (float.__repr__(v) if type(v) is float and v - v == 0.0", "- -> +"):
         "the inline float path and text() write a float alike; the mutant only "
         "sends every float but 0.0 through text()",

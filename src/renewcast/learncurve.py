@@ -119,7 +119,7 @@ def fit_learning_curve(series: CostSeries) -> LearningCurveFit:
         raise DataError(f"{series.technology}: {len(series.x)} x values but "
                         f"{len(series.costs)} costs")
     if len(series.x) < 2:
-        raise ModelError("learning-curve fit needs >= 2 samples")
+        raise ModelError(f"{series.technology}: learning-curve fit needs >= 2 samples")
     for x, c in zip(series.x, series.costs):
         if not (0 < x < math.inf and 0 < c < math.inf):
             raise DataError(f"{series.technology}: x {x!r} and cost {c!r} "
@@ -179,7 +179,7 @@ def fit_time_decay(series: CapacitySeries) -> TimeDecayFit:
     as a cost at its first year and an annual factor."""
     series = cost_series(series)
     if len(series.years) < 2:
-        raise ModelError("time-decay fit needs >= 2 samples")
+        raise ModelError(f"{series.technology}: time-decay fit needs >= 2 samples")
     years, values = series.years, series.values
     fit = _exponential(years, _log_line(series.technology, years, values)[1])
     try:

@@ -61,7 +61,8 @@ class CombinedProjection:
         for p in self.components:       # capacity factors were checked with each profile
             power = p.model.value_at(year)
             if power < 0:
-                raise ModelError(f"installed power must be >= 0, got {power!r}")
+                raise ModelError(f"{p.name} at {year:g}: installed power must be >= 0, "
+                                 f"got {power!r}")
             out.append(power * p.capacity_factor * HOURS_PER_YEAR / 1000.0)
         return out
 

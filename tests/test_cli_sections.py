@@ -261,7 +261,8 @@ def test_negative_hydro_generation_fails_only_what_reads_it(tmp_path, capsys):
     conf = tmp_path / "quartic.conf"
     conf.write_text("hydro_degree = 4\n", encoding="utf-8")
     assert main(["--config", str(conf), "cross", "--threshold", "electric_fig5"]) == 4
-    assert "installed power must be >= 0" in capsys.readouterr().err
+    assert re.fullmatch(r"model error: hydro at 20[0-9]{2}(\.[0-9]+)?: installed power "
+                        r"must be >= 0, got -[0-9.e+-]+\n", capsys.readouterr().err)
     assert main(["--config", str(conf), "fit", "hydro"]) == 0
     assert "[hydro]" in capsys.readouterr().out
 

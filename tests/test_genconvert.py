@@ -21,6 +21,7 @@ def test_pv_capacity_factor_example():
 
 def test_zero_power():
     assert rc.generation_capability(0.0, 0.5) == 0.0
+    assert power_required(0.0, 0.5) == 0.0
 
 
 def test_single_sample_profile():

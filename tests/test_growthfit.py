@@ -296,7 +296,8 @@ def _weekly_samples(n, shape):
     rng = random.Random(f"weekly-{n}-{shape}")
     years = [2000.0 + i / 52 for i in range(n)]
     knee = years[2 * n // 3] if shape == "break" else years[n // 2]
-    lnv = [0.4 * (y - 2000.0) - (0.3 if shape == "break" else 0.8) * max(0.0, y - knee)
+    bend = {"trend": 0.0, "break": 0.3, "mirror": 0.8}[shape]
+    lnv = [0.4 * (y - 2000.0) - bend * max(0.0, y - knee)
            + rng.gauss(0.0, 0.03) for y in years]
     if shape == "mirror":
         lnv[n - n // 2:] = lnv[:n // 2][::-1]

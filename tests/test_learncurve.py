@@ -54,7 +54,7 @@ def test_learning_curve_needs_generation_axis():
 
 
 def test_learning_curve_too_few_points():
-    with pytest.raises(ModelError, match=r"^learning-curve fit needs >= 2 samples$"):
+    with pytest.raises(ModelError, match=r"^toy: learning-curve fit needs >= 2 samples$"):
         rc.fit_learning_curve(_gen_cost([(10.0, 100.0)]))
 
 
@@ -258,7 +258,7 @@ def test_geometric_recovery_randomized():
 
 
 def test_time_decay_too_few_points():
-    with pytest.raises(ModelError, match=r"^time-decay fit needs >= 2 samples$"):
+    with pytest.raises(ModelError, match=r"^toy: time-decay fit needs >= 2 samples$"):
         rc.fit_time_decay(_year_cost([(2000.0, 8.0)]))
 
 

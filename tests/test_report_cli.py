@@ -237,11 +237,47 @@ def test_horizon_2024_not_reached():
 def test_invalid_horizon_rejected():
     with pytest.raises(ConfigError, match=r"^horizon 2015 must exceed the last data year "):
         rc.run_scenario(rc.ScenarioConfig()._replace(horizon=2015.0))
+    # a horizon at the last data year is refused too
+    with pytest.raises(ConfigError, match=r"^horizon 2020 must exceed the last data year 2020$"):
+        rc.run_scenario(rc.ScenarioConfig()._replace(horizon=2020.0))
+
+
+def test_report_comparisons_at_equality():
+    # a ratio at the threshold is a regime change, a cost at the floor draws
+    # no warning, and a crossing at the largest observed x is not beyond it
+    rep = rc.run_scenario(rc.ScenarioConfig())
+    ratio = rep.fits["wind_piecewise"].improvement_ratio
+    assert rc.run_scenario(rep.config._replace(changepoint_threshold=ratio)).regime_change
+    floor = rc.constant("stated_lcoe_floor")
+    x_hi = max(rep.learning[f"{t}_learning_curve"].x_range[1] for t in ("pv", "wind"))
+    # the bundled data meet neither bound, so these two sections are set by hand
+    vars(rep).update(pv_cost_at_stated_2030=floor, curve_crossing=(x_hi, floor))
+    assert not any("below the stated" in w for w in rep.warnings)
+    assert rep.learning_dict()["curve_crossing"]["beyond_observed_range"] is False
 
 
 def test_unknown_threshold_rejected():
     with pytest.raises(ConfigError, match=r"^unknown threshold 'nope'; known: "):
         rc.ScenarioConfig(thresholds=("electric_fig5", "nope")).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 2200.0), ("mix_years", (2021.0, 2200.0)), ("changepoint_min_segment", 2),
+    ("cf_pv", 1.0), ("wind_regime_window", (2005.0, 2005.0)),
+])
+def test_config_accepts_each_bound(field, value):
+    config = rc.ScenarioConfig()._replace(**{field: value})
+    assert config.validate() is config
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("changepoint_min_segment", 1, r"^changepoint_min_segment must be >= 2$"),
+    ("cf_wind", 0.0, r"^capacity factor 0\.0 outside \(0, 1\]$"),
+    ("cf_hydro", 1.0000000000000002, r"^capacity factor 1\.0000000000000002 outside "),
+])
+def test_config_refuses_each_value_past_a_bound(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        rc.ScenarioConfig()._replace(**{field: value}).validate()
 
 
 def test_config_is_an_immutable_record(default_report):

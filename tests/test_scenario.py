@@ -257,7 +257,7 @@ def _quartic_hydro_profile():
 @pytest.mark.parametrize("make_profile, level, horizon, error", [
     (lambda: _exp_profile("a", 4.0, 0.5), 1e3, 2050.0, "^projection decreases"),
     (_step_profile, 100.0, 2020.0, "^projection jumps past"),
-    (_quartic_hydro_profile, 5000.0, 2050.0, "^installed power must be >= 0"),
+    (_quartic_hydro_profile, 5000.0, 2050.0, "^hydro at [0-9.]+: installed power must be >= 0, got -"),
 ])
 def test_failed_crossing_fails_again_on_the_same_projection(make_profile, level,
                                                            horizon, error):

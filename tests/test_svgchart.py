@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renewcast.svgchart import Axis, Chart, _nice_ticks, render
+from renewcast.svgchart import Axis, Chart, _nice_ticks, _tick_label, render
 
 # sha256 of _pinned_svg(): any change to a coordinate, its formatting or
 # the element order moves it
@@ -146,3 +146,20 @@ def test_scale_equals_the_mixed_type_expression(case):
 @pytest.mark.parametrize("lo, hi", [(3.0, 3.0), (5.0, 1.0)])
 def test_an_empty_tick_range_gets_its_low_end(lo, hi):
     assert _nice_ticks(lo, hi) == [lo]
+
+
+@pytest.mark.parametrize("lo, hi, ticks", [
+    # five whole steps tick every step, a tick up to 1e-9 of a step past the
+    # high end is kept, and only a tick within 1e-12 of a step of 0 reads 0
+    (0.0, 5.0, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+    (0.0, 5.0 - 1e-9, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+    (0.0, 5e-7, [0.0, 1e-7, 2e-7, 3e-7, 4e-7, 5e-7]),
+])
+def test_ticks_at_the_edges_of_their_bounds(lo, hi, ticks):
+    assert _nice_ticks(lo, hi) == ticks
+
+
+@pytest.mark.parametrize("value, label", [(1e-3, "0.001"), (9.9e-4, "1e-3"), (-1e-3, "-0.001"),
+                                          (99999.0, "99999"), (1e5, "1e5"), (0.0, "0")])
+def test_tick_labels_switch_to_exponents_outside_1e_3_to_1e5(value, label):
+    assert _tick_label(value) == label

@@ -1,208 +1,208 @@
 """Mutation probe: flip one operator at a time and see whether a test notices.
 
-Each mutant changes one comparison (< <= > >= == !=), one arithmetic
-operator (+ - * /, also in an augmented assignment) or one and/or in a
-module of src/renewcast, in a copy of the tree; src/ itself is never
-written. The module's mapped test files then run on that copy, and a
-mutant that passes them survived. Survivors
-known to be equivalent (no input tells them from the original) are listed
-in EQUIVALENT with the reason, and are counted apart.
+    python tools/mutate.py                  # every module with an operator
+    python tools/mutate.py scenario.py      # the named modules only
 
-    python tools/mutate.py scenario.py learncurve.py artifacts.py
-
-Each mutant is the module's tree with one operator flipped, written back
-with ast.unparse; the unmutated module, unparsed alike, must pass its tests
-first. It prints each survivor as module:line (the line the operator's
-left operand ends on), the mutation and the source line, and one kill-rate
-line per module. One mutant runs at a time, and a test run that takes
-longer than TIMEOUT seconds (a mutant may loop forever) kills its mutant.
-It is no test: neither the test suite nor CI runs it.
+A mutant flips one comparison, + - * / or and/or of a src/renewcast module in
+a temporary copy of src/, tests/ and perfbench/ holding each probed module's
+ast.unparse form. Each test file runs once under a line tracer and must pass;
+a mutant then runs the files that ran a line of its operator (README.md).
 """
 
-from __future__ import annotations
-
 import ast
+import functools
+import json
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGE = os.path.join("src", "renewcast")
-TIMEOUT = 60.0
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src", "renewcast")
+TIMEOUT = 60.0      # seconds a mutant's run may take beyond its files' traced time
+WORKERS = 2         # copies of the tree, each running one mutant at a time
 
-# module -> the test files that pin it; known-red criteria are deselected
-TESTS = {
-    "scenario.py": ["test_scenario.py", "test_golden.py", "test_cli_sections.py",
-                    "test_acceptance.py"],
-    "learncurve.py": ["test_learncurve.py", "test_golden.py", "test_cli_sections.py",
-                      "test_acceptance.py", "test_report_cli.py"],
-    "artifacts.py": ["test_report_cli.py", "test_golden.py", "test_cli_sections.py",
-                     "test_figures.py"],
-    "resourcebudget.py": ["test_resourcebudget.py", "test_golden.py", "test_report_cli.py",
-                          "test_cli_sections.py", "test_acceptance.py"],
-    "corpus.py": ["test_corpus.py", "test_golden.py", "test_cli_sections.py",
-                  "test_acceptance.py"],
-    "growthfit.py": ["test_growthfit.py", "test_figures.py", "test_kernels.py",
-                     "test_golden.py", "test_acceptance.py", "test_scenario.py",
-                     "test_cli_sections.py"],
-}
+# python -c _TRACE OUT ARGS runs pytest ARGS and writes each [module, line] of
+# src/renewcast that it ran to OUT; a test's child processes are not traced
+_TRACE = """import json, os, sys, pytest
+package, seen = os.path.join(os.getcwd(), "src", "renewcast", ""), set()
+def trace(frame, event, arg):
+    if frame.f_code.co_filename.startswith(package):
+        seen.add((frame.f_code.co_filename[len(package):], frame.f_lineno))
+        return trace
+sys.settrace(trace)
+code = pytest.main(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    json.dump(sorted(seen), out)
+sys.exit(code)"""
 
 # (module, source line stripped, mutation) -> why no input tells them apart;
 # a key covers each place on its line where that mutation applies
+_INLINE = "the inline float path and text() write a float alike"
+_CLIP = "the test only picks the fast path, which draws what the filter would"
 EQUIVALENT = {
     ("scenario.py", "while hi - lo > YEAR_TOLERANCE:", "> -> >="):
-        "hi - lo is exact and a multiple of the smaller bracket end's ulp, and "
-        "the float 1e-9 is an odd multiple of 2**-82, so the width can equal it "
-        "only for a bracket within 2**-29 years of year 0",
+        "hi - lo is a multiple of the smaller end's ulp and 1e-9 an odd multiple of 2**-82, "
+        "so they are equal only within 2**-29 years of year 0",
     ("growthfit.py", 'out.append("0" if r == 0 else ("+" if r > 0 else "-"))', "> -> >="):
         "r == 0 is handled first, so r > 0 and r >= 0 pick alike",
     ("corpus.py", "if not (min(values) > 0 if strict else min(values) >= 0):", ">= -> >"):
-        "the minimum only decides whether the walk of the values runs, and the "
-        "walk gives the verdict: at a minimum of exactly 0, where 0 is allowed, "
-        "it runs and finds no bad value",
+        "the walk of the values decides, and passes a minimum of 0 where 0 is allowed",
     ("corpus.py", "well_formed = well_formed and math.isfinite(sum(years) + sum(values))",
-     "+ -> -"):
-        "the sum only decides whether the walk of the lines runs, and the walk "
-        "gives the verdict: a nan or infinite entry makes a + b and a - b alike "
-        "not finite, and a walk that finds no bad line lets the rows load",
+     "+ -> -"): "a nan or inf makes a + b and a - b alike not finite; the walk decides",
     ("artifacts.py", "+ (float.__repr__(v) if type(v) is float and v - v == 0.0", "- -> +"):
-        "the inline float path and text() write a float alike; the mutant only "
-        "sends every float but 0.0 through text()",
+        _INLINE,
     ("artifacts.py", "items = [float.__repr__(v) if type(v) is float and v - v == 0.0",
-     "- -> +"):
-        "the inline float path and text() write a float alike; the mutant only "
-        "sends every float but 0.0 through text()",
+     "- -> +"): _INLINE,
+    ("cli.py", "if len(usage) > 78:  # the one line break argparse made in each long usage "
+     "here", "> -> >="): "no usage line of the nine fixed parsers is 78 characters long",
+    ("cli.py", "if len(inv) <= width - 4 else f\"\\n  {inv}\\n{'':{width}}{doc}\" for inv, "
+     "doc in section)", "- -> +"):
+        "no help row of the nine fixed parsers is width - 3 to width + 4 characters long",
+    ("figures.py", "while x <= x_hi * 1.0001:", "<= -> <"):
+        "x steps by 10**0.1 within 1e-12 of each power of ten, never onto x_hi * 1.0001",
+    ("svgchart.py", "ticks.append(0.0 if abs(t) < 1e-12 * step else t)", "< -> <="):
+        "seven roundings within six steps leave a tick near 0 under 1e-14 steps from it",
+    ("svgchart.py", "if not (xs and xlo <= min(xs) and max(xs) <= xhi and ylo <= min(ys)",
+     "<= -> <"): _CLIP,
+    ("svgchart.py", "and max(ys) <= yhi and math.isfinite(sum(xs) + sum(ys))):",
+     "<= -> <"): _CLIP,
+    ("svgchart.py", "and max(ys) <= yhi and math.isfinite(sum(xs) + sum(ys))):",
+     "+ -> -"): _CLIP + ", as a nan or inf makes a + b and a - b alike not finite",
 }
 
-_SWAPS = {
-    ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
-    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
-    ast.And: ast.Or, ast.Or: ast.And,
-}
-_TEXT = {
-    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
-    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.And: "and", ast.Or: "or",
-}
+_PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq), (ast.Add, ast.Sub),
+          (ast.Mult, ast.Div), (ast.And, ast.Or)]
+_SWAPS = {**dict(_PAIRS), **{b: a for a, b in _PAIRS}}
+_TEXT = dict(zip(_SWAPS, "< > == + * and <= >= != - / or".split()))
 
 
 def _sites(tree) -> list:
-    """(node, field, index, line) per operator that can flip, in source
-    order: the node holds the operator in node.field (node.field[index] for
-    a comparison), and its left operand ends on line."""
+    """(node, index, left operand) per operator that can flip, in ast.walk
+    order: node.ops[index] for a comparison, node.op when index is None."""
     sites = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
-            for i, (op, left) in enumerate(zip(node.ops, [node.left, *node.comparators])):
-                if type(op) in _SWAPS:
-                    sites.append((node, "ops", i, left))
-        elif isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
-            sites.append((node, "op", None, node.left))
-        elif isinstance(node, ast.AugAssign) and type(node.op) in _SWAPS:
-            sites.append((node, "op", None, node.target))
+            sites += [(node, i, left) for i, (op, left)
+                      in enumerate(zip(node.ops, [node.left, *node.comparators]))
+                      if type(op) in _SWAPS]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
+            sites.append((node, None, getattr(node, "left", None) or node.target))
         elif isinstance(node, ast.BoolOp):
-            sites.append((node, "op", None, node.values[0]))
-    sites.sort(key=lambda site: (site[3].end_lineno, site[3].end_col_offset))
-    return [(node, field, index, left.end_lineno) for node, field, index, left in sites]
+            sites.append((node, None, node.values[0]))
+    return sites
 
 
-def _flip(node, field, index):
-    """Swap the operator in place; returns the old and the new one."""
-    if index is None:
-        old = getattr(node, field)
-        setattr(node, field, _SWAPS[type(old)]())
-        return old, getattr(node, field)
-    ops = getattr(node, field)
-    old = ops[index]
-    ops[index] = _SWAPS[type(old)]()
-    return old, ops[index]
-
-
-def _source(module: str) -> str:
-    with open(os.path.join(ROOT, PACKAGE, module), encoding="utf-8") as f:
-        return f.read()
+@functools.cache
+def _unparsed(module: str) -> str:
+    return ast.unparse(ast.parse((ROOT / PACKAGE / module).read_text(encoding="utf-8")))
 
 
 def mutants(module: str):
-    """(line, mutation, source line, mutated module text) per mutant of
-    module, in source order; the text is ast.unparse of the flipped tree."""
-    source = _source(module)
-    lines = source.splitlines()
-    for k in range(len(_sites(ast.parse(source)))):
-        tree = ast.parse(source)        # a fresh tree per mutant, flipped in place
-        node, field, index, line = _sites(tree)[k]
-        old, new = _flip(node, field, index)
-        yield (line, f"{_TEXT[type(old)]} -> {_TEXT[type(new)]}", lines[line - 1].strip(),
+    """(line, mutation, source line, lines, mutated text) per mutant, in source
+    order: line is where the left operand ends in the source, and lines hold
+    the operator in the unparsed module, whose tree ast.walk pairs with the
+    source's, as the two have one shape."""
+    source = (ROOT / PACKAGE / module).read_text(encoding="utf-8")
+    sites = _sites(ast.parse(source))
+    for k in sorted(range(len(sites)),
+                    key=lambda k: (sites[k][2].end_lineno, sites[k][2].end_col_offset)):
+        tree = ast.parse(_unparsed(module))     # a fresh tree per mutant, flipped in place
+        node, index, _ = _sites(tree)[k]
+        old = node.op if index is None else node.ops[index]
+        if index is None:
+            node.op = _SWAPS[type(old)]()
+        else:
+            node.ops[index] = _SWAPS[type(old)]()
+        line = sites[k][2].end_lineno
+        yield (line, f"{_TEXT[type(old)]} -> {_TEXT[_SWAPS[type(old)]]}",
+               source.splitlines()[line - 1].strip(), range(node.lineno, node.end_lineno + 1),
                ast.unparse(tree))
 
 
-def _copy_tree(dest: str):
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
-        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
-    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
-
-
-def _passes(tree: str, module: str) -> bool:
-    """Whether the module's tests pass on tree within TIMEOUT seconds."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "-m", "not known_red", *(os.path.join("tests", t) for t in TESTS[module])]
+def _passes(trees: queue.Queue, files: list, timeout=None, trace=None, module=None,
+            text=None) -> bool:
+    """Whether files pass in time on a free copy, which holds text as module
+    while they run; with trace, the lines they run are written there."""
+    tree = trees.get()
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, *(["-c", _TRACE, trace] if trace else ["-m", "pytest"]), "-x",
+            "-q", "-p", "no:cacheprovider", "-m", "not known_red",
+            *(os.path.join("tests", name) for name in files)]
     try:
-        proc = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+        if module:
+            (tree / PACKAGE / module).write_text(text, encoding="utf-8")
+        return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout).returncode == 0
     except subprocess.TimeoutExpired:
         return False
-    return proc.returncode == 0
-
-
-def probe(module: str, tree: str) -> tuple[int, int, int]:
-    """Run every mutant of module on tree; print the survivors and return
-    (mutants, killed, equivalent)."""
-    path = os.path.join(tree, PACKAGE, module)
-    total = killed = equivalent = 0
-    try:
-        # the unmutated module, unparsed as the mutants are, must pass first
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(ast.unparse(ast.parse(_source(module))))
-        if not _passes(tree, module):
-            raise SystemExit(f"{module}: the mapped tests fail on the unparsed module")
-        for line, mutation, source, mutated in mutants(module):
-            total += 1
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(mutated)
-            if not _passes(tree, module):
-                killed += 1
-                continue
-            reason = EQUIVALENT.get((module, source, mutation))
-            equivalent += bool(reason)
-            print(f"{'equivalent' if reason else 'survived  '} {module}:{line}: "
-                  f"{mutation}  | {source}" + (f"  ({reason})" if reason else ""), flush=True)
     finally:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(_source(module))
-    return total, killed, equivalent
+        if module:
+            (tree / PACKAGE / module).write_text(_unparsed(module), encoding="utf-8")
+        trees.put(tree)
 
 
 def main(modules) -> int:
-    for module in modules:
-        if module not in TESTS:
-            raise SystemExit(f"no test map for {module}; known: {', '.join(sorted(TESTS))}")
-    survived = 0
-    with tempfile.TemporaryDirectory(prefix="mutate-") as tree:
-        _copy_tree(tree)
+    start, survived, trees = time.monotonic(), 0, queue.Queue()
+    tmp, pool = tempfile.TemporaryDirectory(prefix="mutate-"), ThreadPoolExecutor(WORKERS)
+
+    def record(name):   # ({(module, line) the test file ran}, seconds it took traced)
+        began, out = time.monotonic(), os.path.join(tmp.name, name + ".json")
+        if not _passes(trees, [name], trace=out):
+            raise SystemExit(f"{name} fails on the unparsed modules")
+        with open(out, encoding="utf-8") as f:
+            return {tuple(site) for site in json.load(f)}, time.monotonic() - began
+
+    try:
+        for k in range(WORKERS):
+            tree = Path(tmp.name).resolve() / str(k)
+            for name in ("src", "tests", "perfbench"):
+                shutil.copytree(ROOT / name, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".*"))
+            shutil.copy(ROOT / "pyproject.toml", tree)
+            for module in modules:
+                (tree / PACKAGE / module).write_text(_unparsed(module), encoding="utf-8")
+            trees.put(tree)
+        names = sorted(path.name for path in (ROOT / "tests").glob("test_*.py"))
+        recorded = dict(zip(names, pool.map(record, names)))
+        print(f"recorded {len(names)} test files in {time.monotonic() - start:.0f} s",
+              flush=True)
+        runs = {module: [] for module in modules}   # all queued before the first is read
         for module in modules:
-            total, killed, equivalent = probe(module, tree)
-            left = total - killed - equivalent
+            for line, mutation, source, lines, mutated in mutants(module):
+                files = sorted((n for n, (ran, _) in recorded.items()
+                                if any((module, k) in ran for k in lines)),
+                               key=lambda n: recorded[n][1])
+                runs[module].append((line, mutation, source, files and pool.submit(
+                    _passes, trees, files, TIMEOUT + sum(recorded[n][1] for n in files),
+                    None, module, mutated)))
+        for module, probed in runs.items():
+            tally = dict.fromkeys(("killed", "equivalent", "survived", "not reached"), 0)
+            for line, mutation, source, run in probed:
+                reason = EQUIVALENT.get((module, source, mutation))
+                status = ("not reached" if not run else "killed" if not run.result()
+                          else "equivalent" if reason else "survived")
+                tally[status] += 1
+                if status != "killed":
+                    print(f"{status:11} {module}:{line}: {mutation}  | {source}"
+                          + (f"  ({reason})" if status == "equivalent" else ""), flush=True)
+            left = tally["survived"] + tally["not reached"]
             survived += left
-            print(f"{module}: killed {killed} of {total} "
-                  f"({100.0 * killed / total:.0f}%), {equivalent} equivalent, "
-                  f"{left} survived", flush=True)
+            print(f"{module}: killed {tally['killed']} of {len(probed)}, {tally['equivalent']} "
+                  f"equivalent, {left} survived ({tally['not reached']} not reached)", flush=True)
+    finally:
+        pool.shutdown(cancel_futures=True)
+        tmp.cleanup()
+    print(f"probed {len(modules)} modules in {time.monotonic() - start:.0f} s")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:] or sorted(TESTS)))
+    sys.exit(main(sys.argv[1:] or sorted(
+        path.name for path in (ROOT / PACKAGE).glob("*.py")
+        if _sites(ast.parse(path.read_text(encoding="utf-8"))))))

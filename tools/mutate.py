@@ -178,9 +178,9 @@ def main(modules) -> int:
                 files = sorted((n for n, (ran, _) in recorded.items()
                                 if any((module, k) in ran for k in lines)),
                                key=lambda n: recorded[n][1])
+                timeout = TIMEOUT + sum(recorded[n][1] for n in files)
                 runs[module].append((line, mutation, source, files and pool.submit(
-                    _passes, trees, files, TIMEOUT + sum(recorded[n][1] for n in files),
-                    None, module, mutated)))
+                    _passes, trees, files, timeout, module=module, text=mutated)))
         for module, probed in runs.items():
             tally = dict.fromkeys(("killed", "equivalent", "survived", "not reached"), 0)
             for line, mutation, source, run in probed:
